@@ -43,22 +43,21 @@ def _load_group(path):
     return build_backend(desc)
 
 
+#: backends solved by the guess-and-reduce search, with their solvers
+SEARCHING_SOLVERS = (
+    (GraphProductBackend, solve_exponent_graph_product),
+    (HnnBackend, solve_exponent_hnn),
+    (AmalgamBackend, solve_exponent_amalgam),
+)
+
+
 def _dispatch_solve(backend, e, pieces_budget, states_budget, diagnostics):
-    if isinstance(backend, GraphProductBackend):
-        kwargs = {"pieces_budget": pieces_budget, "diagnostics": diagnostics}
-        if states_budget is not None:
-            kwargs["states_budget"] = states_budget
-        return solve_exponent_graph_product(backend, e, **kwargs)
-    if isinstance(backend, HnnBackend):
-        kwargs = {"pieces_budget": pieces_budget, "diagnostics": diagnostics}
-        if states_budget is not None:
-            kwargs["states_budget"] = states_budget
-        return solve_exponent_hnn(backend, e, **kwargs)
-    if isinstance(backend, AmalgamBackend):
-        kwargs = {"pieces_budget": pieces_budget, "diagnostics": diagnostics}
-        if states_budget is not None:
-            kwargs["states_budget"] = states_budget
-        return solve_exponent_amalgam(backend, e, **kwargs)
+    for cls, solve in SEARCHING_SOLVERS:
+        if isinstance(backend, cls):
+            kwargs = {"pieces_budget": pieces_budget, "diagnostics": diagnostics}
+            if states_budget is not None:
+                kwargs["states_budget"] = states_budget
+            return solve(backend, e, **kwargs)
     if isinstance(backend, FiniteExtBackend):
         return solve_exponent_finite_ext(backend, e, diagnostics=diagnostics)
     return solve_exponent(backend, e)
@@ -89,6 +88,12 @@ def cmd_solve(args):
     )
     data = _sorted_result(sols, diagnostics)
     print(json.dumps(data, indent=args.json_indent))
+    if not diagnostics.get("complete", True):
+        print(
+            "warning: the search ran outside its completeness bounds; the "
+            "result may miss solutions",
+            file=sys.stderr,
+        )
     return 0
 
 

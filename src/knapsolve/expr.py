@@ -15,7 +15,6 @@ Letters are identifiers, inverse letters carry a trailing apostrophe,
 letters are separated by whitespace inside parentheses.
 """
 
-import json
 import re
 
 from .errors import InputError
@@ -174,6 +173,45 @@ def format_expr(e):
     return " ".join(parts)
 
 
+class Renaming:
+    """Fresh names for repeated occurrences of variables, and their diagonal.
+
+    fresh(var) names the next occurrence of var: var itself the first
+    time, then var_2, var_3, ..., skipping every name already in use.
+    diagonal() is the constraint K tying the copies of each variable
+    together; its representation has magnitude one.
+    """
+
+    def __init__(self, variables):
+        self.variables = tuple(variables)
+        self.used = set(self.variables)
+        self.counters = {}
+        self.names = []
+        self.copies = {}
+
+    def fresh(self, var):
+        n = self.counters.get(var, 0) + 1
+        name = var if n == 1 else f"{var}_{n}"
+        while n > 1 and name in self.used:
+            n += 1
+            name = f"{var}_{n}"
+        self.counters[var] = n
+        self.used.add(name)
+        self.names.append(name)
+        self.copies.setdefault(var, []).append(name)
+        return name
+
+    def diagonal(self):
+        names = tuple(self.names)
+        periods = []
+        for var in self.variables:
+            if var not in self.copies:
+                continue
+            members = set(self.copies[var])
+            periods.append(tuple(1 if name in members else 0 for name in names))
+        return SemilinearSet(names, [LinearSet((0,) * len(names), periods)])
+
+
 def knapsackify(e):
     """Rename repeated variables apart; return (e', K).
 
@@ -182,32 +220,11 @@ def knapsackify(e):
     constraint tying the fresh copies to their originals; its
     representation has magnitude one.
     """
-    used = set(e.variables)
-    counts = {}
-    new_factors = []
-    groups = {}  # original var -> list of variable names in e'
-    for period, var, tail in e.factors:
-        counts[var] = counts.get(var, 0) + 1
-        if counts[var] == 1:
-            name = var
-        else:
-            n = counts[var]
-            name = f"{var}_{n}"
-            while name in used:
-                n += 1
-                name = f"{var}_{n}"
-            used.add(name)
-        groups.setdefault(var, []).append(name)
-        new_factors.append((period, name, tail))
-    e_prime = ExponentExpression(new_factors)
-    all_vars = e_prime.variables
-    zero = (0,) * len(all_vars)
-    periods = []
-    for var in e.variables:
-        members = set(groups[var])
-        periods.append(tuple(1 if v in members else 0 for v in all_vars))
-    K = SemilinearSet(all_vars, [LinearSet(zero, periods)])
-    return e_prime, K
+    renaming = Renaming(e.variables)
+    e_prime = ExponentExpression([
+        (period, renaming.fresh(var), tail) for period, var, tail in e.factors
+    ])
+    return e_prime, renaming.diagonal()
 
 
 def expr_to_json_dict(e):
@@ -230,14 +247,6 @@ def expr_from_json_dict(data):
     return ExponentExpression(factors)
 
 
-def expr_from_json(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON: {exc}") from exc
-    return expr_from_json_dict(data)
-
-
 __all__ = [
     "ExponentExpression",
     "normalize",
@@ -246,6 +255,5 @@ __all__ = [
     "knapsackify",
     "expr_to_json_dict",
     "expr_from_json_dict",
-    "expr_from_json",
     "invert_word",
 ]

@@ -2,22 +2,18 @@
 
 A graph product is built from vertex groups and an independence graph:
 generators of adjacent vertex groups commute.  Elements are irreducible
-traces over group-element atoms (module trace).  Solving e = 1 walks a
-guess tree:
+traces over group-element atoms (module trace).  The solver is the
+guess-and-reduce driver of module reduction; this module supplies what
+is particular to graph products:
 
-  1. rewrite every period into atomic or well-behaved parts and rename
-     repeated variables apart (preprocess);
-  2. guess which atomic powers evaluate to the identity;
-  3. search for reductions of the remaining factor tuple: constants may
-     split at downsets, symbolic powers split into alphabet-tagged
-     factors, adjacent same-vertex atoms merge or discharge into local
-     vertex-group constraints, mutually inverse factors cancel;
-  4. turn each surviving symbolic factor into a shape p u^x s via the
-     power-factorization grids, resolve matched factor pairs with the
-     exact two-dimensional trace solver, and assemble a semilinear set
-     per guess;
-  5. union over all guesses, intersect the variable-equality constraint
-     and project back to the input variables.
+  - periods split into atomic and well-behaved parts by the trace power
+    presentation, and an atomic power is zero when its vertex-group
+    element solves it;
+  - in the search, constants split at downsets, symbolic factors carry a
+    guessed vertex alphabet, adjacent same-vertex atoms merge or
+    discharge into vertex-group constraints;
+  - factors are cut by the power-factorization grids, and matched factor
+    pairs are resolved by the exact two-dimensional trace solver.
 
 The tuple of factors is treated modulo commutation of independent
 entries, so the search never enumerates swap sequences explicitly; two
@@ -27,23 +23,28 @@ dependence order of the tuple.
 
 import itertools
 
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 from .groups import GroupBackend, build_backend
+from .reduction import (
+    FACTOR_CAP,
+    SEARCH_STATES_CAP,
+    ReductionSearchBase,
+    Scheme,
+    pair_line_sets,
+    restrict_lines,
+    solve_by_reduction,
+)
 from .semilinear import LinearSet, SemilinearSet
 from .trace import (
     Atom,
     TraceMonoid,
+    independent_traces,
     is_connected,
-    is_well_behaved,
     nf_R,
     power_presentation,
     project_pair,
 )
 from .unary_automata import word_pair_power_solutions
-
-SEARCH_STATES_CAP = 2_000_000
-#: default limit on symbolic factors per power in the reduction search
-FACTOR_CAP = 3
 
 
 class GraphProductBackend(GroupBackend):
@@ -71,104 +72,6 @@ class GraphProductBackend(GroupBackend):
 
 
 # ---------------------------------------------------------------------------
-# Preprocessing
-
-
-class PreparedKnapsack:
-    """Period/constant structure with atomic or well-behaved periods.
-
-    powers[i] = (trace, occurrence variable); tails[0] is the leading
-    constant (empty once folded into the last tail by conjugation) and
-    tails[i+1] follows powers[i].  occ_vars lists every occurrence
-    variable in order; free_occs are occurrences whose period is the
-    identity.
-    """
-
-    def __init__(self, monoid, powers, tails, occ_vars, free_occs):
-        self.monoid = monoid
-        self.powers = powers
-        self.tails = tails
-        self.occ_vars = occ_vars
-        self.free_occs = free_occs
-
-
-def preprocess(backend, e):
-    """Rewrite e so that every period is atomic or well-behaved.
-
-    Returns (prep, K) with sol(e) = (K cap sol(prep)) restricted to the
-    variables of e; K has magnitude one and ties renamed occurrences of
-    the same variable together.
-    """
-    monoid = backend.monoid
-    for period, _var, tail in e.factors:
-        backend.check_word(period)
-        backend.check_word(tail)
-
-    used = set(e.variables)
-    counters = {}
-    occ_vars = []
-    occ_groups = {}
-
-    def occurrence(var):
-        if var not in counters:
-            counters[var] = 1
-            name = var
-        else:
-            counters[var] += 1
-            name = f"{var}_{counters[var]}"
-            while name in used:
-                counters[var] += 1
-                name = f"{var}_{counters[var]}"
-        used.add(name)
-        occ_vars.append(name)
-        occ_groups.setdefault(var, []).append(name)
-        return name
-
-    base_norm = 0
-    powers = []
-    free_occs = []
-    tails = [monoid.empty_trace()]
-    for period, var, tail in e.factors:
-        u = nf_R(monoid.trace_from_word(period))
-        v = nf_R(monoid.trace_from_word(tail))
-        base_norm += u.norm() + v.norm()
-        if not u.atoms:
-            free_occs.append(occurrence(var))
-            tails[-1] = nf_R(tails[-1] * v)
-            continue
-        s, parts, t = power_presentation(u)
-        tails[-1] = nf_R(tails[-1] * s)
-        for part in parts:
-            powers.append((part, occurrence(var)))
-            tails.append(monoid.empty_trace())
-        tails[-1] = nf_R(t * v)
-    if powers and tails[0].atoms:
-        # a leading constant conjugates away: w e' = 1 iff e' w = 1
-        tails[-1] = nf_R(tails[-1] * tails[0])
-        tails[0] = monoid.empty_trace()
-
-    total_norm = sum(t.norm() for t in tails) + sum(u.norm() for u, _ in powers)
-    assert total_norm <= 3 * base_norm, "preprocessing norm bound violated"
-    nontrivial = sum(1 for p, _v, _t in e.factors if nf_R(monoid.trace_from_word(p)).atoms)
-    assert len(powers) <= max(monoid.alpha(), 1) * nontrivial, (
-        "preprocessing degree bound violated"
-    )
-
-    zero = tuple(0 for _ in occ_vars)
-    periods = []
-    for var in e.variables:
-        group = occ_groups.get(var)
-        if not group:
-            continue
-        members = set(group)
-        periods.append(tuple(1 if name in members else 0 for name in occ_vars))
-    K = SemilinearSet(tuple(occ_vars), [LinearSet(zero, periods)])
-    assert K.magnitude() <= 1
-    prep = PreparedKnapsack(monoid, powers, tails, tuple(occ_vars), free_occs)
-    return prep, K
-
-
-# ---------------------------------------------------------------------------
 # Reduction search over factor tuples
 #
 # Items (all hashable):
@@ -181,32 +84,24 @@ def preprocess(backend, e):
 #   ("W", i)                     an untouched well-behaved power u_i^{x_i}
 
 
-class ReductionSearch:
-    """Enumerates reductions of refinements of an item tuple.
+class ReductionSearch(ReductionSearchBase):
+    """Reduction search over graph-product items.
 
-    powers maps well-behaved power indices to their period traces.
-    Emits (records, orders): records is a frozenset of constraints
-    ("zero", i), ("ident", vertex, entries), ("assign", fid, i, alph,
-    value-atoms) and ("pair", fidL, iL, alphL, fidR, iR, alphR); orders
-    maps each power index to its factor id sequence.
+    Records are ("zero", i), ("ident", vertex, entries), ("assign", fid,
+    i, alph, value) and ("pair", fidL, iL, alphL, fidR, iR, alphR); atom
+    creations are counted per vertex.
     """
 
     def __init__(self, monoid, powers, splits_cap, creation_cap,
                  states_cap=SEARCH_STATES_CAP, factor_cap=FACTOR_CAP):
+        super().__init__(powers, splits_cap, creation_cap, states_cap,
+                         factor_cap)
         self.monoid = monoid
-        self.powers = powers
         self.power_alphs = {i: u.alph_gamma() for i, u in powers.items()}
         self.power_atoms = {
             i: tuple(sorted(set(u.atoms), key=monoid.atom_key))
             for i, u in powers.items()
         }
-        self.splits_cap = splits_cap
-        self.factor_cap = factor_cap
-        self.creation_cap = creation_cap
-        self.states_cap = states_cap
-        self.states = 0
-        self.seen = {}
-        self.results = {}
         self._indep = {}
 
     # -- item helpers --------------------------------------------------
@@ -307,92 +202,20 @@ class ReductionSearch:
 
     # -- search --------------------------------------------------------
 
-    def run(self, items):
-        items = self.canon_items(items)
-        orders = tuple(
-            (i, ()) for i in sorted(self.powers) if any(
-                it[0] == "W" and it[1] == i for it in items
-            )
-        )
-        self._dfs(items, dict(orders), frozenset(), 0, {})
-        return self.results
+    def factor(self, i, fid):
+        return ("F", i, fid, self.power_alphs[i])
 
-    def canon_fids(self, items, orders, records):
-        """Renumber factor ids by position so isomorphic states collapse."""
-        mapping = {}
-        for i in sorted(orders):
-            for fid in orders[i]:
-                mapping[fid] = len(mapping)
-        if all(old == new for old, new in mapping.items()):
-            return items, orders, records
-        new_items = tuple(
-            ("F", it[1], mapping[it[2]], it[3]) if it[0] == "F" else it
-            for it in items
-        )
-        new_orders = {
-            i: tuple(mapping[f] for f in fids) for i, fids in orders.items()
-        }
-        new_records = frozenset(
-            ("assign", mapping[r[1]], r[2], r[3], r[4]) if r[0] == "assign"
-            else ("pair", mapping[r[1]], r[2], r[3], mapping[r[4]], r[5], r[6])
-            if r[0] == "pair" else r
-            for r in records
-        )
-        return new_items, new_orders, new_records
-
-    def _emit(self, records, orders):
-        key = frozenset(records)
-        if key not in self.results:
-            self.results[key] = dict(orders)
-
-    def _dfs(self, items, orders, records, splits, creations):
-        key = (items, tuple(sorted(orders.items())), records)
-        spent = (splits, tuple(sorted(creations.items())))
-        prior = self.seen.setdefault(key, [])
-        for old_splits, old_creations in prior:
-            old = dict(old_creations)
-            if old_splits <= splits and all(
-                old.get(v, 0) <= n for v, n in creations.items()
-            ):
-                return
-        prior.append(spent)
-        self.states += 1
-        if self.states > self.states_cap:
-            raise BudgetExceededError("reduction search states", self.states_cap)
-        if not items:
-            self._emit(records, orders)
-            return
+    def _expand(self, items, orders, records, splits, creations):
         monoid = self.monoid
         n = len(items)
-
-        def recurse(new_items, new_orders, new_records, new_splits, new_creations):
-            new_items, new_orders, new_records = self.canon_fids(
-                self.canon_items(new_items), new_orders, new_records
-            )
-            self._dfs(
-                new_items,
-                new_orders,
-                new_records,
-                new_splits,
-                new_creations,
-            )
+        recurse = self._recurse
 
         # unary moves
         for pos in range(n):
             item = items[pos]
-            rest = items[:pos] + items[pos + 1:]
             tag = item[0]
             if tag == "W":
-                i = item[1]
-                recurse(rest, orders, records | {("zero", i)}, splits, creations)
-                fid = self._fresh_fid(orders)
-                new_orders = dict(orders)
-                new_orders[i] = (fid,)
-                factor = ("F", i, fid, self.power_alphs[i])
-                recurse(
-                    items[:pos] + (factor,) + items[pos + 1:],
-                    new_orders, records, splits, creations,
-                )
+                self._zero_or_open(items, pos, orders, records, splits, creations)
             elif tag == "C" and len(item[1].atoms) > 1:
                 if splits + 1 > self.splits_cap:
                     continue
@@ -416,36 +239,32 @@ class ReductionSearch:
                         if atom.vertex != vertex:
                             continue
                         value = monoid.canon([atom])
-                        rec = ("assign", fid, i, alph, value.atoms)
+                        rec = ("assign", fid, i, alph, value)
                         recurse(
                             items[:pos] + (("C", value),) + items[pos + 1:],
                             orders, records | {rec}, splits, creations,
                         )
                 # split into two alphabet-tagged factors
-                if (splits + 1 <= self.splits_cap
-                        and len(orders[i]) < self.factor_cap):
-                    sub = sorted(alph)
-                    fid1 = self._fresh_fid(orders)
-                    fid2 = fid1 + 1
-                    new_orders = dict(orders)
-                    seq = list(new_orders[i])
-                    at = seq.index(fid)
-                    new_orders[i] = tuple(seq[:at] + [fid1, fid2] + seq[at + 1:])
-                    for r1 in range(1, len(sub) + 1):
-                        for a1 in itertools.combinations(sub, r1):
-                            s1 = frozenset(a1)
-                            need = alph - s1
-                            for r2 in range(1, len(sub) + 1):
-                                for a2 in itertools.combinations(sub, r2):
-                                    s2 = frozenset(a2)
-                                    if not need <= s2:
-                                        continue
-                                    f1 = ("F", i, fid1, s1)
-                                    f2 = ("F", i, fid2, s2)
-                                    recurse(
-                                        items[:pos] + (f1, f2) + items[pos + 1:],
-                                        new_orders, records, splits + 1, creations,
-                                    )
+                split = self._split_orders(orders, i, fid, splits)
+                if split is None:
+                    continue
+                new_orders, fid1, fid2 = split
+                sub = sorted(alph)
+                for r1 in range(1, len(sub) + 1):
+                    for a1 in itertools.combinations(sub, r1):
+                        s1 = frozenset(a1)
+                        need = alph - s1
+                        for r2 in range(1, len(sub) + 1):
+                            for a2 in itertools.combinations(sub, r2):
+                                s2 = frozenset(a2)
+                                if not need <= s2:
+                                    continue
+                                f1 = ("F", i, fid1, s1)
+                                f2 = ("F", i, fid2, s2)
+                                recurse(
+                                    items[:pos] + (f1, f2) + items[pos + 1:],
+                                    new_orders, records, splits + 1, creations,
+                                )
 
         # binary moves between entries that commutation can make adjacent
         if not monoid.edges:
@@ -458,8 +277,8 @@ class ReductionSearch:
                 it for pos, it in enumerate(items) if pos != i and pos != j
             )
 
-            def consumed(extra_records, new_creations=creations):
-                recurse(rest, orders, records | extra_records, splits, new_creations)
+            def consumed(extra_records):
+                recurse(rest, orders, records | extra_records, splits, creations)
 
             if left[0] == "C" and right[0] == "C":
                 if right[1] == left[1].inv():
@@ -467,13 +286,11 @@ class ReductionSearch:
             if left[0] == "C" and right[0] == "F":
                 value = left[1].inv()
                 if value.alph_gamma() == right[3]:
-                    rec = ("assign", right[2], right[1], right[3], value.atoms)
-                    consumed({rec})
+                    consumed({("assign", right[2], right[1], right[3], value)})
             if left[0] == "F" and right[0] == "C":
                 value = right[1].inv()
                 if value.alph_gamma() == left[3]:
-                    rec = ("assign", left[2], left[1], left[3], value.atoms)
-                    consumed({rec})
+                    consumed({("assign", left[2], left[1], left[3], value)})
             if left[0] == "F" and right[0] == "F" and left[3] == right[3]:
                 rec = (
                     "pair",
@@ -487,65 +304,24 @@ class ReductionSearch:
             if ea and eb and ea[0] == eb[0]:
                 vertex = ea[0]
                 entries = ea[1] + eb[1]
-                concrete = all(entry[0] == "e" for entry in entries)
-                if concrete:
+                if all(entry[0] == "e" for entry in entries):
                     child = monoid.vertices[vertex]
                     prod = child.identity_elem
                     for entry in entries:
                         prod = child.elem_mul(prod, entry[1])
                     if prod == child.identity_elem:
                         consumed(set())  # cancellation
-                    elif creations.get(vertex, 0) < self.creation_cap:
-                        new_creations = dict(creations)
-                        new_creations[vertex] = new_creations.get(vertex, 0) + 1
-                        merged = ("C", monoid.canon([Atom(vertex, prod)]))
-                        recurse(
-                            rest[:i] + (merged,) + rest[i:],
-                            orders, records, splits, new_creations,
-                        )
+                        continue
+                    merged = ("C", monoid.canon([Atom(vertex, prod)]))
                 else:
                     consumed({("ident", vertex, entries)})
-                    if creations.get(vertex, 0) < self.creation_cap:
-                        new_creations = dict(creations)
-                        new_creations[vertex] = new_creations.get(vertex, 0) + 1
-                        merged = ("A", vertex, entries)
-                        recurse(
-                            rest[:i] + (merged,) + rest[i:],
-                            orders, records, splits, new_creations,
-                        )
-
-    @staticmethod
-    def _fresh_fid(orders):
-        top = -1
-        for fids in orders.values():
-            for fid in fids:
-                top = max(top, fid)
-        return top + 1
-
-
-def enumerate_refinement_reductions(monoid, items, powers=None,
-                                    pieces_budget=None, creation_budget=None,
-                                    states_budget=SEARCH_STATES_CAP):
-    """All reductions of refinements of the item tuple, within budgets.
-
-    Defaults follow the completeness bounds for a tuple of m entries:
-    refinements of length at most (3 alpha + 4) m^2 (for free products
-    at most max(m, 7m - 12)) and at most m - 2 atom creations per
-    vertex.  Returns {records: orders}.
-    """
-    powers = powers or {}
-    m = len(items)
-    cap = _max_splits(monoid, m)
-    if pieces_budget is not None:
-        cap = min(cap, max(0, pieces_budget - m))
-    creation_cap = max(0, m - 2)
-    if creation_budget is not None:
-        creation_cap = min(creation_cap, creation_budget)
-    search = ReductionSearch(monoid, powers, cap, creation_cap, states_budget)
-    results = search.run(tuple(items))
-    # every emitted script stayed within the stated bounds by construction
-    assert search.states <= states_budget
-    return results
+                    merged = ("A", vertex, entries)
+                new_creations = self._created(creations, vertex)
+                if new_creations is not None:
+                    recurse(
+                        rest[:i] + (merged,) + rest[i:],
+                        orders, records, splits, new_creations,
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +397,7 @@ def simplify_power_factorization(u, m):
             if not ok:
                 break
             for (i2, j2), piece2 in p.items():
-                if j1 < j2 < i2 < i1 and not _independent(piece1, piece2):
+                if j1 < j2 < i2 < i1 and not independent_traces(piece1, piece2):
                     ok = False
                     break
         if not ok:
@@ -636,7 +412,7 @@ def simplify_power_factorization(u, m):
                         if piece.atoms:
                             good = False
                             break
-                    elif not _independent(piece, s[k]):
+                    elif not independent_traces(piece, s[k]):
                         good = False
                         break
                 if not good:
@@ -669,15 +445,6 @@ def simplify_power_factorization(u, m):
                 out.append(entry)
     _GRID_CACHE[key] = out
     return out
-
-
-def _independent(t1, t2):
-    monoid = t1.monoid
-    return all(
-        monoid.independent(v, w)
-        for v in t1.alph_gamma()
-        for w in t2.alph_gamma()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -765,24 +532,6 @@ def _two_dim_trace_solve(p, u, s, q, v, t):
     return sorted(lines)
 
 
-def _positive_lines(lines):
-    """Restrict lines to x >= 1 and y >= 1 by shifting the parameter."""
-    out = []
-    for a, b, c, d in lines:
-        for _ in range(2):
-            if a == 0 or c == 0:
-                if b == 0 and a == 0:
-                    a = -1
-                    break
-                if d == 0 and c == 0:
-                    a = -1
-                    break
-                a, c = a + b, c + d
-        if a >= 1 and c >= 1:
-            out.append((a, b, c, d))
-    return sorted(set(out))
-
-
 _CONCRETE_POWER_CACHE = {}
 
 
@@ -806,387 +555,199 @@ def _solve_concrete_power(prefix, u, suffix, target):
 # The full solver
 
 
-def solve_exponent_graph_product(desc, e, pieces_budget=None,
-                                 creation_budget=None,
-                                 states_budget=SEARCH_STATES_CAP,
-                                 diagnostics=None):
-    """Solution set of e = 1 over the graph product described by desc."""
-    backend = desc if isinstance(desc, GraphProductBackend) else build_backend(desc)
-    monoid = backend.monoid
-    prep, K = preprocess(backend, e)
-    occ_vars = prep.occ_vars
-    stats = diagnostics if diagnostics is not None else {}
-    stats.setdefault("branches", 0)
-    stats.setdefault("reductions", 0)
-    stats.setdefault("states", 0)
-    stats.setdefault("complete", True)
+class GraphProductScheme(Scheme):
+    """What graph products supply to the guess-and-reduce driver."""
 
-    if not prep.powers:
-        assert occ_vars, "an exponent expression always carries variables"
-        constant_ok = not prep.tails[0].atoms
-        sols = (SemilinearSet.universe(occ_vars) if constant_ok
-                else SemilinearSet.empty(occ_vars))
-        return sols.intersect(K).restrict(e.variables)._aligned_to(e.variables)
+    def __init__(self, backend):
+        self.backend = backend
+        self.monoid = backend.monoid
+        self.one = self.monoid.empty_trace()
 
-    indices = list(range(1, len(prep.powers) + 1))
-    period = {i: prep.powers[i - 1][0] for i in indices}
-    var_of = {i: prep.powers[i - 1][1] for i in indices}
-    atomic = [i for i in indices if len(period[i].atoms) == 1]
-    wb = {i: period[i] for i in indices if i not in atomic}
-    for i in wb:
-        assert is_well_behaved(wb[i]), "non-atomic period must be well-behaved"
-
-    constrained = [name for name in occ_vars if name not in prep.free_occs]
-    assert constrained, "every power contributes a constrained occurrence"
-    total = SemilinearSet.empty(tuple(constrained))
-
-    for n1_bits in itertools.product((False, True), repeat=len(atomic)):
-        n1 = {atomic[k] for k in range(len(atomic)) if n1_bits[k]}
-        stats["branches"] += 1
-        n1_sets = []
-        dead = False
-        for i in sorted(n1):
-            atom = period[i].atoms[0]
-            child = monoid.vertices[atom.vertex]
-            sols = child.solve_elem_knapsack(
-                [("pow", atom.elem, var_of[i])], (var_of[i],)
-            )
-            if sols.is_empty_representation():
-                dead = True
-                break
-            n1_sets.append(sols)
-        if dead:
-            continue
-
-        items = []
-        if prep.tails[0].atoms:
-            items.append(("C", prep.tails[0]))
-        for i in indices:
-            if i in n1:
-                pass
-            elif i in wb:
-                items.append(("W", i))
-            else:
-                atom = period[i].atoms[0]
-                items.append(("A", atom.vertex, (("p", i, atom.elem),)))
-            tail = prep.tails[i]
-            if tail.atoms:
-                items.append(("C", tail))
-
-        if not items:
-            total = total.union(_assemble_direct_sum(n1_sets, constrained))
-            continue
-
-        splits_cap = _splits_cap(monoid, len(items), pieces_budget)
-        if splits_cap < _max_splits(monoid, len(items)):
-            stats["complete"] = False
-        search = ReductionSearch(
-            monoid, wb,
-            splits_cap,
-            _creation_cap(len(items), creation_budget),
-            states_budget,
+    def preprocess(self, e):
+        prep, K = super().preprocess(e)
+        base_norm = sum(u.norm() + v.norm() for u, v in prep.inputs)
+        total_norm = (sum(t.norm() for t in prep.tails)
+                      + sum(u.norm() for u, _ in prep.powers))
+        assert total_norm <= 3 * base_norm, "preprocessing norm bound violated"
+        nontrivial = sum(1 for u, _v in prep.inputs if u.atoms)
+        assert len(prep.powers) <= max(self.monoid.alpha(), 1) * nontrivial, (
+            "preprocessing degree bound violated"
         )
-        results = search.run(tuple(items))
-        stats["states"] += search.states
-        stats["reductions"] += len(results)
-        for records, orders in results.items():
-            sets = _assemble_outcome(
-                monoid, wb, var_of, records, orders, n1_sets, n1, stats
-            )
-            if sets is None:
-                continue
-            total = total.union(_assemble_direct_sum(sets, constrained))
+        return prep, K
 
-    result = total
-    for name in prep.free_occs:
-        result = result.direct_sum(SemilinearSet.universe((name,)))
-    result = result._aligned_to(occ_vars)
-    result = result.intersect(K).restrict(e.variables)
-    return result._aligned_to(e.variables)
+    def normal(self, word):
+        return nf_R(self.monoid.trace_from_word(word))
 
+    def mul(self, x, y):
+        return nf_R(x * y)
 
-def _max_splits(monoid, m):
-    """Completeness ceiling on splits for an m-entry tuple."""
-    pieces = (3 * monoid.alpha() + 4) * m * m
-    if not monoid.edges:
-        pieces = min(pieces, max(m, 7 * m - 12))
-    return max(0, pieces - m)
+    def presentation(self, u):
+        return power_presentation(u)
 
+    def is_atomic(self, u):
+        return len(u.atoms) == 1
 
-def _splits_cap(monoid, m, budget):
-    bound = _max_splits(monoid, m)
-    if budget is not None:
-        return min(bound, budget)
-    # practical default; raise via the budget argument when needed
-    return min(bound, 2 * m)
+    def zero_guess(self, u, var):
+        atom = u.atoms[0]
+        child = self.monoid.vertices[atom.vertex]
+        return child.solve_elem_knapsack([("pow", atom.elem, var)], (var,))
 
+    def atomic_item(self, i, u):
+        atom = u.atoms[0]
+        return ("A", atom.vertex, (("p", i, atom.elem),))
 
-def _creation_cap(m, budget):
-    cap = max(0, m - 2)
-    if budget is not None:
-        cap = min(cap, budget)
-    return cap
+    def max_splits(self, m):
+        pieces = (3 * self.monoid.alpha() + 4) * m * m
+        if not self.monoid.edges:
+            pieces = min(pieces, max(m, 7 * m - 12))
+        return max(0, pieces - m)
 
+    def max_creations(self, m):
+        return max(0, m - 2)
 
-def _assemble_direct_sum(sets, names):
-    """Direct-sum disjoint-variable sets and align to the given order."""
-    out = None
-    for piece in sets:
-        out = piece if out is None else out.direct_sum(piece)
-    assert out is not None, "a branch always constrains some variable"
-    missing = [n for n in names if n not in set(out.vars)]
-    assert not missing, f"branch left variables unconstrained: {missing}"
-    return out._aligned_to(tuple(names))
+    def search(self, powers, splits_cap, creation_cap, states_cap):
+        return ReductionSearch(
+            self.monoid, powers, splits_cap, creation_cap, states_cap
+        )
 
-
-def _assemble_outcome(monoid, wb, var_of, records, orders, n1_sets, n1, stats):
-    """Turn one reduction outcome into per-variable semilinear sets.
-
-    Returns a list of SemilinearSets over disjoint variable groups, or
-    None if the outcome is contradictory.
-    """
-    zero_powers = set()
-    idents = []
-    assigns = {}
-    pairs = []
-    for rec in records:
-        if rec[0] == "zero":
-            zero_powers.add(rec[1])
-        elif rec[0] == "ident":
-            idents.append((rec[1], rec[2]))
-        elif rec[0] == "assign":
-            assigns[rec[1]] = (rec[2], rec[3], monoid.trace(rec[4]))
-        else:
-            pairs.append(rec[1:])
-
-    sets = list(n1_sets)
-    for i in sorted(zero_powers):
-        sets.append(SemilinearSet.point((var_of[i],), (0,)))
-
-    for vertex, entries in idents:
-        child = monoid.vertices[vertex]
+    def local_solutions(self, rec, var_of):
+        """("ident", vertex, entries): the entries multiply to 1."""
+        _kind, vertex, entries = rec
         mapped = []
         names = []
         for entry in entries:
             if entry[0] == "e":
                 mapped.append(("const", entry[1]))
             else:
-                _kind, i, elem = entry
-                assert i not in wb, "symbolic entries come from atomic powers"
+                _tag, i, elem = entry
                 mapped.append(("pow", elem, var_of[i]))
                 names.append(var_of[i])
-        sols = child.solve_elem_knapsack(mapped, tuple(names))
-        if sols.is_empty_representation():
-            return None
-        sets.append(sols)
+        child = self.monoid.vertices[vertex]
+        return child.solve_elem_knapsack(mapped, tuple(names))
 
-    active = {i: fids for i, fids in orders.items() if fids}
-    fid_alph = {}
-    fid_power = {}
-    for fid, (i, alph, _value) in assigns.items():
-        fid_alph[fid] = alph
-        fid_power[fid] = i
-    for fid_l, i_l, alph_l, fid_r, i_r, alph_r in pairs:
-        fid_alph[fid_l], fid_alph[fid_r] = alph_l, alph_r
-        fid_power[fid_l], fid_power[fid_r] = i_l, i_r
+    def factor_shapes(self, u, fids, assigns, pairs):
+        """Grid shapes whose forms have the alphabets the search guessed."""
+        alph = {fid: assign[1] for fid, assign in assigns.items()}
+        for fid_l, _il, alph_l, fid_r, _ir, alph_r in pairs:
+            alph[fid_l], alph[fid_r] = alph_l, alph_r
+        return [
+            (c_total, forms)
+            for c_total, forms in simplify_power_factorization(u, len(fids))
+            if all(
+                alph[fid] == (u.alph_gamma() if form[0] == "power"
+                              else form[1].alph_gamma())
+                for fid, form in zip(fids, forms)
+            )
+        ]
 
-    grids = {}
-    for i, fids in active.items():
-        u = wb[i]
-        options = []
-        for c_total, forms in simplify_power_factorization(u, len(fids)):
-            by_fid = {}
+    def match_value(self, u, form, value):
+        if form[0] == "concrete":
+            return 0 if form[1] == value else None
+        return _solve_concrete_power(form[1], u, form[2], value)
+
+    def pair_components(self, wb, order, comp_pairs, reduced):
+        """LinearSets over a pair-connected group of powers (cached)."""
+        fid_map = {}
+        for i in order:
+            _c0, first = reduced[i][0]
+            for fid in sorted(first):
+                fid_map[fid] = len(fid_map)
+        key = (
+            id(wb[order[0]].monoid),
+            tuple(
+                (wb[i], tuple(
+                    (c, tuple(sorted(
+                        (fid_map[fid], _form_sig(f)) for fid, f in of.items()
+                    )))
+                    for c, of in reduced[i]
+                ))
+                for i in order
+            ),
+            tuple(sorted(
+                (fid_map[fl], order.index(il), fid_map[fr], order.index(ir))
+                for fl, il, _al, fr, ir, _ar in comp_pairs
+            )),
+        )
+        cached = _COMPONENT_CACHE.get(key)
+        if cached is not None:
+            return cached
+        # pair resolution only looks at the open forms, so group options by
+        # form shape and expand the constant offsets afterwards
+        grouped = []
+        for i in order:
+            by_forms = {}
+            for c, of in reduced[i]:
+                shape = tuple(sorted(of.items()))
+                slot = by_forms.setdefault(shape, (of, []))
+                slot[1].append(c)
+            grouped.append(list(by_forms.values()))
+        components = []
+        for combo in itertools.product(*grouped):
+            forms = {}
+            for of, _cs in combo:
+                forms.update(of)
+            extra = {i: 0 for i in order}
             ok = True
-            for fid, form in zip(fids, forms):
-                alph = fid_alph[fid]
-                if form[0] == "power":
-                    if alph != u.alph_gamma():
+            pair_lines = []
+            for fid_l, i_l, _al, fid_r, i_r, _ar in comp_pairs:
+                form_l, form_r = forms[fid_l], forms[fid_r]
+                if form_l[0] == "concrete" and form_r[0] == "concrete":
+                    if form_r[1] != form_l[1].inv():
                         ok = False
                         break
-                else:
-                    if form[1].alph_gamma() != alph:
+                elif form_l[0] == "concrete":
+                    x = _solve_concrete_power(
+                        form_r[1], wb[i_r], form_r[2], form_l[1].inv()
+                    )
+                    if x is None:
                         ok = False
                         break
-                by_fid[fid] = form
-            if ok:
-                options.append((c_total, by_fid))
-        if not options:
-            return None
-        grids[i] = options
-
-    # resolve assigned factors per power, leaving only paired ones open
-    paired_fids = set()
-    for fid_l, _il, _al, fid_r, _ir, _ar in pairs:
-        paired_fids.add(fid_l)
-        paired_fids.add(fid_r)
-    reduced = {}
-    for i, fids in active.items():
-        opts = []
-        seen = set()
-        for c_total, by_fid in grids[i]:
-            c = c_total
-            ok = True
-            open_forms = {}
-            for fid in fids:
-                form = by_fid[fid]
-                if fid in assigns:
-                    _i2, _alph, value = assigns[fid]
-                    if form[0] == "concrete":
-                        if form[1] != value:
-                            ok = False
-                            break
-                    else:
-                        x = _solve_concrete_power(form[1], wb[i], form[2], value)
-                        if x is None:
-                            ok = False
-                            break
-                        c += x
+                    extra[i_r] += x
+                elif form_r[0] == "concrete":
+                    x = _solve_concrete_power(
+                        form_l[1], wb[i_l], form_l[2], form_r[1].inv()
+                    )
+                    if x is None:
+                        ok = False
+                        break
+                    extra[i_l] += x
                 else:
-                    assert fid in paired_fids, "every factor id is consumed"
-                    open_forms[fid] = form
+                    lines = two_dim_trace_solve(
+                        form_l[1], wb[i_l], form_l[2],
+                        form_r[2].inv(), wb[i_r].inv(), form_r[1].inv(),
+                    )
+                    lines = restrict_lines(lines, True, True)
+                    if not lines:
+                        ok = False
+                        break
+                    pair_lines.append((i_l, i_r, lines))
             if not ok:
                 continue
-            sig = (c, tuple(sorted(
-                (fid, _form_sig(form)) for fid, form in open_forms.items()
-            )))
-            if sig in seen:
-                continue
-            seen.add(sig)
-            opts.append((c, open_forms))
-        if not opts:
-            return None
-        reduced[i] = opts
-    stats["grids"] = stats.get("grids", 0) + 1
-
-    # pair records couple at most two powers at a time; solve the pair
-    # relation per connected component of powers and direct-sum the rest
-    parent = {i: i for i in active}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for _fl, i_l, _al, _fr, i_r, _ar in pairs:
-        parent[find(i_l)] = find(i_r)
-    groups = {}
-    for i in sorted(active):
-        groups.setdefault(find(i), []).append(i)
-
-    for order in sorted(groups.values()):
-        comp_pairs = [pr for pr in pairs if find(pr[1]) == find(order[0])]
-        names = tuple(var_of[i] for i in order)
-        components = _pair_component_solutions(wb, order, comp_pairs, reduced)
-        group_set = SemilinearSet(names, components)
-        if group_set.is_empty_representation():
-            return None
-        sets.append(group_set)
-    return sets
+            for base, periods in pair_line_sets(order, extra, pair_lines):
+                for cs in itertools.product(*(g[1] for g in combo)):
+                    components.append(LinearSet(
+                        tuple(c + b for c, b in zip(cs, base)), periods
+                    ))
+        _COMPONENT_CACHE[key] = components
+        return components
 
 
 _COMPONENT_CACHE = {}
-
-
-def _pair_component_solutions(wb, order, comp_pairs, reduced):
-    """LinearSets over a pair-connected group of powers (cached)."""
-    fid_map = {}
-    for i in order:
-        _c0, first = reduced[i][0]
-        for fid in sorted(first):
-            fid_map[fid] = len(fid_map)
-    key = (
-        id(wb[order[0]].monoid),
-        tuple(
-            (wb[i], tuple(
-                (c, tuple(sorted(
-                    (fid_map[fid], _form_sig(f)) for fid, f in of.items()
-                )))
-                for c, of in reduced[i]
-            ))
-            for i in order
-        ),
-        tuple(sorted(
-            (fid_map[fl], order.index(il), fid_map[fr], order.index(ir))
-            for fl, il, _al, fr, ir, _ar in comp_pairs
-        )),
-    )
-    cached = _COMPONENT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    # pair resolution only looks at the open forms, so group options by
-    # form shape and expand the constant offsets afterwards
-    grouped = []
-    for i in order:
-        by_forms = {}
-        for c, of in reduced[i]:
-            shape = tuple(sorted(of.items()))
-            slot = by_forms.setdefault(shape, (of, []))
-            slot[1].append(c)
-        grouped.append(list(by_forms.values()))
-    components = []
-    for combo in itertools.product(*grouped):
-        forms = {}
-        for of, _cs in combo:
-            forms.update(of)
-        extra = {i: 0 for i in order}
-        ok = True
-        pair_lines = []
-        for fid_l, i_l, _al, fid_r, i_r, _ar in comp_pairs:
-            form_l, form_r = forms[fid_l], forms[fid_r]
-            if form_l[0] == "concrete" and form_r[0] == "concrete":
-                if form_r[1] != form_l[1].inv():
-                    ok = False
-                    break
-            elif form_l[0] == "concrete":
-                x = _solve_concrete_power(
-                    form_r[1], wb[i_r], form_r[2], form_l[1].inv()
-                )
-                if x is None:
-                    ok = False
-                    break
-                extra[i_r] += x
-            elif form_r[0] == "concrete":
-                x = _solve_concrete_power(
-                    form_l[1], wb[i_l], form_l[2], form_r[1].inv()
-                )
-                if x is None:
-                    ok = False
-                    break
-                extra[i_l] += x
-            else:
-                lines = two_dim_trace_solve(
-                    form_l[1], wb[i_l], form_l[2],
-                    form_r[2].inv(), wb[i_r].inv(), form_r[1].inv(),
-                )
-                lines = _positive_lines(lines)
-                if not lines:
-                    ok = False
-                    break
-                pair_lines.append((i_l, i_r, lines))
-        if not ok:
-            continue
-        for choice in itertools.product(*(pl[2] for pl in pair_lines)):
-            shift = dict(extra)
-            periods = []
-            for (i_l, i_r, _), (a, b, c, d) in zip(pair_lines, choice):
-                shift[i_l] += a
-                shift[i_r] += c
-                vec = {i: 0 for i in order}
-                vec[i_l] += b
-                vec[i_r] += d
-                if any(vec.values()):
-                    periods.append(tuple(vec[i] for i in order))
-            for cs in itertools.product(*(g[1] for g in combo)):
-                components.append(LinearSet(
-                    tuple(cs[k] + shift[i] for k, i in enumerate(order)),
-                    periods,
-                ))
-    _COMPONENT_CACHE[key] = components
-    return components
 
 
 def _form_sig(form):
     if form[0] == "power":
         return ("power", form[1].atoms, form[2].atoms)
     return ("concrete", form[1].atoms)
+
+
+def solve_exponent_graph_product(desc, e, pieces_budget=None,
+                                 creation_budget=None,
+                                 states_budget=SEARCH_STATES_CAP,
+                                 diagnostics=None):
+    """Solution set of e = 1 over the graph product described by desc."""
+    backend = desc if isinstance(desc, GraphProductBackend) else build_backend(desc)
+    return solve_by_reduction(
+        GraphProductScheme(backend), e,
+        pieces_budget, creation_budget, states_budget, diagnostics,
+    )

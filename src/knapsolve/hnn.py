@@ -3,22 +3,19 @@
 An HNN-extension H = <G, t | t^{-1} a t = phi(a), a in A> adds a stable
 letter t to a base group G together with an isomorphism phi between two
 finite subgroups A and B of G.  Elements are Britton-reduced alternating
-words g0 t^{d1} g1 ... t^{dk} gk.  Solving e = 1 walks the same kind of
-guess tree as the graph-product solver:
+words g0 t^{d1} g1 ... t^{dk} gk.  The solver is the guess-and-reduce
+driver of module reduction; this module supplies what is particular to
+HNN-extensions:
 
-  1. rewrite every period into a base element or a well-behaved core via
-     the power presentation u^m = s v^m p;
-  2. guess which base-element powers evaluate to the identity;
-  3. search for reductions of the factor tuple: constants split at
-     letter positions, symbolic powers split into factors, adjacent base
-     items merge or discharge into base-group constraints, and
-     generalized cancellations consume two t-bearing items around a
-     connecting element from A u B;
-  4. cut each surviving symbolic factor into the shape s u^{x_j} p,
-     resolve matched factor pairs with the two-dimensional automaton
-     solver, and assemble a semilinear set per guess;
-  5. union over guesses, intersect the variable-equality constraint,
-     project back to the input variables.
+  - periods become a base element or a well-behaved core via the power
+    presentation u^m = s v^m p, and a base-element power is zero when
+    the base group's solver says so;
+  - in the search, constants split at letter positions, adjacent base
+    items merge or discharge into base-group constraints, and
+    generalized cancellations consume two t-bearing items around a
+    connecting element from A u B;
+  - factors are cut at letter positions into s u^{x_j} p, and matched
+    factor pairs are resolved by the two-dimensional automaton solver.
 
 An amalgamated product G1 *_A G2 embeds into the HNN-extension of the
 free product G1 * G2 by g -> t^{-1} g t on the first factor, so its
@@ -28,10 +25,19 @@ solver is the HNN solver after that substitution.
 import itertools
 import math
 
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 from .expr import ExponentExpression, normalize
 from .groups import GroupBackend, solve_exponent
-from .semilinear import LinearSet, SemilinearSet
+from .reduction import (
+    FACTOR_CAP,
+    SEARCH_STATES_CAP,
+    ReductionSearchBase,
+    Scheme,
+    pair_line_sets,
+    restrict_lines,
+    solve_by_reduction,
+)
+from .semilinear import LinearSet
 from .unary_automata import (
     TICK,
     Nfa,
@@ -40,10 +46,6 @@ from .unary_automata import (
     unary_length_set,
 )
 from .words import invert_letter, invert_word
-
-SEARCH_STATES_CAP = 2_000_000
-#: default limit on symbolic factors per power in the reduction search
-FACTOR_CAP = 3
 
 
 class BrittonWord:
@@ -277,11 +279,6 @@ def hnn_equal(backend, u, v):
     return backend.base_mul(invert_word(u.gs[-1]), c, v.gs[-1]) == ()
 
 
-def reduce_product(backend, u, v):
-    """A reduced word equal to uv; cancellation happens at the junction."""
-    return britton_reduce(backend, backend.concat(u, v))
-
-
 def is_well_behaved_bw(backend, w):
     """w and w^2 reduced: then every power of w is reduced."""
     if w != britton_reduce(backend, w):
@@ -472,76 +469,25 @@ def two_dim_hnn_solve(backend, a, u1, u, u2, v1, v, v2, b):
 #   ("W", i)           an untouched power u_i^{x_i}
 
 
-class HnnReductionSearch:
-    """Enumerates reductions of refinements of an item tuple.
+class HnnReductionSearch(ReductionSearchBase):
+    """Reduction search over HNN items.
 
-    powers maps well-behaved power indices to their period words.  Emits
-    (records, orders): records is a frozenset of constraints ("zero", i),
-    ("val", entries, a), ("assign", fid, i, value) and ("pair", fidL,
-    iL, a, fidR, iR, b); orders maps each power index to its factor id
-    sequence.
+    Records are ("zero", i), ("val", entries, a), ("assign", fid, i,
+    value) and ("pair", fidL, iL, a, fidR, iR, b); all atom creations
+    are counted under the one key "B".
     """
+
+    creation_keys = ("B",)
 
     def __init__(self, backend, powers, splits_cap, creation_cap,
                  states_cap=SEARCH_STATES_CAP, factor_cap=FACTOR_CAP):
+        super().__init__(powers, splits_cap, creation_cap, states_cap,
+                         factor_cap)
         self.backend = backend
-        self.powers = powers
-        self.splits_cap = splits_cap
-        self.creation_cap = creation_cap
-        self.states_cap = states_cap
-        self.factor_cap = factor_cap
-        self.states = 0
-        self.seen = {}
-        self.results = {}
         self.ab = sorted(backend.ab)
 
-    def run(self, items):
-        orders = {
-            i: ()
-            for i in sorted(self.powers)
-            if any(it[0] == "W" and it[1] == i for it in items)
-        }
-        self._dfs(tuple(items), orders, frozenset(), 0, 0)
-        return self.results
-
-    def canon_fids(self, items, orders, records):
-        """Renumber factor ids by position so isomorphic states collapse."""
-        mapping = {}
-        for i in sorted(orders):
-            for fid in orders[i]:
-                mapping[fid] = len(mapping)
-        if all(old == new for old, new in mapping.items()):
-            return items, orders, records
-        new_items = tuple(
-            ("F", it[1], mapping[it[2]]) if it[0] == "F" else it
-            for it in items
-        )
-        new_orders = {
-            i: tuple(mapping[f] for f in fids) for i, fids in orders.items()
-        }
-        new_records = frozenset(
-            ("assign", mapping[r[1]], r[2], r[3]) if r[0] == "assign"
-            else ("pair", mapping[r[1]], r[2], r[3], mapping[r[4]], r[5], r[6])
-            if r[0] == "pair" else r
-            for r in records
-        )
-        return new_items, new_orders, new_records
-
-    def _emit(self, records, orders):
-        if records not in self.results:
-            self.results[records] = dict(orders)
-
-    def _recurse(self, items, orders, records, splits, creations):
-        items, orders, records = self.canon_fids(items, orders, records)
-        self._dfs(items, orders, records, splits, creations)
-
-    @staticmethod
-    def _fresh_fid(orders):
-        top = -1
-        for fids in orders.values():
-            for fid in fids:
-                top = max(top, fid)
-        return top + 1
+    def factor(self, i, fid):
+        return ("F", i, fid)
 
     def _base_entries(self, item):
         if item[0] == "B":
@@ -556,19 +502,7 @@ class HnnReductionSearch:
             return True
         return item[0] == "C" and item[1].tcount >= 1
 
-    def _dfs(self, items, orders, records, splits, creations):
-        key = (items, tuple(sorted(orders.items())), records)
-        prior = self.seen.setdefault(key, [])
-        for old_splits, old_creations in prior:
-            if old_splits <= splits and old_creations <= creations:
-                return
-        prior.append((splits, creations))
-        self.states += 1
-        if self.states > self.states_cap:
-            raise BudgetExceededError("reduction search states", self.states_cap)
-        if not items:
-            self._emit(records, orders)
-            return
+    def _expand(self, items, orders, records, splits, creations):
         backend = self.backend
         n = len(items)
 
@@ -578,27 +512,12 @@ class HnnReductionSearch:
             rest = items[:pos] + items[pos + 1 :]
             tag = item[0]
             if tag == "W":
-                i = item[1]
-                self._recurse(
-                    rest, orders, records | {("zero", i)}, splits, creations
-                )
-                fid = self._fresh_fid(orders)
-                new_orders = dict(orders)
-                new_orders[i] = (fid,)
-                self._recurse(
-                    items[:pos] + (("F", i, fid),) + items[pos + 1 :],
-                    new_orders, records, splits, creations,
-                )
+                self._zero_or_open(items, pos, orders, records, splits, creations)
             elif tag == "F":
                 i, fid = item[1], item[2]
-                if (splits + 1 <= self.splits_cap
-                        and len(orders[i]) < self.factor_cap):
-                    fid1 = self._fresh_fid(orders)
-                    fid2 = fid1 + 1
-                    new_orders = dict(orders)
-                    seq = list(new_orders[i])
-                    at = seq.index(fid)
-                    new_orders[i] = tuple(seq[:at] + [fid1, fid2] + seq[at + 1 :])
+                split = self._split_orders(orders, i, fid, splits)
+                if split is not None:
+                    new_orders, fid1, fid2 = split
                     self._recurse(
                         items[:pos] + (("F", i, fid1), ("F", i, fid2))
                         + items[pos + 1 :],
@@ -638,21 +557,18 @@ class HnnReductionSearch:
                 prod = backend.base_mul(*[entry[1] for entry in entries])
                 if prod == ():
                     self._recurse(rest, orders, records, splits, creations)
-                elif creations < self.creation_cap:
-                    merged = ("C", backend.base_bw(prod))
-                    self._recurse(
-                        items[:pos] + (merged,) + items[pos + 2 :],
-                        orders, records, splits, creations + 1,
-                    )
+                    continue
+                merged = ("C", backend.base_bw(prod))
             else:
                 rec = ("val", entries, ())
                 self._recurse(rest, orders, records | {rec}, splits, creations)
-                if creations < self.creation_cap:
-                    merged = ("B", entries)
-                    self._recurse(
-                        items[:pos] + (merged,) + items[pos + 2 :],
-                        orders, records, splits, creations + 1,
-                    )
+                merged = ("B", entries)
+            new_creations = self._created(creations, "B")
+            if new_creations is not None:
+                self._recurse(
+                    items[:pos] + (merged,) + items[pos + 2 :],
+                    orders, records, splits, new_creations,
+                )
 
         # generalized cancellations (u_i, a, u_{i+1}) -> b
         for pos in range(n - 1):
@@ -732,122 +648,144 @@ class HnnReductionSearch:
                     emit(bw_, extra | {rec}, creations)
 
 
-def _max_splits_hnn(m):
-    """Completeness ceiling on splits for an m-entry tuple."""
-    return max(0, max(m, 7 * m - 12) - m)
-
-
-def _splits_cap_hnn(m, budget):
-    bound = _max_splits_hnn(m)
-    if budget is not None:
-        return min(bound, budget)
-    # practical default; raise via the budget argument when needed
-    return min(bound, 2 * m)
-
-
-def _creation_cap_hnn(m, budget):
-    cap = max(0, 4 * m - 8)
-    if budget is not None:
-        cap = min(cap, budget)
-    return cap
-
-
-def enumerate_hnn_reductions(backend, items, powers=None, pieces_budget=None,
-                             creation_budget=None,
-                             states_budget=SEARCH_STATES_CAP):
-    """All reductions of refinements of the item tuple, within budgets.
-
-    Defaults follow the completeness bounds for m entries: refinement
-    length at most max(m, 7m - 12) and at most 4m - 8 atom creations.
-    Returns {records: orders}.
-    """
-    powers = powers or {}
-    m = len(items)
-    cap = _max_splits_hnn(m)
-    if pieces_budget is not None:
-        cap = min(cap, max(0, pieces_budget - m))
-    creation_cap = _creation_cap_hnn(m, creation_budget)
-    search = HnnReductionSearch(backend, powers, cap, creation_cap, states_budget)
-    results = search.run(tuple(items))
-    assert search.states <= states_budget
-    return results
-
-
 # ---------------------------------------------------------------------------
 # The full solver
 
 
-class PreparedHnnKnapsack:
-    """Period/constant structure with base-element or well-behaved periods."""
+class HnnScheme(Scheme):
+    """What HNN-extensions supply to the guess-and-reduce driver."""
 
-    def __init__(self, powers, tails, occ_vars, free_occs):
-        self.powers = powers
-        self.tails = tails
-        self.occ_vars = occ_vars
-        self.free_occs = free_occs
+    def __init__(self, backend):
+        self.backend = backend
+        self.one = backend.identity_bw()
 
+    def normal(self, word):
+        return britton_reduce(self.backend, self.backend.parse(word))
 
-def preprocess_hnn(backend, e):
-    """Rewrite e so that every period is a base element or well-behaved.
+    def mul(self, x, y):
+        return britton_reduce(self.backend, self.backend.concat(x, y))
 
-    Returns (prep, K) with sol(e) = (K cap sol(prep)) restricted to the
-    variables of e; K has magnitude one and ties renamed occurrences of
-    the same variable together.
-    """
-    for period, _var, tail in e.factors:
-        backend.check_word(period)
-        backend.check_word(tail)
+    def presentation(self, u):
+        s, v, p = hnn_power_presentation(self.backend, u)
+        return s, (v,), p
 
-    used = set(e.variables)
-    counters = {}
-    occ_vars = []
-    occ_groups = {}
+    def is_atomic(self, u):
+        return u.tcount == 0
 
-    def occurrence(var):
-        if var not in counters:
-            counters[var] = 1
-            name = var
-        else:
-            counters[var] += 1
-            name = f"{var}_{counters[var]}"
-            while name in used:
-                counters[var] += 1
-                name = f"{var}_{counters[var]}"
-        used.add(name)
-        occ_vars.append(name)
-        occ_groups.setdefault(var, []).append(name)
-        return name
+    def zero_guess(self, u, var):
+        expr = ExponentExpression([(u.gs[0], var, ())])
+        return solve_exponent(self.backend.base, expr)
 
-    powers = []
-    free_occs = []
-    tails = [backend.identity_bw()]
-    for period, var, tail in e.factors:
-        u = britton_reduce(backend, backend.parse(period))
-        w = britton_reduce(backend, backend.parse(tail))
-        if u.is_identity():
-            free_occs.append(occurrence(var))
-            tails[-1] = britton_reduce(backend, backend.concat(tails[-1], w))
-            continue
-        s, v, p = hnn_power_presentation(backend, u)
-        tails[-1] = britton_reduce(backend, backend.concat(tails[-1], s))
-        powers.append((v, occurrence(var)))
-        tails.append(britton_reduce(backend, backend.concat(p, w)))
-    if powers and not tails[0].is_identity():
-        # a leading constant conjugates away: w e' = 1 iff e' w = 1
-        tails[-1] = britton_reduce(backend, backend.concat(tails[-1], tails[0]))
-        tails[0] = backend.identity_bw()
+    def atomic_item(self, i, u):
+        return ("B", (("p", i, u.gs[0]),))
 
-    zero = tuple(0 for _ in occ_vars)
-    periods = []
-    for var in e.variables:
-        group = occ_groups.get(var)
-        if not group:
-            continue
-        members = set(group)
-        periods.append(tuple(1 if name in members else 0 for name in occ_vars))
-    K = SemilinearSet(tuple(occ_vars), [LinearSet(zero, periods)])
-    prep = PreparedHnnKnapsack(powers, tails, tuple(occ_vars), free_occs)
-    return prep, K
+    def max_splits(self, m):
+        return max(0, max(m, 7 * m - 12) - m)
+
+    def max_creations(self, m):
+        return max(0, 4 * m - 8)
+
+    def search(self, powers, splits_cap, creation_cap, states_cap):
+        return HnnReductionSearch(
+            self.backend, powers, splits_cap, creation_cap, states_cap
+        )
+
+    def local_solutions(self, rec, var_of):
+        """("val", entries, a): the entries multiply to a in the base group."""
+        _kind, entries, a = rec
+        leading = []
+        factors = []
+        for entry in entries:
+            if entry[0] == "e":
+                if factors:
+                    p0, v0, t0 = factors[-1]
+                    factors[-1] = (p0, v0, t0 + entry[1])
+                else:
+                    leading.extend(entry[1])
+            else:
+                factors.append((entry[2], var_of[entry[1]], ()))
+        assert factors, "a symbolic base product contains a power"
+        p0, v0, t0 = factors[-1]
+        factors[-1] = (p0, v0, t0 + invert_word(a))
+        expr = normalize(tuple(leading), factors)
+        return solve_exponent(self.backend.base, expr)
+
+    def factor_shapes(self, u, fids, assigns, pairs):
+        """Cuts of u^x at letter positions into forms (sfx, pfx).
+
+        The factor of id fids[k] is sfx u^{x_k} pfx; c counts the cuts
+        that fall inside a copy of u.
+        """
+        backend = self.backend
+        uletters = u.letters(backend.stable)
+        suffixes = {0: backend.identity_bw()}
+        prefixes = {0: backend.identity_bw()}
+        for o in range(1, len(uletters)):
+            suffixes[o] = backend.parse(uletters[o:])
+            prefixes[o] = backend.parse(uletters[:o])
+        shapes = []
+        for cuts in itertools.product(range(len(uletters)), repeat=len(fids) - 1):
+            bounds = (0,) + cuts + (0,)
+            forms = tuple(
+                (suffixes[bounds[k]], prefixes[bounds[k + 1]])
+                for k in range(len(fids))
+            )
+            shapes.append((sum(1 for o in cuts if o > 0), forms))
+        return shapes
+
+    def match_value(self, u, form, value):
+        """The unique x >= 0 with sfx u^x pfx = value, or None."""
+        sfx, pfx = form
+        tm = value.tcount - sfx.tcount - pfx.tcount
+        if tm < 0 or tm % u.tcount:
+            return None
+        x = tm // u.tcount
+        backend = self.backend
+        candidate = backend.concat(backend.concat(sfx, backend.bw_pow(u, x)), pfx)
+        return x if hnn_equal(backend, candidate, value) else None
+
+    def pair_components(self, wb, order, comp_pairs, reduced):
+        """LinearSets over a pair-connected group of powers."""
+        backend = self.backend
+        components = []
+        for combo in itertools.product(*(reduced[i] for i in order)):
+            forms = {}
+            for _c, of in combo:
+                forms.update(of)
+            ok = True
+            pair_lines = []
+            for fid_l, i_l, a, fid_r, i_r, b in comp_pairs:
+                sfx_l, pfx_l = forms[fid_l]
+                sfx_r, pfx_r = forms[fid_r]
+                # (sfx_l u_l^x pfx_l) a (sfx_r u_r^y pfx_r) = b, inverted to
+                # a^{-1} pfx_l^{-1} (u_l^{-1})^x sfx_l^{-1} = sfx_r u_r^y pfx_r b^{-1}
+                lines = two_dim_hnn_solve(
+                    backend,
+                    invert_word(a),
+                    backend.bw_inv(pfx_l),
+                    backend.bw_inv(wb[i_l]),
+                    backend.bw_inv(sfx_l),
+                    sfx_r,
+                    wb[i_r],
+                    pfx_r,
+                    invert_word(b),
+                )
+                # a factor consumed by a generalized cancellation contains t
+                need_x = sfx_l.tcount + pfx_l.tcount == 0
+                need_y = sfx_r.tcount + pfx_r.tcount == 0
+                lines = restrict_lines(lines, need_x, need_y)
+                if not lines:
+                    ok = False
+                    break
+                pair_lines.append((i_l, i_r, lines))
+            if not ok:
+                continue
+            base_c = {i: c for i, (c, _of) in zip(order, combo)}
+            components.extend(
+                LinearSet(base, periods)
+                for base, periods in pair_line_sets(order, base_c, pair_lines)
+            )
+        return components
 
 
 def solve_exponent_hnn(desc, e, pieces_budget=None, creation_budget=None,
@@ -861,313 +799,10 @@ def solve_exponent_hnn(desc, e, pieces_budget=None, creation_budget=None,
         backend = build_backend(desc)
         if not isinstance(backend, HnnBackend):
             raise InputError("solve_exponent_hnn needs an HNN description")
-    prep, K = preprocess_hnn(backend, e)
-    occ_vars = prep.occ_vars
-    stats = diagnostics if diagnostics is not None else {}
-    stats.setdefault("branches", 0)
-    stats.setdefault("reductions", 0)
-    stats.setdefault("states", 0)
-    stats.setdefault("complete", True)
-
-    if not prep.powers:
-        assert occ_vars, "an exponent expression always carries variables"
-        constant_ok = prep.tails[0].is_identity()
-        sols = (SemilinearSet.universe(occ_vars) if constant_ok
-                else SemilinearSet.empty(occ_vars))
-        return sols.intersect(K).restrict(e.variables)._aligned_to(e.variables)
-
-    indices = list(range(1, len(prep.powers) + 1))
-    period = {i: prep.powers[i - 1][0] for i in indices}
-    var_of = {i: prep.powers[i - 1][1] for i in indices}
-    atomic = [i for i in indices if period[i].tcount == 0]
-    wb = {i: period[i] for i in indices if period[i].tcount >= 1}
-    for i in wb:
-        assert is_well_behaved_bw(backend, wb[i]), (
-            "non-base period must be well-behaved"
-        )
-
-    constrained = [name for name in occ_vars if name not in prep.free_occs]
-    assert constrained, "every power contributes a constrained occurrence"
-    total = SemilinearSet.empty(tuple(constrained))
-
-    for n1_bits in itertools.product((False, True), repeat=len(atomic)):
-        n1 = {atomic[k] for k in range(len(atomic)) if n1_bits[k]}
-        stats["branches"] += 1
-        n1_sets = []
-        dead = False
-        for i in sorted(n1):
-            expr = ExponentExpression([(period[i].gs[0], var_of[i], ())])
-            sols = solve_exponent(backend.base, expr)
-            if sols.is_empty_representation():
-                dead = True
-                break
-            n1_sets.append(sols)
-        if dead:
-            continue
-
-        items = []
-        if not prep.tails[0].is_identity():
-            items.append(("C", prep.tails[0]))
-        for i in indices:
-            if i in n1:
-                pass
-            elif i in wb:
-                items.append(("W", i))
-            else:
-                items.append(("B", (("p", i, period[i].gs[0]),)))
-            tail = prep.tails[i]
-            if not tail.is_identity():
-                items.append(("C", tail))
-
-        if not items:
-            total = total.union(_assemble_direct_sum(n1_sets, constrained))
-            continue
-
-        splits_cap = _splits_cap_hnn(len(items), pieces_budget)
-        if splits_cap < _max_splits_hnn(len(items)):
-            stats["complete"] = False
-        search = HnnReductionSearch(
-            backend, wb,
-            splits_cap,
-            _creation_cap_hnn(len(items), creation_budget),
-            states_budget,
-        )
-        results = search.run(tuple(items))
-        stats["states"] += search.states
-        stats["reductions"] += len(results)
-        for records, orders in results.items():
-            sets = _assemble_hnn_outcome(
-                backend, wb, var_of, records, orders, n1_sets, stats
-            )
-            if sets is None:
-                continue
-            total = total.union(_assemble_direct_sum(sets, constrained))
-
-    result = total
-    for name in prep.free_occs:
-        result = result.direct_sum(SemilinearSet.universe((name,)))
-    result = result._aligned_to(occ_vars)
-    result = result.intersect(K).restrict(e.variables)
-    return result._aligned_to(e.variables)
-
-
-def _assemble_direct_sum(sets, names):
-    """Direct-sum disjoint-variable sets and align to the given order."""
-    out = None
-    for piece in sets:
-        out = piece if out is None else out.direct_sum(piece)
-    assert out is not None, "a branch always constrains some variable"
-    missing = [n for n in names if n not in set(out.vars)]
-    assert not missing, f"branch left variables unconstrained: {missing}"
-    return out._aligned_to(tuple(names))
-
-
-def _val_solution(backend, entries, a, var_of):
-    """Solve (product of entries) = a over the base group."""
-    leading = []
-    factors = []
-    for entry in entries:
-        if entry[0] == "e":
-            if factors:
-                p0, v0, t0 = factors[-1]
-                factors[-1] = (p0, v0, t0 + entry[1])
-            else:
-                leading.extend(entry[1])
-        else:
-            factors.append((entry[2], var_of[entry[1]], ()))
-    assert factors, "a symbolic base product contains a power"
-    p0, v0, t0 = factors[-1]
-    factors[-1] = (p0, v0, t0 + invert_word(a))
-    expr = normalize(tuple(leading), factors)
-    return solve_exponent(backend.base, expr)
-
-
-def _match_power_value(backend, sfx, u, pfx, value):
-    """The unique x >= 0 with sfx u^x pfx = value, or None."""
-    tm = value.tcount - sfx.tcount - pfx.tcount
-    if tm < 0 or tm % u.tcount:
-        return None
-    x = tm // u.tcount
-    candidate = backend.concat(backend.concat(sfx, backend.bw_pow(u, x)), pfx)
-    return x if hnn_equal(backend, candidate, value) else None
-
-
-def _restrict_lines(lines, need_x, need_y):
-    """Keep only line points with x >= 1 / y >= 1 where required."""
-    out = set()
-    for a0, b0, c0, d0 in lines:
-        dead = False
-        for _ in range(2):
-            if (need_x and a0 < 1) or (need_y and c0 < 1):
-                if (need_x and a0 < 1 and b0 == 0) or (
-                        need_y and c0 < 1 and d0 == 0):
-                    dead = True
-                    break
-                a0, c0 = a0 + b0, c0 + d0
-        if dead or (need_x and a0 < 1) or (need_y and c0 < 1):
-            continue
-        out.add((a0, b0, c0, d0))
-    return sorted(out)
-
-
-def _assemble_hnn_outcome(backend, wb, var_of, records, orders, n1_sets, stats):
-    """Turn one reduction outcome into per-variable semilinear sets.
-
-    Returns a list of SemilinearSets over disjoint variable groups, or
-    None if the outcome is contradictory.
-    """
-    zero_powers = set()
-    vals = []
-    assigns = {}
-    pairs = []
-    for rec in records:
-        if rec[0] == "zero":
-            zero_powers.add(rec[1])
-        elif rec[0] == "val":
-            vals.append((rec[1], rec[2]))
-        elif rec[0] == "assign":
-            assigns[rec[1]] = (rec[2], rec[3])
-        else:
-            pairs.append(rec[1:])
-
-    sets = list(n1_sets)
-    for i in sorted(zero_powers):
-        sets.append(SemilinearSet.point((var_of[i],), (0,)))
-
-    for entries, a in vals:
-        sols = _val_solution(backend, entries, a, var_of)
-        if sols.is_empty_representation():
-            return None
-        sets.append(sols)
-
-    active = {i: fids for i, fids in orders.items() if fids}
-    paired_fids = set()
-    for fid_l, _il, _a, fid_r, _ir, _b in pairs:
-        paired_fids.add(fid_l)
-        paired_fids.add(fid_r)
-
-    # cut each power word into factor shapes sfx u^{x_j} pfx and resolve
-    # the assigned factors, leaving only paired ones open
-    reduced = {}
-    for i, fids in active.items():
-        u = wb[i]
-        uletters = u.letters(backend.stable)
-        suffixes = {0: backend.identity_bw()}
-        prefixes = {0: backend.identity_bw()}
-        for o in range(1, len(uletters)):
-            suffixes[o] = backend.parse(uletters[o:])
-            prefixes[o] = backend.parse(uletters[:o])
-        opts = []
-        seen = set()
-        for cuts in itertools.product(
-                range(len(uletters)), repeat=len(fids) - 1):
-            c = sum(1 for o in cuts for _ in (0,) if o > 0)
-            bounds = (0,) + cuts + (0,)
-            ok = True
-            open_forms = {}
-            for k, fid in enumerate(fids):
-                sfx = suffixes[bounds[k]]
-                pfx = prefixes[bounds[k + 1]]
-                if fid in assigns:
-                    _i2, value = assigns[fid]
-                    x = _match_power_value(backend, sfx, u, pfx, value)
-                    if x is None:
-                        ok = False
-                        break
-                    c += x
-                else:
-                    assert fid in paired_fids, "every factor id is consumed"
-                    open_forms[fid] = (sfx, pfx)
-            if not ok:
-                continue
-            sig = (c, tuple(sorted(open_forms.items())))
-            if sig in seen:
-                continue
-            seen.add(sig)
-            opts.append((c, open_forms))
-        if not opts:
-            return None
-        reduced[i] = opts
-    stats["grids"] = stats.get("grids", 0) + 1
-
-    # pair records couple at most two powers at a time; solve the pair
-    # relation per connected component of powers and direct-sum the rest
-    parent = {i: i for i in active}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for _fl, i_l, _a, _fr, i_r, _b in pairs:
-        parent[find(i_l)] = find(i_r)
-    groups = {}
-    for i in sorted(active):
-        groups.setdefault(find(i), []).append(i)
-
-    for order in sorted(groups.values()):
-        comp_pairs = [pr for pr in pairs if find(pr[1]) == find(order[0])]
-        names = tuple(var_of[i] for i in order)
-        components = _hnn_pair_components(backend, wb, order, comp_pairs, reduced)
-        group_set = SemilinearSet(names, components)
-        if group_set.is_empty_representation():
-            return None
-        sets.append(group_set)
-    return sets
-
-
-def _hnn_pair_components(backend, wb, order, comp_pairs, reduced):
-    """LinearSets over a pair-connected group of powers."""
-    components = []
-    for combo in itertools.product(*(reduced[i] for i in order)):
-        forms = {}
-        for _c, of in combo:
-            forms.update(of)
-        ok = True
-        pair_lines = []
-        for fid_l, i_l, a, fid_r, i_r, b in comp_pairs:
-            sfx_l, pfx_l = forms[fid_l]
-            sfx_r, pfx_r = forms[fid_r]
-            # (sfx_l u_l^x pfx_l) a (sfx_r u_r^y pfx_r) = b, inverted to
-            # a^{-1} pfx_l^{-1} (u_l^{-1})^x sfx_l^{-1} = sfx_r u_r^y pfx_r b^{-1}
-            lines = two_dim_hnn_solve(
-                backend,
-                invert_word(a),
-                backend.bw_inv(pfx_l),
-                backend.bw_inv(wb[i_l]),
-                backend.bw_inv(sfx_l),
-                sfx_r,
-                wb[i_r],
-                pfx_r,
-                invert_word(b),
-            )
-            # a factor consumed by a generalized cancellation contains t
-            need_x = sfx_l.tcount + pfx_l.tcount == 0
-            need_y = sfx_r.tcount + pfx_r.tcount == 0
-            lines = _restrict_lines(lines, need_x, need_y)
-            if not lines:
-                ok = False
-                break
-            pair_lines.append((i_l, i_r, lines))
-        if not ok:
-            continue
-        base_c = {i: c for i, (c, _of) in zip(order, combo)}
-        for choice in itertools.product(*(pl[2] for pl in pair_lines)):
-            shift = dict(base_c)
-            periods = []
-            for (i_l, i_r, _), (a0, b0, c0, d0) in zip(pair_lines, choice):
-                shift[i_l] += a0
-                shift[i_r] += c0
-                vec = {i: 0 for i in order}
-                vec[i_l] += b0
-                vec[i_r] += d0
-                if any(vec.values()):
-                    periods.append(tuple(vec[i] for i in order))
-            components.append(LinearSet(
-                tuple(shift[i] for i in order), periods
-            ))
-    return components
+    return solve_by_reduction(
+        HnnScheme(backend), e,
+        pieces_budget, creation_budget, states_budget, diagnostics,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1258,13 +893,10 @@ __all__ = [
     "AmalgamBackend",
     "britton_reduce",
     "hnn_equal",
-    "reduce_product",
     "is_well_behaved_bw",
     "hnn_power_presentation",
     "two_dim_hnn_solve",
-    "enumerate_hnn_reductions",
     "solve_exponent_hnn",
     "amalgam_embed",
     "solve_exponent_amalgam",
-    "preprocess_hnn",
 ]

@@ -17,8 +17,7 @@ import itertools
 
 from .errors import BudgetExceededError, InputError
 
-PREFIX_COUNT_CAP = 200_000
-LEVI_CAP = 300_000
+DOWNSET_CAP = 300_000
 
 
 class Atom:
@@ -217,6 +216,9 @@ class Trace:
             )
         return self._alph
 
+    def is_identity(self):
+        return not self.atoms
+
     def norm(self):
         return sum(self.monoid.atom_norm(a) for a in self.atoms)
 
@@ -263,7 +265,7 @@ class Trace:
         keep = sorted(positions)
         return self.monoid.canon([self.atoms[i] for i in keep])
 
-    def downsets(self, cap=LEVI_CAP):
+    def downsets(self, cap=DOWNSET_CAP):
         """All downsets of the dependence order, as frozensets of positions."""
         below = self.order()
         n = len(self.atoms)
@@ -285,10 +287,6 @@ class Trace:
         return found
 
 
-def trace_equal(t1, t2):
-    return t1 == t2
-
-
 def project_pair(t, i, j):
     """Atoms of vertices i and j in canonical order.
 
@@ -297,6 +295,15 @@ def project_pair(t, i, j):
     characterization of trace equality.
     """
     return tuple(a for a in t.atoms if a.vertex in (i, j))
+
+
+def independent_traces(t1, t2):
+    """Every vertex of t1 is independent of every vertex of t2."""
+    return all(
+        t1.monoid.independent(v1, v2)
+        for v1 in t1.alph_gamma()
+        for v2 in t2.alph_gamma()
+    )
 
 
 def equal_by_projections(t1, t2):
@@ -367,35 +374,7 @@ def nf_R(t, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# Structure: prefixes, connectivity, well-behavedness
-
-
-def prefix_count(t, cap=PREFIX_COUNT_CAP):
-    """Number of prefixes of t (downsets of its dependence order)."""
-    below = t.order()
-    n = len(t.atoms)
-    strictly_above = [set() for _ in range(n)]
-    for j in range(n):
-        for i in below[j]:
-            strictly_above[i].add(j)
-    memo = {}
-
-    def count(positions):
-        if not positions:
-            return 1
-        key = positions
-        if key in memo:
-            return memo[key]
-        if len(memo) > cap:
-            raise BudgetExceededError("prefix counting", cap)
-        x = next(iter(positions))
-        up = (strictly_above[x] & positions) | {x}
-        down = (below[x] & positions) | {x}
-        result = count(positions - up) + count(positions - down)
-        memo[key] = result
-        return result
-
-    return count(frozenset(range(n)))
+# Structure: connectivity, well-behavedness
 
 
 def connected_components(t):
@@ -491,63 +470,3 @@ def power_presentation(u):
         f"power presentation norm bound violated: {total} > 3*{input_norm}"
     )
     return s, parts, t
-
-
-# ---------------------------------------------------------------------------
-# Levi decompositions
-
-
-def levi_decompositions(t, m, n, cap=LEVI_CAP):
-    """All m x n grids {w_ij} with row product t and Levi independence.
-
-    Enumerates assignments of positions to cells; exponential, guarded
-    by a budget, meant for small traces and tests.
-    """
-    size = len(t.atoms)
-    cells = m * n
-    if cells**size > cap:
-        raise BudgetExceededError("Levi grid enumeration", cap)
-    seen = set()
-    out = []
-    for assignment in itertools.product(range(cells), repeat=size):
-        grid = [[[] for _ in range(n)] for _ in range(m)]
-        for pos, cell in enumerate(assignment):
-            grid[cell // n][cell % n].append(pos)
-        traces = [
-            [t.subtrace(grid[i][j]) for j in range(n)] for i in range(m)
-        ]
-        key = tuple(tuple(w.atoms for w in row) for row in traces)
-        if key in seen:
-            continue
-        ok = True
-        # independence: w_ij commutes with w_kl for i < k, j > l
-        for i, k in itertools.combinations(range(m), 2):
-            for j in range(n):
-                for l in range(j):
-                    if not _independent_traces(traces[i][j], traces[k][l]):
-                        ok = False
-        if not ok:
-            continue
-        rows = t.monoid.empty_trace()
-        for i in range(m):
-            for j in range(n):
-                rows = rows * traces[i][j]
-        if rows != t:
-            continue
-        cols = t.monoid.empty_trace()
-        for j in range(n):
-            for i in range(m):
-                cols = cols * traces[i][j]
-        if cols != t:
-            continue
-        seen.add(key)
-        out.append(traces)
-    return out
-
-
-def _independent_traces(t1, t2):
-    return all(
-        t1.monoid.independent(v1, v2)
-        for v1 in t1.alph_gamma()
-        for v2 in t2.alph_gamma()
-    )

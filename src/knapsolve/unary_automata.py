@@ -32,9 +32,6 @@ class Nfa:
         if not self.initials <= self.states or not self.finals <= self.states:
             raise InputError("initial/final state not in state set")
 
-    def labels(self):
-        return {label for _s, label, _d in self.transitions if label is not None}
-
     def eps_closure(self, subset):
         out = set(subset)
         frontier = list(subset)

@@ -5,16 +5,6 @@ inverse written as a trailing apostrophe: the inverse of "a" is "a'" and
 the inverse of "a'" is "a" again.
 """
 
-from .errors import InputError
-
-
-def is_inverse_letter(letter):
-    return letter.endswith("'")
-
-
-def base_letter(letter):
-    return letter[:-1] if letter.endswith("'") else letter
-
 
 def invert_letter(letter):
     if letter.endswith("'"):
@@ -24,20 +14,3 @@ def invert_letter(letter):
 
 def invert_word(word):
     return tuple(invert_letter(a) for a in reversed(word))
-
-
-def check_letters(word, alphabet):
-    for a in word:
-        if a not in alphabet:
-            raise InputError(f"letter {a!r} not in alphabet")
-
-
-def free_reduce(word):
-    """Cancel adjacent formal inverses; used only for display and sanity."""
-    out = []
-    for a in word:
-        if out and out[-1] == invert_letter(a):
-            out.pop()
-        else:
-            out.append(a)
-    return tuple(out)

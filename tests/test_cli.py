@@ -65,6 +65,24 @@ def test_budget_exhaustion_exit_code(free_group, capsys):
     assert code == 2
 
 
+def test_incomplete_solve_warns(free_group, capsys):
+    # four items exceed the practical splits cap of 2m, so the search
+    # runs outside its completeness bounds
+    code = main(["solve", "--group", free_group, "--expr", "a^x b a^y b'"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["diagnostics"]["complete"] is False
+    assert "warning" in captured.err
+
+
+def test_complete_solve_is_quiet(free_group, capsys):
+    code = main(["solve", "--group", free_group, "--expr", "a^x b^y"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["diagnostics"]["complete"] is True
+    assert captured.err == ""
+
+
 def test_fast_mode_warns(free_group, capsys):
     code = main([
         "solve", "--group", free_group, "--expr", "(a b)^x (b' a)^y", "--fast",

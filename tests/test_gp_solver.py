@@ -8,14 +8,15 @@ from knapsolve.errors import BudgetExceededError
 from knapsolve.expr import ExponentExpression, parse_expr
 from knapsolve.gp_solver import (
     GraphProductBackend,
-    enumerate_refinement_reductions,
-    preprocess,
+    GraphProductScheme,
+    ReductionSearch,
     simplify_power_factorization,
     solve_exponent_graph_product,
     two_dim_trace_solve,
 )
 from knapsolve.groups import IntegerGroup, build_backend, cyclic_group
 from knapsolve.oracle import compare
+from knapsolve.reduction import SEARCH_STATES_CAP
 
 
 def direct_z2_z2():
@@ -48,7 +49,7 @@ def free_f2():
 
 def test_preprocess_well_behaved_unchanged():
     backend = free_z2_z3()
-    prep, _K = preprocess(backend, parse_expr("(a b)^x"))
+    prep, _K = GraphProductScheme(backend).preprocess(parse_expr("(a b)^x"))
     assert len(prep.powers) == 1
     u, var = prep.powers[0]
     assert u == backend.trace(("a", "b"))
@@ -58,7 +59,7 @@ def test_preprocess_well_behaved_unchanged():
 
 def test_preprocess_peels_aba():
     backend = free_z2_z3()
-    prep, _K = preprocess(backend, parse_expr("(a b a)^x"))
+    prep, _K = GraphProductScheme(backend).preprocess(parse_expr("(a b a)^x"))
     assert len(prep.powers) == 1
     u, _var = prep.powers[0]
     assert u == backend.trace(("b",))
@@ -70,13 +71,13 @@ def test_preprocess_peels_aba():
 def test_preprocess_free_product_keeps_degree():
     backend = free_z2_z3()
     e = parse_expr("(a b)^x (b b)^y a")
-    prep, _K = preprocess(backend, e)
+    prep, _K = GraphProductScheme(backend).preprocess(e)
     assert len(prep.powers) == len(e.factors)
 
 
 def test_preprocess_renames_repeated_variable():
     backend = free_z2_z3()
-    prep, K = preprocess(backend, parse_expr("a^x b^y a^x"))
+    prep, K = GraphProductScheme(backend).preprocess(parse_expr("a^x b^y a^x"))
     assert prep.occ_vars == ("x", "y", "x_2")
     assert K.magnitude() <= 1
     assert K.membership((3, 0, 3))
@@ -86,11 +87,38 @@ def test_preprocess_renames_repeated_variable():
 # -- reduction enumeration ---------------------------------------------------
 
 
+def enumerate_refinement_reductions(backend, items, powers=None,
+                                    pieces_budget=None, creation_budget=None,
+                                    states_budget=SEARCH_STATES_CAP):
+    """All reductions of refinements of the item tuple, within budgets.
+
+    Defaults follow the completeness bounds for a tuple of m entries:
+    refinements of length at most (3 alpha + 4) m^2 (for free products
+    at most max(m, 7m - 12)) and at most m - 2 atom creations per
+    vertex.  Returns {records: orders}.
+    """
+    scheme = GraphProductScheme(backend)
+    m = len(items)
+    cap = scheme.max_splits(m)
+    if pieces_budget is not None:
+        cap = min(cap, max(0, pieces_budget - m))
+    creation_cap = scheme.max_creations(m)
+    if creation_budget is not None:
+        creation_cap = min(creation_cap, creation_budget)
+    search = ReductionSearch(
+        backend.monoid, powers or {}, cap, creation_cap, states_budget
+    )
+    results = search.run(tuple(items))
+    # every emitted script stayed within the stated bounds by construction
+    assert search.states <= states_budget
+    return results
+
+
 def test_single_cancellation_script():
     backend = free_f2()
     a = backend.trace(("a",))
     items = [("C", a), ("C", a.inv())]
-    results = enumerate_refinement_reductions(backend.monoid, items)
+    results = enumerate_refinement_reductions(backend, items)
     assert frozenset() in results
 
 
@@ -101,10 +129,10 @@ def test_no_reduction_without_refinement():
     b = backend.trace(("b",))
     items = [("C", a.inv()), ("C", ab), ("C", b.inv())]
     none = enumerate_refinement_reductions(
-        backend.monoid, items, pieces_budget=len(items), creation_budget=0
+        backend, items, pieces_budget=len(items), creation_budget=0
     )
     assert none == {}
-    some = enumerate_refinement_reductions(backend.monoid, items)
+    some = enumerate_refinement_reductions(backend, items)
     assert frozenset() in some
 
 
@@ -113,12 +141,12 @@ def test_free_product_script_with_atom_creation():
     a = backend.trace(("a",))
     b = backend.trace(("b",))
     items = [("C", a), ("C", b), ("C", b), ("C", b), ("C", a)]
-    results = enumerate_refinement_reductions(backend.monoid, items)
+    results = enumerate_refinement_reductions(backend, items)
     assert frozenset() in results
     # the merge b.b -> b^2 is an atom creation; with none allowed the
     # tuple cannot reduce
     none = enumerate_refinement_reductions(
-        backend.monoid, items, creation_budget=0
+        backend, items, creation_budget=0
     )
     assert frozenset() not in none
 
@@ -128,7 +156,7 @@ def test_search_states_budget_reported():
     t = backend.trace(("a", "b", "c", "a", "b", "c"))
     items = [("C", t), ("C", t.inv())]
     with pytest.raises(BudgetExceededError):
-        enumerate_refinement_reductions(backend.monoid, items, states_budget=3)
+        enumerate_refinement_reductions(backend, items, states_budget=3)
 
 
 # -- two-dimensional trace knapsack ------------------------------------------

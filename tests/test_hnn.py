@@ -6,22 +6,24 @@ import pytest
 
 from knapsolve.errors import BudgetExceededError
 from knapsolve.expr import ExponentExpression, parse_expr
+from knapsolve.gp_solver import solve_exponent_graph_product
 from knapsolve.groups import build_backend, cyclic_group
 from knapsolve.hnn import (
     AmalgamBackend,
     HnnBackend,
     amalgam_embed,
+    HnnReductionSearch,
+    HnnScheme,
     britton_reduce,
-    enumerate_hnn_reductions,
     hnn_equal,
     hnn_power_presentation,
     is_well_behaved_bw,
-    reduce_product,
     solve_exponent_amalgam,
     solve_exponent_hnn,
     two_dim_hnn_solve,
 )
 from knapsolve.oracle import compare
+from knapsolve.reduction import SEARCH_STATES_CAP
 
 
 def z2_id():
@@ -97,6 +99,11 @@ def test_equal_connecting_element():
     assert not hnn_equal(backend, backend.parse(("t",)), backend.parse(("t'",)))
     w = backend.parse(("t", "a", "t", "a"))
     assert hnn_equal(backend, w, w)
+
+
+def reduce_product(backend, u, v):
+    """A reduced word equal to uv; cancellation happens at the junction."""
+    return britton_reduce(backend, backend.concat(u, v))
 
 
 def test_equal_agrees_with_product_inverse():
@@ -254,6 +261,31 @@ def test_two_dim_against_brute_force():
 
 
 # -- reduction enumeration ---------------------------------------------------
+
+
+def enumerate_hnn_reductions(backend, items, powers=None, pieces_budget=None,
+                             creation_budget=None,
+                             states_budget=SEARCH_STATES_CAP):
+    """All reductions of refinements of the item tuple, within budgets.
+
+    Defaults follow the completeness bounds for m entries: refinement
+    length at most max(m, 7m - 12) and at most 4m - 8 atom creations.
+    Returns {records: orders}.
+    """
+    scheme = HnnScheme(backend)
+    m = len(items)
+    cap = scheme.max_splits(m)
+    if pieces_budget is not None:
+        cap = min(cap, max(0, pieces_budget - m))
+    creation_cap = scheme.max_creations(m)
+    if creation_budget is not None:
+        creation_cap = min(creation_cap, creation_budget)
+    search = HnnReductionSearch(
+        backend, powers or {}, cap, creation_cap, states_budget
+    )
+    results = search.run(tuple(items))
+    assert search.states <= states_budget
+    return results
 
 
 def test_cancel_inverse_pair():
@@ -426,3 +458,47 @@ def test_amalgam_description_round_trip():
     assert backend.word_problem(("a", "a", "b", "b"))
     S = solve_exponent_amalgam(desc, parse_expr("b^x"))
     assert S.points_in_box(8) == {(k,) for k in range(0, 9, 4)}
+
+
+# -- graph products against amalgams ------------------------------------------
+
+
+def _z2(gen):
+    return {"type": "CyclicGroup", "order": 2, "generator": gen}
+
+
+@pytest.mark.parametrize("text", ["(a b)^x a b", "(a)^x b (b)^y a"])
+def test_free_product_agrees_with_trivial_amalgam(text):
+    # Z2 * Z2 through the graph-product side and the HNN side of the
+    # guess-and-reduce driver
+    free = build_backend({"type": "FreeProduct", "children": [_z2("a"), _z2("b")]})
+    amalgam = build_backend({
+        "type": "Amalgam", "left": _z2("a"), "right": _z2("b"),
+        "phi1": [[]], "phi2": [[]],
+    })
+    e = parse_expr(text)
+    via_gp = solve_exponent_graph_product(free, e)
+    via_hnn = solve_exponent_amalgam(amalgam, e)
+    assert via_gp.points_in_box(8) == via_hnn.points_in_box(8)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a generalized cancellation rejects a middle base element outside "
+    "A u B even when the boundary base letters of its factors cancel it"
+))
+@pytest.mark.parametrize("kind, text", [
+    ("hnn", "(t a)^x (a t')^y"),
+    ("amalgam", "(a b)^x (b a)^y"),
+])
+def test_trivial_subgroup_inverse_powers(kind, text):
+    # (t a)(a t') = 1 and (a b)(b a) = 1, so every x = y is a solution
+    if kind == "hnn":
+        backend = HnnBackend(cyclic_group(2, "a"), "t", [()], [()])
+        sols = solve_exponent_hnn(backend, parse_expr(text))
+    else:
+        backend = build_backend({
+            "type": "Amalgam", "left": _z2("a"), "right": _z2("b"),
+            "phi1": [[]], "phi2": [[]],
+        })
+        sols = solve_exponent_amalgam(backend, parse_expr(text))
+    assert {(k, k) for k in range(5)} <= sols.points_in_box(4)

@@ -1,23 +1,103 @@
 """Trace monoid layer: canonical forms, rewriting, structure, powers."""
 
+import itertools
 import random
 
 import pytest
 
+from knapsolve.errors import BudgetExceededError
 from knapsolve.groups import cyclic_group
 from knapsolve.trace import (
     TraceMonoid,
     connected_components,
     equal_by_projections,
     has_redex,
+    independent_traces,
     is_connected,
     is_well_behaved,
-    levi_decompositions,
     nf_R,
     power_presentation,
-    prefix_count,
     project_pair,
 )
+
+PREFIX_COUNT_CAP = 200_000
+LEVI_CAP = 300_000
+
+
+def prefix_count(t, cap=PREFIX_COUNT_CAP):
+    """Number of prefixes of t (downsets of its dependence order)."""
+    below = t.order()
+    n = len(t.atoms)
+    strictly_above = [set() for _ in range(n)]
+    for j in range(n):
+        for i in below[j]:
+            strictly_above[i].add(j)
+    memo = {}
+
+    def count(positions):
+        if not positions:
+            return 1
+        key = positions
+        if key in memo:
+            return memo[key]
+        if len(memo) > cap:
+            raise BudgetExceededError("prefix counting", cap)
+        x = next(iter(positions))
+        up = (strictly_above[x] & positions) | {x}
+        down = (below[x] & positions) | {x}
+        result = count(positions - up) + count(positions - down)
+        memo[key] = result
+        return result
+
+    return count(frozenset(range(n)))
+
+
+def levi_decompositions(t, m, n, cap=LEVI_CAP):
+    """All m x n grids {w_ij} with row product t and Levi independence.
+
+    Enumerates assignments of positions to cells; exponential, guarded
+    by a budget, meant for small traces.
+    """
+    size = len(t.atoms)
+    cells = m * n
+    if cells**size > cap:
+        raise BudgetExceededError("Levi grid enumeration", cap)
+    seen = set()
+    out = []
+    for assignment in itertools.product(range(cells), repeat=size):
+        grid = [[[] for _ in range(n)] for _ in range(m)]
+        for pos, cell in enumerate(assignment):
+            grid[cell // n][cell % n].append(pos)
+        traces = [
+            [t.subtrace(grid[i][j]) for j in range(n)] for i in range(m)
+        ]
+        key = tuple(tuple(w.atoms for w in row) for row in traces)
+        if key in seen:
+            continue
+        ok = True
+        # independence: w_ij commutes with w_kl for i < k, j > l
+        for i, k in itertools.combinations(range(m), 2):
+            for j in range(n):
+                for l in range(j):
+                    if not independent_traces(traces[i][j], traces[k][l]):
+                        ok = False
+        if not ok:
+            continue
+        rows = t.monoid.empty_trace()
+        for i in range(m):
+            for j in range(n):
+                rows = rows * traces[i][j]
+        if rows != t:
+            continue
+        cols = t.monoid.empty_trace()
+        for j in range(n):
+            for i in range(m):
+                cols = cols * traces[i][j]
+        if cols != t:
+            continue
+        seen.add(key)
+        out.append(traces)
+    return out
 
 
 def free_z2_z3():
