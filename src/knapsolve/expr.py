@@ -108,9 +108,29 @@ def normalize(leading, factors):
     return ExponentExpression(factors)
 
 
+def expr_from_entries(entries):
+    """The expression of a product of constants and powers.
+
+    entries are ("p", var, period) powers period^var and, under any other
+    tag, (tag, word) constants; a leading constant moves to the end as
+    in normalize.
+    """
+    leading = ()
+    factors = []
+    for entry in entries:
+        if entry[0] == "p":
+            factors.append((entry[2], entry[1], ()))
+        elif factors:
+            period, var, tail = factors[-1]
+            factors[-1] = (period, var, tail + tuple(entry[1]))
+        else:
+            leading += tuple(entry[1])
+    return normalize(leading, factors)
+
+
 def parse_expr(text):
     """Parse the textual expression syntax into an ExponentExpression."""
-    items = []  # ("word", letters) | ("power", letters, var) | ("repeat", letters, n)
+    items = []  # ("word", letters) | ("p", var, letters) | ("e", repeated letters)
     pos = 0
     pending_group = None
     while pos < len(text):
@@ -141,28 +161,12 @@ def parse_expr(text):
                 raise InputError(f"dangling '^' at position {m.start()}")
             word = items.pop()[1]
             if m.group("expvar"):
-                items.append(("power", word, m.group("expvar")))
+                items.append(("p", m.group("expvar"), word))
             else:
-                items.append(("repeat", word, int(m.group("expnum"))))
+                items.append(("e", word * int(m.group("expnum"))))
     if pending_group is not None:
         raise InputError("unterminated '('")
-
-    leading = []
-    factors = []
-    for item in items:
-        if item[0] == "word":
-            chunk = item[1]
-        elif item[0] == "repeat":
-            chunk = item[1] * item[2]
-        else:
-            factors.append((item[1], item[2], ()))
-            continue
-        if factors:
-            period, var, tail = factors[-1]
-            factors[-1] = (period, var, tail + chunk)
-        else:
-            leading.extend(chunk)
-    return normalize(tuple(leading), factors)
+    return expr_from_entries(items)
 
 
 def format_expr(e):
@@ -250,6 +254,7 @@ def expr_from_json_dict(data):
 __all__ = [
     "ExponentExpression",
     "normalize",
+    "expr_from_entries",
     "parse_expr",
     "format_expr",
     "knapsackify",

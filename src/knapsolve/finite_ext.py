@@ -16,8 +16,9 @@ substitution.
 """
 
 from .errors import InputError
-from .expr import ExponentExpression, knapsackify
-from .groups import GroupBackend, solve_exponent
+from .expr import knapsackify
+from .groups import GroupBackend, backend_of
+from .reduction import solve_local
 from .semilinear import LinearSet, SemilinearSet
 from .words import invert_letter
 
@@ -93,20 +94,9 @@ class FiniteExtBackend(GroupBackend):
         return solve_exponent_finite_ext(self, e)
 
 
-def _backend(desc):
-    if isinstance(desc, FiniteExtBackend):
-        return desc
-    from .groups import build_backend
-
-    backend = build_backend(desc)
-    if not isinstance(backend, FiniteExtBackend):
-        raise InputError("expected a finite-extension description")
-    return backend
-
-
 def fe_word_problem(desc, word):
     """w = 1 in H: the pushed G-word is 1 in G and the final coset is 1."""
-    backend = _backend(desc)
+    backend = backend_of(desc, FiniteExtBackend)
     backend.check_word(word)
     g, coset = backend.push(IDENTITY_COSET, word)
     return coset == IDENTITY_COSET and backend.subgroup.word_problem(g)
@@ -138,7 +128,7 @@ class CosetOrbit:
 
 def coset_orbit(desc, d, u):
     """Iterate the coset map of u from d until one full cycle past l."""
-    backend = _backend(desc)
+    backend = backend_of(desc, FiniteExtBackend)
     if d not in backend.cosets:
         raise InputError(f"unknown coset {d!r}")
     backend.check_word(u)
@@ -185,7 +175,7 @@ def solve_exponent_finite_ext(desc, e, diagnostics=None):
     guess combination rewrites e into an exponent equation over the
     subgroup whose solutions map back through affine_substitute.
     """
-    backend = _backend(desc)
+    backend = backend_of(desc, FiniteExtBackend)
     e_prime, K = knapsackify(e)
     stats = diagnostics if diagnostics is not None else {}
     stats.setdefault("branches", 0)
@@ -246,34 +236,25 @@ def solve_exponent_finite_ext(desc, e, diagnostics=None):
 def _branch_solutions(sub, names, branch):
     """SemilinearSet over all equation variables for one guess, or None."""
     # a factor whose cycle word is syntactically empty puts no subgroup
-    # constraint on its variable; fold its tail into the neighbours
-    kept = []
-    lead = tuple(branch.leading)
+    # constraint on its variable; its tail joins the constants around it
+    entries = [("e", branch.leading)]
     free = []
     for p, var, t in branch.factors_g:
         if p:
-            kept.append([p, var, t])
-        elif kept:
-            free.append(var)
-            kept[-1][2] = kept[-1][2] + t
+            entries.append(("p", var, p))
         else:
             free.append(var)
-            lead = lead + t
+        entries.append(("e", t))
 
     pieces = []
-    if kept:
-        # conjugating the leading constant to the end preserves e = 1
-        if lead:
-            kept[-1][2] = kept[-1][2] + lead
-        sols = solve_exponent(
-            sub, ExponentExpression([tuple(f) for f in kept])
-        )
+    if len(free) < len(branch.factors_g):
+        sols = solve_local(sub, entries)
         if sols.is_empty_representation():
             return None
         coeffs = {v: branch.substitutions[v][0] for v in sols.vars}
         offsets = {v: branch.substitutions[v][1] for v in sols.vars}
         pieces.append(sols.affine_substitute(coeffs, offsets))
-    elif not sub.word_problem(lead):
+    elif not sub.word_problem(sum((word for _e, word in entries), ())):
         return None
     for var in free:
         k, off = branch.substitutions[var]

@@ -24,7 +24,7 @@ dependence order of the tuple.
 import itertools
 
 from .errors import InputError
-from .groups import GroupBackend, build_backend
+from .groups import GroupBackend, backend_of, require_elements
 from .reduction import (
     FACTOR_CAP,
     SEARCH_STATES_CAP,
@@ -33,6 +33,7 @@ from .reduction import (
     pair_line_sets,
     restrict_lines,
     solve_by_reduction,
+    solve_local,
 )
 from .semilinear import LinearSet, SemilinearSet
 from .trace import (
@@ -48,24 +49,36 @@ from .unary_automata import word_pair_power_solutions
 
 
 class GraphProductBackend(GroupBackend):
-    """Graph product of vertex group backends over an independence graph."""
+    """Graph product of vertex group backends over an independence graph.
+
+    Its elements are irreducible traces.
+    """
 
     def __init__(self, children, edges):
+        for idx, child in enumerate(children):
+            require_elements(child, f"vertex {idx}")
         self.monoid = TraceMonoid(children, edges)
         self.alphabet = self.monoid.alphabet
+        self.identity_elem = self.monoid.empty_trace()
 
-    def trace(self, word):
+    def elem_from_word(self, word):
         self.check_word(word)
         return nf_R(self.monoid.trace_from_word(word))
 
-    def word_problem(self, word):
-        return not self.trace(word).atoms
+    def elem_mul(self, a, b):
+        return nf_R(a * b)
 
-    def norm(self, word):
-        return self.trace(word).norm()
+    def elem_inv(self, a):
+        return a.inv()
 
-    def canonical_word(self, word):
-        return self.trace(word).to_word()
+    def elem_word(self, a):
+        return a.to_word()
+
+    def elem_norm(self, a):
+        return a.norm()
+
+    def elem_sort_key(self, a):
+        return tuple(self.monoid.atom_key(atom) for atom in a.atoms)
 
     def solve_knapsack(self, e):
         return solve_exponent_graph_product(self, e)
@@ -146,9 +159,8 @@ class ReductionSearch(ReductionSearchBase):
             self._indep[key] = hit
         return hit
 
-    def canon_items(self, items):
-        """Normal form of the tuple modulo commutation of independents."""
-        items = list(items)
+    def _below(self, items):
+        """below[j]: indices of the items that stay left of item j."""
         n = len(items)
         below = [set() for _ in range(n)]
         for j in range(n):
@@ -158,7 +170,13 @@ class ReductionSearch(ReductionSearchBase):
                 if not self.independent_items(items[i], items[j]):
                     below[j].add(i)
                     below[j] |= below[i]
-        remaining = set(range(n))
+        return below
+
+    def canon_items(self, items):
+        """Normal form of the tuple modulo commutation of independents."""
+        items = list(items)
+        below = self._below(items)
+        remaining = set(range(len(items)))
         out = []
         while remaining:
             available = [
@@ -172,14 +190,7 @@ class ReductionSearch(ReductionSearchBase):
     def interaction_pairs(self, items):
         """Index pairs that commutation can make adjacent (left, right)."""
         n = len(items)
-        below = [set() for _ in range(n)]
-        for j in range(n):
-            for i in range(j - 1, -1, -1):
-                if i in below[j]:
-                    continue
-                if not self.independent_items(items[i], items[j]):
-                    below[j].add(i)
-                    below[j] |= below[i]
+        below = self._below(items)
         pairs = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -576,10 +587,10 @@ class GraphProductScheme(Scheme):
         return prep, K
 
     def normal(self, word):
-        return nf_R(self.monoid.trace_from_word(word))
+        return self.backend.elem_from_word(word)
 
     def mul(self, x, y):
-        return nf_R(x * y)
+        return self.backend.elem_mul(x, y)
 
     def presentation(self, u):
         return power_presentation(u)
@@ -590,7 +601,7 @@ class GraphProductScheme(Scheme):
     def zero_guess(self, u, var):
         atom = u.atoms[0]
         child = self.monoid.vertices[atom.vertex]
-        return child.solve_elem_knapsack([("pow", atom.elem, var)], (var,))
+        return solve_local(child, [("p", var, child.elem_word(atom.elem))])
 
     def atomic_item(self, i, u):
         atom = u.atoms[0]
@@ -613,17 +624,12 @@ class GraphProductScheme(Scheme):
     def local_solutions(self, rec, var_of):
         """("ident", vertex, entries): the entries multiply to 1."""
         _kind, vertex, entries = rec
-        mapped = []
-        names = []
-        for entry in entries:
-            if entry[0] == "e":
-                mapped.append(("const", entry[1]))
-            else:
-                _tag, i, elem = entry
-                mapped.append(("pow", elem, var_of[i]))
-                names.append(var_of[i])
         child = self.monoid.vertices[vertex]
-        return child.solve_elem_knapsack(mapped, tuple(names))
+        return solve_local(child, [
+            ("e", child.elem_word(entry[1])) if entry[0] == "e"
+            else ("p", var_of[entry[1]], child.elem_word(entry[2]))
+            for entry in entries
+        ])
 
     def factor_shapes(self, u, fids, assigns, pairs):
         """Grid shapes whose forms have the alphabets the search guessed."""
@@ -746,8 +752,7 @@ def solve_exponent_graph_product(desc, e, pieces_budget=None,
                                  states_budget=SEARCH_STATES_CAP,
                                  diagnostics=None):
     """Solution set of e = 1 over the graph product described by desc."""
-    backend = desc if isinstance(desc, GraphProductBackend) else build_backend(desc)
     return solve_by_reduction(
-        GraphProductScheme(backend), e,
+        GraphProductScheme(backend_of(desc, GraphProductBackend)), e,
         pieces_budget, creation_budget, states_budget, diagnostics,
     )

@@ -1,4 +1,4 @@
-"""Group backends and the generic exponent-equation driver.
+"""Group backends, the element protocol and solve_exponent for any group.
 
 A backend wraps a concretely described group and exposes three things:
 the generator alphabet (closed under formal inverses), the word problem
@@ -16,32 +16,82 @@ live in their own modules and are wired up here by build_backend().
 import itertools
 
 from .errors import InputError
-from .expr import ExponentExpression, knapsackify
+from .expr import knapsackify
 from .semilinear import DiophSystem, LinearSet, SemilinearSet, solve_dioph_nonneg
-from .words import invert_letter, invert_word
+from .words import invert_letter
 
 
 class GroupBackend:
-    """Interface shared by every group backend."""
+    """Interface shared by every group backend.
+
+    A backend with a canonical element form implements the element
+    protocol, identity_elem and the elem_* methods: elements are
+    hashable, equal exactly when equal in the group, and word_problem
+    and norm follow from them.  Other backends leave identity_elem
+    None.  Graph products, HNN-extensions and amalgams take only
+    backends with elements as vertex, base or factor groups, and use
+    only this protocol and solve_knapsack of them.
+    """
 
     #: frozenset of generator letters, closed under invert_letter
     alphabet = frozenset()
+    #: the identity element, None without the element protocol
+    identity_elem = None
+
+    def elem_from_word(self, word):
+        raise NotImplementedError
+
+    def elem_mul(self, a, b):
+        raise NotImplementedError
+
+    def elem_inv(self, a):
+        raise NotImplementedError
+
+    def elem_word(self, a):
+        """A geodesic word representing a."""
+        raise NotImplementedError
+
+    def elem_norm(self, a):
+        """Geodesic length of a."""
+        raise NotImplementedError
+
+    def elem_sort_key(self, a):
+        """Key of a total order on elements."""
+        raise NotImplementedError
 
     def word_problem(self, word):
-        raise NotImplementedError
-
-    def solve_knapsack(self, e):
-        """Solution set of e = 1; every variable of e occurs exactly once."""
-        raise NotImplementedError
+        return self.elem_from_word(word) == self.identity_elem
 
     def norm(self, word):
         """Geodesic length of the element represented by word."""
+        return self.elem_norm(self.elem_from_word(word))
+
+    def solve_knapsack(self, e):
+        """Solution set of e = 1; every variable of e occurs exactly once."""
         raise NotImplementedError
 
     def check_word(self, word):
         for a in word:
             if a not in self.alphabet:
                 raise InputError(f"letter {a!r} not in group alphabet")
+
+
+def backend_of(desc, cls):
+    """desc if it is a cls backend, else the cls backend it describes."""
+    backend = desc if isinstance(desc, GroupBackend) else build_backend(desc)
+    if not isinstance(backend, cls):
+        raise InputError(f"expected a {cls.__name__} or its description")
+    return backend
+
+
+def require_elements(backend, where):
+    """backend, or an InputError if it has no canonical element form."""
+    if backend.identity_elem is None:
+        raise InputError(
+            f"{where}: {type(backend).__name__} has no canonical element "
+            "form, so it cannot be a vertex, base or amalgam factor"
+        )
+    return backend
 
 
 def solve_exponent(backend, e):
@@ -67,34 +117,17 @@ def solve_exponent(backend, e):
 class IntegerGroup(GroupBackend):
     """The group of integers, one generator letter (default "t")."""
 
+    identity_elem = 0
+
     def __init__(self, generator="t"):
         if generator.endswith("'"):
             raise InputError("generator name may not end with an apostrophe")
         self.generator = generator
         self.alphabet = frozenset({generator, invert_letter(generator)})
 
-    def exponent_sum(self, word):
+    def elem_from_word(self, word):
         self.check_word(word)
         return sum(-1 if a.endswith("'") else 1 for a in word)
-
-    def word_problem(self, word):
-        return self.exponent_sum(word) == 0
-
-    def norm(self, word):
-        return abs(self.exponent_sum(word))
-
-    def solve_knapsack(self, e):
-        coeffs = [self.exponent_sum(p) for p, _v, _t in e.factors]
-        const = sum(self.exponent_sum(t) for _p, _v, t in e.factors)
-        sys = DiophSystem([tuple(coeffs)], (-const,))
-        return solve_dioph_nonneg(sys, var_names=e.variables)
-
-    # -- element-level interface (used when this is a vertex group) ----
-
-    identity_elem = 0
-
-    def elem_from_word(self, word):
-        return self.exponent_sum(word)
 
     def elem_mul(self, a, b):
         return a + b
@@ -112,20 +145,11 @@ class IntegerGroup(GroupBackend):
     def elem_sort_key(self, a):
         return (abs(a), a)
 
-    def solve_elem_knapsack(self, entries, var_names):
-        """Solve a product of element powers and constants equal to 1.
-
-        entries: sequence of ("pow", elem, var) and ("const", elem).
-        """
-        coeffs = {v: 0 for v in var_names}
-        const = 0
-        for entry in entries:
-            if entry[0] == "pow":
-                coeffs[entry[2]] += entry[1]
-            else:
-                const += entry[1]
-        sys = DiophSystem([tuple(coeffs[v] for v in var_names)], (-const,))
-        return solve_dioph_nonneg(sys, var_names=tuple(var_names))
+    def solve_knapsack(self, e):
+        coeffs = [self.elem_from_word(p) for p, _v, _t in e.factors]
+        const = sum(self.elem_from_word(t) for _p, _v, t in e.factors)
+        sys = DiophSystem([tuple(coeffs)], (-const,))
+        return solve_dioph_nonneg(sys, var_names=e.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +186,12 @@ class FiniteGroup(GroupBackend):
         ]
         if len(ids) != 1:
             raise InputError("FiniteGroup: no unique identity element")
-        self.identity = ids[0]
+        one = self.identity_elem = ids[0]
         # inverses
         inv = [None] * n
         for x in range(n):
             for y in range(n):
-                if self.table[x][y] == self.identity and self.table[y][x] == self.identity:
+                if self.table[x][y] == one and self.table[y][x] == one:
                     inv[x] = y
         if any(v is None for v in inv):
             raise InputError("FiniteGroup: some element has no inverse")
@@ -193,22 +217,9 @@ class FiniteGroup(GroupBackend):
             self.generator_map[letter] = idx
             self.generator_map[invert_letter(letter)] = self.inverse[idx]
         self.alphabet = frozenset(self.generator_map)
-        # geodesic distances from the identity
-        dist = {self.identity: 0}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in set(self.generator_map.values()):
-                    y = self.table[x][g]
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        self.distance = dist
-        # a geodesic word for every reachable element
-        geo = {self.identity: ()}
-        frontier = [self.identity]
+        # a geodesic word for every reachable element, by breadth-first search
+        geo = {self.identity_elem: ()}
+        frontier = [self.identity_elem]
         while frontier:
             nxt = []
             for x in frontier:
@@ -220,59 +231,12 @@ class FiniteGroup(GroupBackend):
             frontier = nxt
         self.geodesic = geo
 
-    def eval_word(self, word):
+    def elem_from_word(self, word):
         self.check_word(word)
-        x = self.identity
+        x = self.identity_elem
         for a in word:
             x = self.table[x][self.generator_map[a]]
         return x
-
-    def word_problem(self, word):
-        return self.eval_word(word) == self.identity
-
-    def norm(self, word):
-        x = self.eval_word(word)
-        if x not in self.distance:
-            raise InputError("element not generated by the given generators")
-        return self.distance[x]
-
-    def order_of(self, x):
-        k = 1
-        y = x
-        while y != self.identity:
-            y = self.table[y][x]
-            k += 1
-        return k
-
-    def solve_knapsack(self, e):
-        """Enumerate residue tuples modulo element orders."""
-        gs = [self.eval_word(p) for p, _v, _t in e.factors]
-        tails = [self.eval_word(t) for _p, _v, t in e.factors]
-        orders = [self.order_of(g) for g in gs]
-        var_names = e.variables
-        comps = []
-        diag = [
-            tuple(orders[i] if j == i else 0 for j in range(len(orders)))
-            for i in range(len(orders))
-        ]
-        for residues in itertools.product(*[range(o) for o in orders]):
-            x = self.identity
-            for g, r, tail in zip(gs, residues, tails):
-                for _ in range(r):
-                    x = self.table[x][g]
-                x = self.table[x][tail]
-            if x == self.identity:
-                comps.append(LinearSet(residues, diag))
-        return SemilinearSet(var_names, comps)
-
-    # -- element-level interface ---------------------------------------
-
-    @property
-    def identity_elem(self):
-        return self.identity
-
-    def elem_from_word(self, word):
-        return self.eval_word(word)
 
     def elem_mul(self, a, b):
         return self.table[a][b]
@@ -286,39 +250,37 @@ class FiniteGroup(GroupBackend):
         return self.geodesic[a]
 
     def elem_norm(self, a):
-        return self.distance[a]
+        return len(self.elem_word(a))
 
     def elem_sort_key(self, a):
         return a
 
-    def solve_elem_knapsack(self, entries, var_names):
-        orders = {}
-        for entry in entries:
-            if entry[0] == "pow":
-                orders.setdefault(entry[2], []).append(entry[1])
-        # each variable occurs once in a knapsack product
-        var_names = tuple(var_names)
-        var_elem = {}
-        for entry in entries:
-            if entry[0] == "pow":
-                var_elem[entry[2]] = entry[1]
-        ords = [self.order_of(var_elem[v]) if v in var_elem else 1 for v in var_names]
-        diag = [
-            tuple(ords[i] if j == i else 0 for j in range(len(var_names)))
-            for i in range(len(var_names))
-        ]
+    def order_of(self, x):
+        k = 1
+        y = x
+        while y != self.identity_elem:
+            y = self.table[y][x]
+            k += 1
+        return k
+
+    def solve_knapsack(self, e):
+        """Enumerate residue tuples modulo element orders."""
+        gs = [self.elem_from_word(p) for p, _v, _t in e.factors]
+        tails = [self.elem_from_word(t) for _p, _v, t in e.factors]
+        orders = [self.order_of(g) for g in gs]
+        var_names = e.variables
         comps = []
-        for residues in itertools.product(*[range(o) for o in ords]):
-            val = dict(zip(var_names, residues))
-            x = self.identity
-            for entry in entries:
-                if entry[0] == "pow":
-                    g = entry[1]
-                    for _ in range(val[entry[2]]):
-                        x = self.table[x][g]
-                else:
-                    x = self.table[x][entry[1]]
-            if x == self.identity:
+        diag = [
+            tuple(orders[i] if j == i else 0 for j in range(len(orders)))
+            for i in range(len(orders))
+        ]
+        for residues in itertools.product(*[range(o) for o in orders]):
+            x = self.identity_elem
+            for g, r, tail in zip(gs, residues, tails):
+                for _ in range(r):
+                    x = self.table[x][g]
+                x = self.table[x][tail]
+            if x == self.identity_elem:
                 comps.append(LinearSet(residues, diag))
         return SemilinearSet(var_names, comps)
 
@@ -335,60 +297,122 @@ def cyclic_group(n, letter="a"):
 
 
 def build_backend(desc):
-    """Build a backend from a constructor-tagged description tree."""
+    """Build a backend from a constructor-tagged description tree.
+
+    The tree is validated in the same walk: a malformed node ends in an
+    InputError whose message starts with the path to it, such as
+    $.children[1].order.
+    """
+    return _build(desc, "$")
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_letter(v):
+    return isinstance(v, str) and v != ""
+
+
+def _is_seq(v):
+    return isinstance(v, (list, tuple))
+
+
+def _seq_of(check):
+    return lambda v: _is_seq(v) and all(map(check, v))
+
+
+_is_word = _seq_of(_is_letter)
+
+
+def _is_rule(row):
+    if isinstance(row, dict):
+        row = [row.get(key) for key in ("c", "a", "w", "d")]
+    return (_is_seq(row) and len(row) == 4 and _is_word(row[2])
+            and all(map(_is_letter, (row[0], row[1], row[3]))))
+
+
+def _child(desc, path, elements=True):
+    """The backend of a sub-description, with elements unless told not."""
+    backend = _build(desc, path)
+    return require_elements(backend, path) if elements else backend
+
+
+def _build(desc, path):
+    from .finite_ext import FiniteExtBackend
+    from .gp_solver import GraphProductBackend
+    from .hnn import AmalgamBackend, HnnBackend
+
     if not isinstance(desc, dict) or "type" not in desc:
-        raise InputError("group description must be an object with a 'type'")
+        raise InputError(f"{path}: group description must be an object with a 'type'")
     kind = desc["type"]
+
+    def field(key, check, what, default=None):
+        value = desc.get(key, default)
+        if value is None or key in desc and not check(value):
+            got = f"got {value!r}" if key in desc else "found none"
+            raise InputError(f"{path}.{key}: expected {what}, {got}")
+        return value
+
+    def words(key):
+        return field(key, _seq_of(_is_word), "a list of words")
+
+    def child(key, elements=True):
+        return _child(field(key, lambda v: True, "a group description"),
+                      f"{path}.{key}", elements)
+
+    def letter(key, default):
+        return field(key, _is_letter, "a letter", default)
+
     if kind == "IntegerGroup":
-        return IntegerGroup(desc.get("generator", "t"))
-    if kind == "FiniteGroup":
-        try:
-            return FiniteGroup(desc["elements"], desc["table"], desc["generators"])
-        except KeyError as exc:
-            raise InputError(f"FiniteGroup description missing {exc}") from exc
-    if kind == "CyclicGroup":
-        # shorthand used by tests and the corpus
-        return cyclic_group(int(desc["order"]), desc.get("generator", "a"))
-    if kind in ("GraphProduct", "FreeProduct"):
-        from .gp_solver import GraphProductBackend
-
-        children = [build_backend(c) for c in desc.get("vertices", desc.get("children", []))]
-        if not children:
-            raise InputError(f"{kind}: needs at least one child group")
-        if kind == "FreeProduct":
-            edges = []
-        else:
-            edges = [tuple(e) for e in desc.get("edges", [])]
-        return GraphProductBackend(children, edges)
-    if kind == "Hnn":
-        from .hnn import HnnBackend
-
-        base = build_backend(desc["base"])
-        return HnnBackend(
-            base,
-            desc.get("stable_letter", "t"),
-            [tuple(w) for w in desc["A"]],
-            [tuple(w) for w in desc["B"]],
+        make, args = IntegerGroup, (letter("generator", "t"),)
+    elif kind == "FiniteGroup":
+        make, args = FiniteGroup, (
+            field("elements", _seq_of(lambda v: isinstance(v, (str, int))),
+                  "a list of element names"),
+            field("table", _seq_of(_seq_of(_is_int)), "a list of integer rows"),
+            field("generators", lambda v: isinstance(v, dict) and all(
+                _is_letter(k) and _is_int(i) for k, i in v.items()
+            ), "an object from letters to element indices"),
         )
-    if kind == "Amalgam":
-        from .hnn import AmalgamBackend
-
-        return AmalgamBackend(
-            build_backend(desc["left"]),
-            build_backend(desc["right"]),
-            [tuple(w) for w in desc["phi1"]],
-            [tuple(w) for w in desc["phi2"]],
-            desc.get("stable_letter", "t"),
+    elif kind == "CyclicGroup":
+        make, args = cyclic_group, (
+            field("order", lambda v: _is_int(v) and v >= 1, "a positive integer"),
+            letter("generator", "a"),
         )
-    if kind == "FiniteExt":
-        from .finite_ext import FiniteExtBackend
-
-        return FiniteExtBackend(
-            build_backend(desc["subgroup"]),
-            desc["cosets"],
-            desc["rules"],
+    elif kind in ("GraphProduct", "FreeProduct"):
+        key = "vertices" if "vertices" in desc else "children"
+        children = field(key, lambda v: _is_seq(v) and len(v) > 0,
+                         "a nonempty list of group descriptions")
+        edges = [] if kind == "FreeProduct" else field(
+            "edges", _seq_of(lambda e: _seq_of(_is_int)(e) and len(e) == 2),
+            "a list of vertex index pairs", [],
         )
-    raise InputError(f"unknown group constructor {kind!r}")
+        make, args = GraphProductBackend, (
+            [_child(c, f"{path}.{key}[{k}]") for k, c in enumerate(children)],
+            edges,
+        )
+    elif kind == "Hnn":
+        make, args = HnnBackend, (
+            child("base"), letter("stable_letter", "t"), words("A"), words("B"),
+        )
+    elif kind == "Amalgam":
+        make, args = AmalgamBackend, (
+            child("left"), child("right"), words("phi1"), words("phi2"),
+            letter("stable_letter", "t"),
+        )
+    elif kind == "FiniteExt":
+        make, args = FiniteExtBackend, (
+            child("subgroup", elements=False),
+            field("cosets", _seq_of(_is_letter), "a list of coset names"),
+            field("rules", _seq_of(_is_rule), "a list of (c, a, w, d) rows"),
+        )
+    else:
+        raise InputError(f"{path}.type: unknown group constructor {kind!r}")
+    try:
+        return make(*args)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 __all__ = [
@@ -396,6 +420,8 @@ __all__ = [
     "IntegerGroup",
     "FiniteGroup",
     "cyclic_group",
+    "backend_of",
     "build_backend",
+    "require_elements",
     "solve_exponent",
 ]

@@ -26,8 +26,8 @@ import itertools
 import math
 
 from .errors import InputError
-from .expr import ExponentExpression, normalize
-from .groups import GroupBackend, solve_exponent
+from .expr import ExponentExpression
+from .groups import GroupBackend, backend_of, require_elements
 from .reduction import (
     FACTOR_CAP,
     SEARCH_STATES_CAP,
@@ -36,6 +36,7 @@ from .reduction import (
     pair_line_sets,
     restrict_lines,
     solve_by_reduction,
+    solve_local,
 )
 from .semilinear import LinearSet
 from .unary_automata import (
@@ -103,13 +104,15 @@ class BrittonWord:
 class HnnBackend(GroupBackend):
     """HNN-extension of a base backend by an isomorphism of finite subgroups.
 
-    The associated subgroups are given as parallel element lists: the
-    i-th word of a_words maps to the i-th word of b_words.
+    The base must have the element protocol.  The associated subgroups
+    are given as parallel element lists: the i-th word of a_words maps
+    to the i-th word of b_words.
     """
 
     def __init__(self, base, stable_letter, a_words, b_words):
         if stable_letter.endswith("'"):
             raise InputError("stable letter may not end with an apostrophe")
+        require_elements(base, "base")
         bad = {stable_letter, invert_letter(stable_letter)} & set(base.alphabet)
         if bad:
             raise InputError("stable letter clashes with the base alphabet")
@@ -161,11 +164,7 @@ class HnnBackend(GroupBackend):
         hit = self._canon_cache.get(word)
         if hit is not None:
             return hit
-        base = self.base
-        if hasattr(base, "canonical_word"):
-            out = tuple(base.canonical_word(word))
-        else:
-            out = tuple(base.elem_word(base.elem_from_word(word)))
+        out = tuple(self.base.elem_word(self.base.elem_from_word(word)))
         self._canon_cache[word] = out
         return out
 
@@ -673,8 +672,7 @@ class HnnScheme(Scheme):
         return u.tcount == 0
 
     def zero_guess(self, u, var):
-        expr = ExponentExpression([(u.gs[0], var, ())])
-        return solve_exponent(self.backend.base, expr)
+        return solve_local(self.backend.base, [("p", var, u.gs[0])])
 
     def atomic_item(self, i, u):
         return ("B", (("p", i, u.gs[0]),))
@@ -693,22 +691,10 @@ class HnnScheme(Scheme):
     def local_solutions(self, rec, var_of):
         """("val", entries, a): the entries multiply to a in the base group."""
         _kind, entries, a = rec
-        leading = []
-        factors = []
-        for entry in entries:
-            if entry[0] == "e":
-                if factors:
-                    p0, v0, t0 = factors[-1]
-                    factors[-1] = (p0, v0, t0 + entry[1])
-                else:
-                    leading.extend(entry[1])
-            else:
-                factors.append((entry[2], var_of[entry[1]], ()))
-        assert factors, "a symbolic base product contains a power"
-        p0, v0, t0 = factors[-1]
-        factors[-1] = (p0, v0, t0 + invert_word(a))
-        expr = normalize(tuple(leading), factors)
-        return solve_exponent(self.backend.base, expr)
+        return solve_local(self.backend.base, [
+            entry if entry[0] == "e" else ("p", var_of[entry[1]], entry[2])
+            for entry in entries
+        ], a)
 
     def factor_shapes(self, u, fids, assigns, pairs):
         """Cuts of u^x at letter positions into forms (sfx, pfx).
@@ -791,16 +777,8 @@ class HnnScheme(Scheme):
 def solve_exponent_hnn(desc, e, pieces_budget=None, creation_budget=None,
                        states_budget=SEARCH_STATES_CAP, diagnostics=None):
     """Solution set of e = 1 over the HNN-extension described by desc."""
-    if isinstance(desc, HnnBackend):
-        backend = desc
-    else:
-        from .groups import build_backend
-
-        backend = build_backend(desc)
-        if not isinstance(backend, HnnBackend):
-            raise InputError("solve_exponent_hnn needs an HNN description")
     return solve_by_reduction(
-        HnnScheme(backend), e,
+        HnnScheme(backend_of(desc, HnnBackend)), e,
         pieces_budget, creation_budget, states_budget, diagnostics,
     )
 
@@ -866,14 +844,7 @@ def amalgam_embed(backend, word):
 def solve_exponent_amalgam(desc, e, pieces_budget=None, creation_budget=None,
                            states_budget=SEARCH_STATES_CAP, diagnostics=None):
     """Solution set of e = 1 over the amalgamated product described by desc."""
-    if isinstance(desc, AmalgamBackend):
-        backend = desc
-    else:
-        from .groups import build_backend
-
-        backend = build_backend(desc)
-        if not isinstance(backend, AmalgamBackend):
-            raise InputError("solve_exponent_amalgam needs an amalgam description")
+    backend = backend_of(desc, AmalgamBackend)
     embedded = ExponentExpression([
         (amalgam_embed(backend, p), var, amalgam_embed(backend, t))
         for p, var, t in e.factors

@@ -24,8 +24,9 @@ subclass; everything else lives here once.
 import itertools
 
 from .errors import BudgetExceededError
-from .expr import Renaming
+from .expr import Renaming, expr_from_entries
 from .semilinear import SemilinearSet
+from .words import invert_word
 
 SEARCH_STATES_CAP = 2_000_000
 #: default limit on symbolic factors per power in the reduction search
@@ -298,6 +299,18 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, stats):
             return None
         sets.append(group_set)
     return sets
+
+
+def solve_local(group, entries, target=()):
+    """Solutions of a product of entries equal to target inside group.
+
+    group is a vertex or base group; entries are ("e", word) constants
+    and ("p", var, word) powers word^var, every var once and at least
+    one power among them; target is a word.  The group's own
+    solve_knapsack answers the knapsack expression of the product.
+    """
+    e = expr_from_entries(list(entries) + [("e", invert_word(target))])
+    return group.solve_knapsack(e)
 
 
 def restrict_lines(lines, need_x, need_y):

@@ -151,9 +151,6 @@ class TraceMonoid:
             out.append(remaining.pop(idx))
         return Trace(self, tuple(out))
 
-    def trace(self, atoms):
-        return self.canon(atoms)
-
     def trace_from_word(self, word):
         return self.canon(self.atoms_from_word(word))
 

@@ -1,9 +1,14 @@
 """Command-line interface: solve/verify round trips and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knapsolve
 from knapsolve.cli import main
 
 
@@ -54,6 +59,28 @@ def test_malformed_expression_exit_code(z_group, capsys):
 def test_missing_group_file_exit_code(capsys):
     code = main(["solve", "--group", "/nonexistent.json", "--expr", "t^x"])
     assert code == 1
+
+
+def test_malformed_group_exit_code(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "type": "FreeProduct",
+        "children": [
+            {"type": "CyclicGroup", "order": 2, "generator": "a"},
+            {"type": "CyclicGroup", "order": 0, "generator": "b"},
+        ],
+    }))
+    env = dict(os.environ)
+    src = str(Path(knapsolve.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "knapsolve.cli", "solve", "--group", str(path),
+         "--expr", "a^x"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "$.children[1].order" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_budget_exhaustion_exit_code(free_group, capsys):

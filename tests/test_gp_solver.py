@@ -52,7 +52,7 @@ def test_preprocess_well_behaved_unchanged():
     prep, _K = GraphProductScheme(backend).preprocess(parse_expr("(a b)^x"))
     assert len(prep.powers) == 1
     u, var = prep.powers[0]
-    assert u == backend.trace(("a", "b"))
+    assert u == backend.elem_from_word(("a", "b"))
     assert var == "x"
     assert all(not t.atoms for t in prep.tails)
 
@@ -62,10 +62,10 @@ def test_preprocess_peels_aba():
     prep, _K = GraphProductScheme(backend).preprocess(parse_expr("(a b a)^x"))
     assert len(prep.powers) == 1
     u, _var = prep.powers[0]
-    assert u == backend.trace(("b",))
+    assert u == backend.elem_from_word(("b",))
     # constants a ... a around the power, folded to the right by conjugation
     assert prep.tails[0] == backend.monoid.empty_trace()
-    assert prep.tails[1] == backend.trace(("a", "a"))
+    assert prep.tails[1] == backend.elem_from_word(("a", "a"))
 
 
 def test_preprocess_free_product_keeps_degree():
@@ -116,7 +116,7 @@ def enumerate_refinement_reductions(backend, items, powers=None,
 
 def test_single_cancellation_script():
     backend = free_f2()
-    a = backend.trace(("a",))
+    a = backend.elem_from_word(("a",))
     items = [("C", a), ("C", a.inv())]
     results = enumerate_refinement_reductions(backend, items)
     assert frozenset() in results
@@ -124,9 +124,9 @@ def test_single_cancellation_script():
 
 def test_no_reduction_without_refinement():
     backend = free_f2()
-    a = backend.trace(("a",))
-    ab = backend.trace(("a", "b"))
-    b = backend.trace(("b",))
+    a = backend.elem_from_word(("a",))
+    ab = backend.elem_from_word(("a", "b"))
+    b = backend.elem_from_word(("b",))
     items = [("C", a.inv()), ("C", ab), ("C", b.inv())]
     none = enumerate_refinement_reductions(
         backend, items, pieces_budget=len(items), creation_budget=0
@@ -138,8 +138,8 @@ def test_no_reduction_without_refinement():
 
 def test_free_product_script_with_atom_creation():
     backend = free_z2_z3()
-    a = backend.trace(("a",))
-    b = backend.trace(("b",))
+    a = backend.elem_from_word(("a",))
+    b = backend.elem_from_word(("b",))
     items = [("C", a), ("C", b), ("C", b), ("C", b), ("C", a)]
     results = enumerate_refinement_reductions(backend, items)
     assert frozenset() in results
@@ -153,7 +153,7 @@ def test_free_product_script_with_atom_creation():
 
 def test_search_states_budget_reported():
     backend = path_p3()
-    t = backend.trace(("a", "b", "c", "a", "b", "c"))
+    t = backend.elem_from_word(("a", "b", "c", "a", "b", "c"))
     items = [("C", t), ("C", t.inv())]
     with pytest.raises(BudgetExceededError):
         enumerate_refinement_reductions(backend, items, states_budget=3)
@@ -164,7 +164,7 @@ def test_search_states_budget_reported():
 
 def test_two_dim_diagonal():
     backend = free_z2_z3()
-    u = backend.trace(("a", "b"))
+    u = backend.elem_from_word(("a", "b"))
     empty = backend.monoid.empty_trace()
     lines = two_dim_trace_solve(empty, u, empty, empty, u, empty)
     assert lines == [(0, 1, 0, 1)]
@@ -172,7 +172,7 @@ def test_two_dim_diagonal():
 
 def test_two_dim_index_shift():
     backend = free_z2_z3()
-    u = backend.trace(("a", "b"))
+    u = backend.elem_from_word(("a", "b"))
     empty = backend.monoid.empty_trace()
     # ab (ab)^x = (ab)^y
     lines = two_dim_trace_solve(u, u, empty, empty, u, empty)
@@ -183,9 +183,9 @@ def test_two_dim_conjugated_periods():
     backend = free_z2_z3()
     monoid = backend.monoid
     empty = monoid.empty_trace()
-    ab = backend.trace(("a", "b"))
-    ba = backend.trace(("b", "a"))
-    a = backend.trace(("a",))
+    ab = backend.elem_from_word(("a", "b"))
+    ba = backend.elem_from_word(("b", "a"))
+    a = backend.elem_from_word(("a",))
     # (ab)^x a = a (ba)^y
     lines = two_dim_trace_solve(empty, ab, a, a, ba, empty)
     assert lines == [(0, 1, 0, 1)]
@@ -201,7 +201,7 @@ def test_two_dim_against_brute_force():
         letters = sorted(backend.alphabet)
 
         def rt(lo, hi):
-            return backend.trace(tuple(
+            return backend.elem_from_word(tuple(
                 rng.choice(letters) for _ in range(rng.randrange(lo, hi))
             ))
 
@@ -240,7 +240,7 @@ def test_two_dim_against_brute_force():
 
 def test_grid_contains_plain_concatenation_split():
     backend = free_z2_z3()
-    u = backend.trace(("a", "b"))
+    u = backend.elem_from_word(("a", "b"))
     empty = backend.monoid.empty_trace()
     guesses = simplify_power_factorization(u, 2)
     assert (0, (("power", empty, empty), ("power", empty, empty))) in guesses
@@ -257,7 +257,7 @@ def test_grid_equivalence_exhaustive():
         monoid = backend.monoid
         letters = sorted(backend.alphabet)
         word = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 3)))
-        u = backend.trace(word)
+        u = backend.elem_from_word(word)
         if not u.atoms or not is_connected(u):
             continue
         checked += 1

@@ -1,4 +1,4 @@
-"""Base group backends and the generic exponent driver."""
+"""Base group backends, description validation and solve_exponent."""
 
 import itertools
 import random
@@ -7,6 +7,7 @@ import pytest
 
 from knapsolve.errors import InputError
 from knapsolve.expr import parse_expr
+from knapsolve.gp_solver import GraphProductBackend
 from knapsolve.groups import (
     FiniteGroup,
     IntegerGroup,
@@ -14,6 +15,7 @@ from knapsolve.groups import (
     cyclic_group,
     solve_exponent,
 )
+from knapsolve.hnn import HnnBackend
 from knapsolve.words import invert_word
 
 
@@ -99,6 +101,63 @@ def test_build_backend_leaves():
         build_backend({"type": "Nonsense"})
     with pytest.raises(InputError):
         build_backend([1, 2])
+
+
+Z = {"type": "IntegerGroup", "generator": "z"}
+Z2 = {"type": "CyclicGroup", "order": 2, "generator": "a"}
+HNN = {"type": "Hnn", "base": Z2, "stable_letter": "t", "A": [[]], "B": [[]]}
+AMALGAM = {
+    "type": "Amalgam", "left": Z2, "right": {**Z2, "generator": "b"},
+    "phi1": [[]], "phi2": [[]],
+}
+Z_IN_Z = {
+    "type": "FiniteExt", "subgroup": {"type": "IntegerGroup", "generator": "s"},
+    "cosets": ["1", "u"],
+    "rules": [
+        ["1", "s", ["s"], "1"], ["1", "s'", ["s'"], "1"],
+        ["1", "u", [], "u"], ["1", "u'", ["s'"], "u"],
+        ["u", "s", ["s"], "u"], ["u", "s'", ["s'"], "u"],
+        ["u", "u", ["s"], "1"], ["u", "u'", [], "1"],
+    ],
+}
+
+
+@pytest.mark.parametrize("desc, path", [
+    # malformed fields
+    ({"type": "Hnn", "A": [], "B": []}, "$.base"),
+    ({"type": "FiniteExt", "subgroup": Z, "cosets": ["1"]}, "$.rules"),
+    ({"type": "CyclicGroup", "order": 0}, "$.order"),
+    ({"type": "CyclicGroup", "order": "x"}, "$.order"),
+    ({"type": "GraphProduct", "vertices": [Z2, Z], "edges": [[0]]}, "$.edges"),
+    ({"type": "FiniteGroup", "elements": ["e"], "table": "x",
+      "generators": {}}, "$.table"),
+    ({"type": "FreeProduct", "children": [Z, {"type": "CyclicGroup",
+                                             "order": 0}]},
+     "$.children[1].order"),
+    ({"type": "Hnn", "base": {"type": "Nonsense"}, "A": [], "B": []},
+     "$.base.type"),
+    ({"type": "GraphProduct", "vertices": [Z2, Z], "edges": [[0, 5]]}, "$"),
+    # vertices, bases and amalgam factors without a canonical element form
+    ({"type": "GraphProduct", "vertices": [HNN, Z]}, "$.vertices[0]"),
+    ({"type": "FreeProduct", "children": [Z, Z_IN_Z]}, "$.children[1]"),
+    ({"type": "Hnn", "base": HNN, "stable_letter": "r", "A": [[]], "B": [[]]},
+     "$.base"),
+    ({"type": "Hnn", "base": Z_IN_Z, "A": [[]], "B": [[]]}, "$.base"),
+    ({"type": "Amalgam", "left": Z, "right": AMALGAM, "phi1": [[]],
+      "phi2": [[]], "stable_letter": "r"}, "$.right"),
+])
+def test_malformed_description_names_its_path(desc, path):
+    with pytest.raises(InputError) as info:
+        build_backend(desc)
+    assert str(info.value).startswith(path + ": "), str(info.value)
+
+
+def test_constructors_reject_groups_without_elements():
+    hnn = build_backend(HNN)
+    with pytest.raises(InputError, match="^vertex 1: HnnBackend"):
+        GraphProductBackend([cyclic_group(2, "b"), hnn], [])
+    with pytest.raises(InputError, match="^base: HnnBackend"):
+        HnnBackend(hnn, "r", [()], [()])
 
 
 def test_solve_knapsack_finite_magnitude_bound():

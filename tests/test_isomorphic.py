@@ -1,0 +1,67 @@
+"""Isomorphic presentations of one group must give the same solutions.
+
+Each case solves one expression over two descriptions of the same group
+with solve_exponent, which reaches each constructor's own solver, and
+compares the points in a box; both answers must also agree with brute
+force.
+"""
+
+import pytest
+
+from knapsolve.expr import parse_expr
+from knapsolve.groups import build_backend, solve_exponent
+from knapsolve.oracle import compare
+
+Z2 = {"type": "CyclicGroup", "order": 2, "generator": "a"}
+Z3 = {"type": "CyclicGroup", "order": 3, "generator": "b"}
+Z = {"type": "IntegerGroup", "generator": "z"}
+
+NESTED_FREE = {
+    "type": "FreeProduct",
+    "children": [{"type": "FreeProduct", "children": [Z2, Z3]}, Z],
+}
+FLAT_FREE = {"type": "FreeProduct", "children": [Z2, Z3, Z]}
+
+Z2_Z2_PRODUCT = {
+    "type": "GraphProduct",
+    "vertices": [Z2, {**Z2, "generator": "b"}],
+    "edges": [[0, 1]],
+}
+Z2_Z2_TABLE = {
+    "type": "FiniteGroup",
+    "elements": ["1", "a", "b", "ab"],
+    "table": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+    "generators": {"a": 1, "b": 2},
+}
+
+Z_LEAF = {"type": "IntegerGroup", "generator": "t"}
+Z_HNN = {
+    "type": "Hnn",
+    "base": {"type": "CyclicGroup", "order": 1, "generator": "e"},
+    "stable_letter": "t",
+    "A": [[]],
+    "B": [[]],
+}
+
+
+@pytest.mark.parametrize("left, right, text", [
+    (NESTED_FREE, FLAT_FREE, "(a b)^x (b' a)^y"),
+    (NESTED_FREE, FLAT_FREE, "(a z)^x (z' a)^y"),
+    (NESTED_FREE, FLAT_FREE, "(a b a)^x (a b' a)^y"),
+    (NESTED_FREE, FLAT_FREE, "(a b z)^x (z' b' a)^y"),
+    (Z2_Z2_PRODUCT, Z2_Z2_TABLE, "(a b)^x a b"),
+    (Z2_Z2_PRODUCT, Z2_Z2_TABLE, "(a b)^x (b)^y a"),
+    (Z_LEAF, Z_HNN, "t^x t'^4"),
+    (Z_LEAF, Z_HNN, "(t t)^x (t' t' t')^y t"),
+])
+def test_isomorphic_presentations_agree(left, right, text):
+    e = parse_expr(text)
+    box = 6
+    answers = []
+    for desc in (left, right):
+        backend = build_backend(desc)
+        sols = solve_exponent(backend, e)
+        report = compare(backend, e, sols, box)
+        assert report["ok"], (desc["type"], report["mismatches"][:3])
+        answers.append(sols.points_in_box(box))
+    assert answers[0] == answers[1]
