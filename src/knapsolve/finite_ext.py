@@ -87,9 +87,6 @@ class FiniteExtBackend(GroupBackend):
     def word_problem(self, word):
         return fe_word_problem(self, word)
 
-    def norm(self, word):
-        return len(tuple(word))
-
     def solve_knapsack(self, e):
         return solve_exponent_finite_ext(self, e)
 

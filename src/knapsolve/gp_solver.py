@@ -63,7 +63,8 @@ class GraphProductBackend(GroupBackend):
 
     def elem_from_word(self, word):
         self.check_word(word)
-        return nf_R(self.monoid.trace_from_word(word))
+        monoid = self.monoid
+        return monoid.canon(monoid.reduce_atoms(monoid.atoms_from_word(word)))
 
     def elem_mul(self, a, b):
         return nf_R(a * b)

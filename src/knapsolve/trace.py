@@ -4,15 +4,17 @@ Atoms are nontrivial elements of one vertex group; two atoms commute
 exactly when their vertices are adjacent in the independence graph.
 Traces are stored in lexicographic normal form (least linearization
 under the order: vertex index first, then the vertex group's element
-order), so equality and hashing are cheap.
+order), so equality and hashing are cheap; canon finds it by Kahn's
+algorithm on the dependence DAG, in O(n |V|) for n atoms.
 
 The rewriting system R multiplies adjacent same-vertex atoms (deleting
 the pair when the product is trivial).  It is confluent and
 length-reducing, and a trace represents the group identity iff its
-normal form is empty; nf_R implements it on top of the trace's
-dependence order.
+normal form is empty; nf_R finds it in one insertion pass, also
+O(n |V|), and one canon.
 """
 
+import heapq
 import itertools
 
 from .errors import BudgetExceededError, InputError
@@ -55,8 +57,10 @@ class TraceMonoid:
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise InputError(f"bad independence edge ({i},{j})")
-            edge_set.add(frozenset((i, j)))
+            edge_set.update(((i, j), (j, i)))
+        # adjacent vertex pairs, each in both orders
         self.edges = edge_set
+        self._alpha = None
         # letter -> vertex index; child alphabets must be disjoint
         self.letter_map = {}
         for idx, backend in enumerate(self.vertices):
@@ -69,7 +73,7 @@ class TraceMonoid:
         self.alphabet = frozenset(self.letter_map)
 
     def independent(self, v1, v2):
-        return v1 != v2 and frozenset((v1, v2)) in self.edges
+        return (v1, v2) in self.edges
 
     def dependent_vertex_pairs(self):
         """All (i, j) with i <= j whose atoms do not commute (incl. i=j)."""
@@ -82,17 +86,18 @@ class TraceMonoid:
         return out
 
     def alpha(self):
-        """Largest clique size in the independence graph."""
-        n = len(self.vertices)
-        best = 1 if n else 0
-        for size in range(2, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                if all(
-                    self.independent(a, b)
-                    for a, b in itertools.combinations(combo, 2)
-                ):
-                    best = max(best, size)
-        return best
+        """Largest clique size in the independence graph, searched once."""
+        if self._alpha is None:
+            n = len(self.vertices)
+            self._alpha = 1 if n else 0
+            for size in range(2, n + 1):
+                for combo in itertools.combinations(range(n), size):
+                    if all(
+                        self.independent(a, b)
+                        for a, b in itertools.combinations(combo, 2)
+                    ):
+                        self._alpha = size
+        return self._alpha
 
     # -- atoms ---------------------------------------------------------
 
@@ -133,23 +138,63 @@ class TraceMonoid:
     # -- traces --------------------------------------------------------
 
     def canon(self, atoms):
-        """Lexicographically least linearization of the commutation class."""
-        remaining = list(atoms)
+        """Lexicographically least linearization of the commutation class.
+
+        Each atom gets a DAG edge from the latest earlier atom of each
+        vertex it depends on, and Kahn's algorithm emits the least
+        available atom each time.  Available atoms are independent, so
+        their vertices differ and decide their atom_key order.
+        """
+        n = len(atoms)
+        last = {}
+        succ = [[] for _ in range(n)]
+        preds = [0] * n
+        for j, atom in enumerate(atoms):
+            v = atom.vertex
+            for u, i in last.items():
+                if not self.independent(u, v):
+                    succ[i].append(j)
+                    preds[j] += 1
+            last[v] = j
+        heap = [(atoms[j].vertex, j) for j in range(n) if not preds[j]]
+        heapq.heapify(heap)
         out = []
-        while remaining:
-            best = None
-            for idx, atom in enumerate(remaining):
-                if any(
-                    not self.independent(prev.vertex, atom.vertex)
-                    for prev in remaining[:idx]
-                ):
-                    continue
-                key = self.atom_key(atom)
-                if best is None or key < best[0]:
-                    best = (key, idx)
-            _, idx = best
-            out.append(remaining.pop(idx))
-        return Trace(self, tuple(out))
+        while heap:
+            i = heapq.heappop(heap)[1]
+            out.append(atoms[i])
+            for j in succ[i]:
+                preds[j] -= 1
+                if not preds[j]:
+                    heapq.heappush(heap, (atoms[j].vertex, j))
+        return Trace(self, out)
+
+    def reduce_atoms(self, atoms):
+        """An R-irreducible linearization of the trace of atoms.
+
+        Appends each atom a of vertex v to a reduced word, or multiplies
+        it into the latest kept atom b of v when no kept atom dependent
+        on v lies after b (dropping b if the product is trivial).  Each
+        step is an R step that leaves the word reduced, as a dropped b
+        is maximal, so by confluence the result is the normal form.
+        """
+        out = []
+        kept = {}
+        for atom in atoms:
+            v = atom.vertex
+            own = kept.get(v)
+            if own and all(
+                pos[-1] <= own[-1] or self.independent(u, v)
+                for u, pos in kept.items()
+                if pos
+            ):
+                merged = self.atom_mul(out[own[-1]], atom)
+                out[own[-1]] = merged
+                if merged is None:
+                    own.pop()
+                continue
+            kept.setdefault(v, []).append(len(out))
+            out.append(atom)
+        return [a for a in out if a is not None]
 
     def trace_from_word(self, word):
         return self.canon(self.atoms_from_word(word))
@@ -231,17 +276,14 @@ class Trace:
         """order[i] = set of positions strictly below position i."""
         if self._order is not None:
             return self._order
-        n = len(self.atoms)
-        below = [set() for _ in range(n)]
-        for j in range(n):
-            for i in range(j - 1, -1, -1):
-                if i in below[j]:
-                    continue
-                if not self.monoid.independent(
-                    self.atoms[i].vertex, self.atoms[j].vertex
-                ):
-                    below[j].add(i)
-                    below[j] |= below[i]
+        below = []
+        last = {}
+        for j, atom in enumerate(self.atoms):
+            below.append(set())
+            for u, i in last.items():
+                if not self.monoid.independent(u, atom.vertex):
+                    below[j] |= below[i] | {i}
+            last[atom.vertex] = j
         object.__setattr__(self, "_order", below)
         return below
 
@@ -250,13 +292,11 @@ class Trace:
         return [i for i in range(len(self.atoms)) if not below[i]]
 
     def maximal_positions(self):
-        below = self.order()
-        n = len(self.atoms)
         above = set()
-        for j in range(n):
-            above |= below[j]
+        for below in self.order():
+            above |= below
         # position i is maximal iff nothing has it strictly below
-        return [i for i in range(n) if not any(i in below[j] for j in range(n))]
+        return [i for i in range(len(self.atoms)) if i not in above]
 
     def subtrace(self, positions):
         keep = sorted(positions)
@@ -314,60 +354,21 @@ def equal_by_projections(t1, t2):
 # The rewriting system R
 
 
-def _factor_pairs(t):
-    """All position pairs (p, q) forming a rewritable factor [ab].
-
-    p, q carry same-vertex atoms, consecutive among that vertex's
-    positions, with nothing strictly between them in the dependence
-    order.
-    """
-    below = t.order()
-    by_vertex = {}
-    for pos, atom in enumerate(t.atoms):
-        by_vertex.setdefault(atom.vertex, []).append(pos)
-    n = len(t.atoms)
-    pairs = []
-    for positions in by_vertex.values():
-        for p, q in zip(positions, positions[1:]):
-            blocked = any(
-                p in below[r] and r in below[q]
-                for r in range(n)
-                if r != p and r != q
-            )
-            if not blocked:
-                pairs.append((p, q))
-    return pairs
-
-
 def has_redex(t):
-    return bool(_factor_pairs(t))
+    """Whether an R step applies to t; each one shortens it."""
+    return len(nf_R(t).atoms) < len(t.atoms)
 
 
-def nf_R(t, rng=None):
+def nf_R(t):
     """Unique R-irreducible normal form of t.
 
-    With rng given, redexes are chosen at random instead of first-found;
-    confluence guarantees the result is the same either way (and the
-    test suite spot-checks exactly that).
+    One insertion pass (TraceMonoid.reduce_atoms) and one canon; t
+    itself when nothing reduces.
     """
-    cur = t
-    while True:
-        pairs = _factor_pairs(cur)
-        if not pairs:
-            return cur
-        if rng is not None:
-            p, q = pairs[rng.randrange(len(pairs))]
-        else:
-            p, q = pairs[0]
-        merged = cur.monoid.atom_mul(cur.atoms[p], cur.atoms[q])
-        atoms = list(cur.atoms)
-        if merged is None:
-            del atoms[q]
-            del atoms[p]
-        else:
-            atoms[p] = merged
-            del atoms[q]
-        cur = cur.monoid.canon(atoms)
+    atoms = t.monoid.reduce_atoms(t.atoms)
+    if len(atoms) == len(t.atoms):
+        return t
+    return t.monoid.canon(atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from knapsolve.expr import ExponentExpression, parse_expr
 from knapsolve.finite_ext import (
     FiniteExtBackend,
@@ -121,6 +123,18 @@ def test_word_problem_against_independent_evaluation():
                 rng.choice(letters) for _ in range(rng.randrange(0, 11))
             )
             assert backend.word_problem(w) == truth(w), w
+
+
+def test_norm_raises_without_element_form():
+    """A finite extension has no element form, so it has no norm either.
+
+    The length of a word is no bound on its element's geodesic length
+    (t t' is the identity), so norm raises as GroupBackend's does.
+    """
+    backend = z_in_z()
+    assert backend.identity_elem is None
+    with pytest.raises(NotImplementedError):
+        backend.norm(("t", "t'"))
 
 
 # -- coset orbits ------------------------------------------------------------

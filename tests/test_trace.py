@@ -6,8 +6,10 @@ import random
 import pytest
 
 from knapsolve.errors import BudgetExceededError
-from knapsolve.groups import cyclic_group
+from knapsolve.gp_solver import GraphProductBackend
+from knapsolve.groups import IntegerGroup, cyclic_group
 from knapsolve.trace import (
+    Trace,
     TraceMonoid,
     connected_components,
     equal_by_projections,
@@ -19,6 +21,7 @@ from knapsolve.trace import (
     power_presentation,
     project_pair,
 )
+from knapsolve.words import invert_word
 
 PREFIX_COUNT_CAP = 200_000
 LEVI_CAP = 300_000
@@ -100,6 +103,91 @@ def levi_decompositions(t, m, n, cap=LEVI_CAP):
     return out
 
 
+def reference_canon(monoid, atoms):
+    """Lexicographic normal form by rescanning, a reference for canon.
+
+    Picks, again and again, the least atom with no earlier dependent
+    atom left; cubic in the number of atoms.
+    """
+    remaining = list(atoms)
+    out = []
+    while remaining:
+        best = None
+        for idx, atom in enumerate(remaining):
+            if any(
+                not monoid.independent(prev.vertex, atom.vertex)
+                for prev in remaining[:idx]
+            ):
+                continue
+            key = monoid.atom_key(atom)
+            if best is None or key < best[0]:
+                best = (key, idx)
+        out.append(remaining.pop(best[1]))
+    return Trace(monoid, tuple(out))
+
+
+def _factor_pairs(t):
+    """All position pairs (p, q) forming a rewritable factor [ab].
+
+    p, q carry same-vertex atoms, consecutive among that vertex's
+    positions, with nothing strictly between them in the dependence
+    order.
+    """
+    below = t.order()
+    by_vertex = {}
+    for pos, atom in enumerate(t.atoms):
+        by_vertex.setdefault(atom.vertex, []).append(pos)
+    n = len(t.atoms)
+    pairs = []
+    for positions in by_vertex.values():
+        for p, q in zip(positions, positions[1:]):
+            blocked = any(
+                p in below[r] and r in below[q]
+                for r in range(n)
+                if r != p and r != q
+            )
+            if not blocked:
+                pairs.append((p, q))
+    return pairs
+
+
+def reference_nf_R(t, rng=None):
+    """R normal form by rewriting one redex at a time, a reference for nf_R.
+
+    With rng given, redexes are chosen at random instead of first-found;
+    confluence says the result is the same either way.
+    """
+    cur = t
+    while True:
+        pairs = _factor_pairs(cur)
+        if not pairs:
+            return cur
+        if rng is not None:
+            p, q = pairs[rng.randrange(len(pairs))]
+        else:
+            p, q = pairs[0]
+        merged = cur.monoid.atom_mul(cur.atoms[p], cur.atoms[q])
+        atoms = list(cur.atoms)
+        if merged is None:
+            del atoms[q]
+            del atoms[p]
+        else:
+            atoms[p] = merged
+            del atoms[q]
+        cur = reference_canon(cur.monoid, atoms)
+
+
+def shuffled(monoid, word, rng):
+    """word after random swaps of adjacent commuting letters."""
+    word = list(word)
+    for _ in range(len(word)):
+        i = rng.randrange(len(word) - 1)
+        v1, v2 = (monoid.letter_map[a] for a in word[i:i + 2])
+        if monoid.independent(v1, v2):
+            word[i], word[i + 1] = word[i + 1], word[i]
+    return tuple(word)
+
+
 def free_z2_z3():
     return TraceMonoid([cyclic_group(2, "a"), cyclic_group(3, "b")], [])
 
@@ -154,7 +242,73 @@ def test_nf_R_idempotent_and_confluent_random():
         nf = nf_R(t)
         assert nf_R(nf) == nf
         for _ in range(3):
-            assert nf_R(t, rng=rng) == nf
+            assert reference_nf_R(t, rng=rng) == nf
+
+
+def test_normal_forms_match_reference_on_long_words():
+    """canon, nf_R and the word problem agree with the references."""
+    rng = random.Random(41)
+    nested = GraphProductBackend(
+        [cyclic_group(2, "p"), cyclic_group(3, "q")], []
+    )
+    backends = [
+        GraphProductBackend(path_p3().vertices, [(0, 1), (1, 2)]),
+        GraphProductBackend(direct_z2_z2().vertices, [(0, 1)]),
+        GraphProductBackend(free_z2_z3().vertices, []),
+        GraphProductBackend(
+            [nested, cyclic_group(2, "a"), IntegerGroup("z")], [(0, 1)]
+        ),
+    ]
+    for backend in backends:
+        M = backend.monoid
+        letters = sorted(M.alphabet)
+        identities = 0
+        for k in range(6):
+            word = tuple(
+                rng.choice(letters) for _ in range(rng.randrange(60, 101))
+            )
+            if k % 2:
+                # an identity: half the word times the inverse of a copy
+                # of it with commuting letters swapped
+                half = word[:len(word) // 2]
+                word = half + invert_word(shuffled(M, half, rng))
+            atoms = M.atoms_from_word(word)
+            t = M.canon(atoms)
+            assert t == reference_canon(M, atoms), word
+            assert t == M.trace_from_word(shuffled(M, word, rng)), word
+            nf = reference_nf_R(t)
+            assert nf_R(t) == nf, word
+            assert has_redex(t) == bool(_factor_pairs(t)), word
+            assert backend.elem_from_word(word) == nf, word
+            assert backend.word_problem(word) == (not nf.atoms), word
+            identities += backend.word_problem(word)
+        assert identities >= 3
+
+
+def test_normal_forms_make_linearly_many_independence_checks():
+    """canon and nf_R ask O(n |V|) independence questions; alpha one set."""
+    M = path_p3()
+    calls = 0
+    independent = M.independent
+
+    def counting(v1, v2):
+        nonlocal calls
+        calls += 1
+        return independent(v1, v2)
+
+    M.independent = counting
+    letters = sorted(M.alphabet)
+    rng = random.Random(43)
+    word = tuple(rng.choice(letters) for _ in range(300))
+    t = M.trace_from_word(word)
+    nf = nf_R(t)
+    assert len(t.atoms) == 300 and len(nf.atoms) < 300
+    assert 0 < calls <= 3 * 300 * len(M.vertices)
+    calls = 0
+    assert M.alpha() == 2
+    first = calls
+    assert M.alpha() == 2
+    assert calls == first > 0
 
 
 def test_cancellativity_samples():
