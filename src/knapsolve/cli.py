@@ -6,8 +6,9 @@
 Group files hold a constructor-tagged description tree (see
 groups.build_backend); expressions use the textual syntax of
 expr.parse_expr.  solve prints {"vars", "components", "diagnostics"}
-and exits 0, or 2 when a search budget was exhausted, or 1 on bad
-input.  verify compares a saved result against brute force on a box.
+and exits 0, or prints {"diagnostics"} and exits 2 when a search budget
+was exhausted, or exits 1 on bad input.  verify compares a saved result
+against brute force on a box.
 """
 
 import argparse
@@ -83,9 +84,15 @@ def cmd_solve(args):
         if pieces_budget is None or pieces_budget > FAST_PIECES_BUDGET:
             pieces_budget = FAST_PIECES_BUDGET
     diagnostics = {}
-    sols = _dispatch_solve(
-        backend, e, pieces_budget, args.budget_automata, diagnostics
-    )
+    try:
+        sols = _dispatch_solve(
+            backend, e, pieces_budget, args.budget_automata, diagnostics
+        )
+    except BudgetExceededError:
+        # the work done so far; main prints the error line and exits 2
+        print(json.dumps({"diagnostics": diagnostics},
+                         indent=args.json_indent))
+        raise
     data = _sorted_result(sols, diagnostics)
     print(json.dumps(data, indent=args.json_indent))
     if not diagnostics.get("complete", True):

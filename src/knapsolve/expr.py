@@ -183,7 +183,8 @@ class Renaming:
     fresh(var) names the next occurrence of var: var itself the first
     time, then var_2, var_3, ..., skipping every name already in use.
     diagonal() is the constraint K tying the copies of each variable
-    together; its representation has magnitude one.
+    together: zero base and one 0/1 period per variable, supported on
+    its copies, the shape SemilinearSet.on_diagonal takes.
     """
 
     def __init__(self, variables):
@@ -220,9 +221,8 @@ def knapsackify(e):
     """Rename repeated variables apart; return (e', K).
 
     Every variable occurs once in e', and sol(e) = (K \\cap sol(e')) with
-    the original variables restricted back afterwards.  K is the diagonal
-    constraint tying the fresh copies to their originals; its
-    representation has magnitude one.
+    the original variables restricted back afterwards; callers take it as
+    sol(e').on_diagonal(K).  K is Renaming.diagonal, of magnitude one.
     """
     renaming = Renaming(e.variables)
     e_prime = ExponentExpression([

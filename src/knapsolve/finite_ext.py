@@ -226,8 +226,7 @@ def solve_exponent_finite_ext(desc, e, diagnostics=None):
             continue
         total = total.union(solved)
 
-    result = total.intersect(K).restrict(e.variables)
-    return result._aligned_to(e.variables)
+    return total.on_diagonal(K).restrict(e.variables)
 
 
 def _branch_solutions(sub, names, branch):

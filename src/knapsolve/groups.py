@@ -4,8 +4,9 @@ A backend wraps a concretely described group and exposes three things:
 the generator alphabet (closed under formal inverses), the word problem
 (w =? 1), and a knapsack solver producing a SemilinearSet for
 expressions in which every variable occurs once.  The generic driver
-solve_exponent() handles repeated variables by knapsackify + intersect +
-restrict, so backends never see them.
+solve_exponent() handles repeated variables by knapsackify, then keeps
+the points on the diagonal (SemilinearSet.on_diagonal) and restricts, so
+backends never see them.
 
 Base backends: the infinite cyclic group (one generator, exponent sums)
 and finite groups given by a Cayley table.  Composite backends (graph
@@ -98,7 +99,7 @@ def solve_exponent(backend, e):
     """Full solution set of e = 1 over the backend's group.
 
     Reduces to the knapsack case: rename repeated variables apart,
-    solve, intersect with the diagonal constraint, project back.
+    solve, keep the points on the diagonal constraint, project back.
     """
     for period, _var, tail in e.factors:
         backend.check_word(period)
@@ -107,7 +108,7 @@ def solve_exponent(backend, e):
     sols = backend.solve_knapsack(e_prime)
     if tuple(sols.vars) != e_prime.variables:
         sols = sols._aligned_to(e_prime.variables)
-    return sols.intersect(K).restrict(e.variables)
+    return sols.on_diagonal(K).restrict(e.variables)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ Both solvers answer e = 1 with one scheme:
      the factors the search assigned a concrete value, solve matched
      factor pairs with the group's two-dimensional solver, and
      direct-sum the sets of one outcome;
-  5. take the union over guesses and outcomes, intersect K and project
-     back to the variables of e.
+  5. take the union over guesses and outcomes, keep its points on the
+     diagonal K and project back to the variables of e.
 
 A group plugs in through a Scheme subclass and a ReductionSearchBase
 subclass; everything else lives here once.
@@ -132,7 +132,7 @@ def solve_by_reduction(scheme, e, pieces_budget, creation_budget,
         assert occ_vars, "an exponent expression always carries variables"
         sols = (SemilinearSet.universe(occ_vars) if prep.tails[0].is_identity()
                 else SemilinearSet.empty(occ_vars))
-        return sols.intersect(K).restrict(e.variables)._aligned_to(e.variables)
+        return sols.on_diagonal(K).restrict(e.variables)
 
     period = {i: u for i, (u, _var) in enumerate(prep.powers, 1)}
     var_of = {i: var for i, (_u, var) in enumerate(prep.powers, 1)}
@@ -178,8 +178,11 @@ def solve_by_reduction(scheme, e, pieces_budget, creation_budget,
         if creation_budget is not None:
             creation_cap = min(creation_cap, creation_budget)
         search = scheme.search(wb, splits_cap, creation_cap, states_budget)
-        results = search.run(tuple(items))
-        stats["states"] += search.states
+        try:
+            results = search.run(tuple(items))
+        finally:
+            # a budget or a timeout still leaves the states it counted
+            stats["states"] += search.states
         stats["reductions"] += len(results)
         for records, orders in results.items():
             sets = _assemble_outcome(
@@ -191,9 +194,7 @@ def solve_by_reduction(scheme, e, pieces_budget, creation_budget,
     result = total
     for name in prep.free_occs:
         result = result.direct_sum(SemilinearSet.universe((name,)))
-    result = result._aligned_to(occ_vars)
-    result = result.intersect(K).restrict(e.variables)
-    return result._aligned_to(e.variables)
+    return result.on_diagonal(K).restrict(e.variables)
 
 
 def _assemble_direct_sum(sets, names):

@@ -11,7 +11,9 @@ the solution set of such a system is itself semilinear, with the minimal
 inhomogeneous solutions as bases and the Hilbert basis of the homogeneous
 system as shared periods.  We find both with a breadth-first minimal
 solution search with domination pruning (Contejean/Devie style), under an
-explicit node cap.
+explicit node cap; it never raises the homogenising slack past 1, the
+only values used.  on_diagonal intersects with the diagonal of a variable
+renaming by a system over the component's own period coefficients alone.
 """
 
 import itertools
@@ -51,16 +53,18 @@ class DiophSystem:
 
 
 def _minimal_nonneg_solutions(matrix, num_vars, cap):
-    """All minimal solutions of matrix.x = 0, x in N^num_vars, x != 0.
+    """Minimal solutions of matrix.x = 0, x != 0 in N^num_vars, slack <= 1.
 
     Breadth-first search from the unit vectors; a node t is extended by
-    e_j only when <A.t, A.e_j> < 0 (the defect can still shrink), and any
-    node dominating an already-found solution is pruned.  This is the
-    classical complete search for Hilbert bases.
+    e_j only when <A.t, A.e_j> < 0 (the defect can still shrink) and the
+    slack, the last coordinate, stays at most 1; any node dominating an
+    already-found solution is pruned.  This is the classical complete
+    search for Hilbert bases, cut at slack 1.
     """
     if num_vars == 0:
         return []
     columns = [tuple(row[j] for row in matrix) for j in range(num_vars)]
+    slack = num_vars - 1
 
     def apply(x):
         out = [0] * len(matrix)
@@ -87,7 +91,7 @@ def _minimal_nonneg_solutions(matrix, num_vars, cap):
                 if not any(_vec_dominates(t, b) for b in basis):
                     basis.append(t)
                 continue
-            for j in range(num_vars):
+            for j in range(slack if t[slack] else num_vars):
                 col = columns[j]
                 if sum(a * b for a, b in zip(value, col)) >= 0:
                     continue
@@ -213,6 +217,22 @@ class LinearSet:
             return ok
 
         return rec(0, target)
+
+    def images(self, sols):
+        """base + periods.lam for lam the leading coordinates of sols."""
+        k = len(self.periods)
+
+        def combine(start, lam):
+            for coef, p in zip(lam[:k], self.periods):
+                start = _vec_add(start, tuple(coef * x for x in p))
+            return start
+
+        zero = (0,) * self.dim
+        return [
+            LinearSet(combine(self.base, comp.base),
+                      [combine(zero, h) for h in comp.periods])
+            for comp in sols.components
+        ]
 
     def points_in_box(self, bound):
         """All points of the set with every coordinate <= bound."""
@@ -342,27 +362,42 @@ class SemilinearSet:
         d = self.dim
         comps = []
         for c1, c2 in itertools.product(self.components, other.components):
-            k1 = len(c1.periods)
             # rows: one per coordinate; unknowns (lam, mu):
             #   P1.lam - P2.mu = b2 - b1
-            matrix = []
-            for i in range(d):
-                row = [p[i] for p in c1.periods] + [-p[i] for p in c2.periods]
-                matrix.append(tuple(row))
+            matrix = [
+                [p[i] for p in c1.periods] + [-p[i] for p in c2.periods]
+                for i in range(d)
+            ]
             rhs = tuple(c2.base[i] - c1.base[i] for i in range(d))
             sols = solve_dioph_nonneg(DiophSystem(matrix, rhs), cap=cap)
-            for comp in sols.components:
-                lam = comp.base[:k1]
-                base = c1.base
-                for coef, p in zip(lam, c1.periods):
-                    base = _vec_add(base, tuple(coef * x for x in p))
-                periods = []
-                for h in comp.periods:
-                    vec = (0,) * d
-                    for coef, p in zip(h[:k1], c1.periods):
-                        vec = _vec_add(vec, tuple(coef * x for x in p))
-                    periods.append(vec)
-                comps.append(LinearSet(base, periods))
+            comps += c1.images(sols)
+        return SemilinearSet(self.vars, comps)
+
+    def on_diagonal(self, K):
+        """self.intersect(K) for the diagonal K of an expr.Renaming.
+
+        b + P.lam lies on K when (P_i - P_i0).lam = b_i0 - b_i for each
+        coordinate i of a period's support but its first, i0.  As P >= 0,
+        lam -> (lam, mu(lam)) is an order isomorphism onto the solutions
+        of intersect's system, so both give the same linear sets.
+        """
+        (diagonal,) = K._aligned_to(self.vars).components
+        supports = [[i for i, a in enumerate(p) if a] for p in diagonal.periods]
+        assert not any(diagonal.base) and set(sum(diagonal.periods, ())) <= {0, 1}
+        assert sorted(sum(supports, [])) == list(range(self.dim))
+        pairs = [(s[0], i) for s in supports for i in s[1:]]
+        comps = []
+        for c in self.components:
+            matrix, rhs = [], []
+            for i0, i in pairs:
+                row = tuple(p[i] - p[i0] for p in c.periods)
+                if any(row) or c.base[i] != c.base[i0]:
+                    matrix.append(row)
+                    rhs.append(c.base[i0] - c.base[i])
+            if matrix:
+                comps += c.images(solve_dioph_nonneg(DiophSystem(matrix, rhs)))
+            else:
+                comps.append(c)
         return SemilinearSet(self.vars, comps)
 
     def direct_sum(self, other):

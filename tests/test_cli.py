@@ -90,6 +90,9 @@ def test_budget_exhaustion_exit_code(free_group, capsys):
         "--budget-automata", "2",
     ])
     assert code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["diagnostics"]["states"] > 0
+    assert captured.err.startswith("error: budget exhausted")
 
 
 def test_incomplete_solve_warns(free_group, capsys):

@@ -334,6 +334,17 @@ def test_diagnostics_reported():
     assert "complete" in diag
 
 
+def test_diagnostics_count_states_when_the_budget_ends_the_search():
+    backend = free_z2_z3()
+    diag = {}
+    with pytest.raises(BudgetExceededError):
+        solve_exponent_graph_product(
+            backend, parse_expr("(a b)^x (b b a)^y (a b b)^z"),
+            states_budget=50, diagnostics=diag,
+        )
+    assert diag["states"] >= 50
+
+
 def test_repeated_variable_occurrences():
     backend = free_z2_z3()
     e = parse_expr("a^x b^x (b' a)^y")

@@ -4,12 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knapsolve.errors import InputError
+from knapsolve.errors import BudgetExceededError, InputError
+from knapsolve.expr import Renaming
 from knapsolve.semilinear import (
     DiophSystem,
     LinearSet,
     SemilinearSet,
+    _minimal_nonneg_solutions,
     solve_dioph_nonneg,
 )
 
@@ -205,3 +208,93 @@ def test_union_commutative_associative():
 def test_json_round_trip():
     S = SemilinearSet(("x", "y"), [LinearSet((1, 2), [(3, 0)])])
     assert SemilinearSet.from_json(S.to_json()) == S
+
+
+# -- intersection with a renaming diagonal, and the slack cap -------------
+
+occurrences = st.lists(st.sampled_from("xyz"), min_size=1, max_size=4)
+
+
+def renamed(occs):
+    """(names, K) of expr.Renaming over the occurrence list occs."""
+    renaming = Renaming(tuple(dict.fromkeys(occs)))
+    names = tuple(renaming.fresh(var) for var in occs)
+    return names, renaming.diagonal()
+
+
+@st.composite
+def sets_and_diagonals(draw, occs=occurrences):
+    names, K = renamed(draw(occs))
+    d = len(names)
+    vector = st.tuples(*[st.integers(0, 3)] * d)
+    comps = draw(st.lists(
+        st.builds(LinearSet, vector, st.lists(vector, max_size=3)),
+        max_size=3,
+    ))
+    return SemilinearSet(draw(st.permutations(names)), comps), K
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sets_and_diagonals())
+def test_on_diagonal_equals_intersect(case):
+    S, K = case
+    out = S.on_diagonal(K)
+    assert out.vars == S.vars
+    assert out == S.intersect(K)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sets_and_diagonals(occs=st.lists(st.sampled_from("xyz"), min_size=1,
+                                        max_size=3, unique=True)))
+def test_on_diagonal_without_repeats_returns_the_set(case):
+    S, K = case
+    assert S.on_diagonal(K).components == S.components
+
+
+def uncapped_minimal_solutions(matrix, num_vars, cap):
+    """The minimal-solution search without the slack cap, as a reference."""
+    columns = [tuple(row[j] for row in matrix) for j in range(num_vars)]
+
+    def apply(x):
+        return tuple(sum(a * xj for a, xj in zip(row, x)) for row in matrix)
+
+    def dominated(t, basis):
+        return any(all(a >= b for a, b in zip(t, s)) for s in basis)
+
+    basis, frontier = [], []
+    for j in range(num_vars):
+        unit = tuple(1 if i == j else 0 for i in range(num_vars))
+        (frontier if any(columns[j]) else basis).append(unit)
+    explored = len(frontier)
+    while frontier:
+        next_frontier = {}
+        for t in frontier:
+            value = apply(t)
+            if not any(value):
+                if not dominated(t, basis):
+                    basis.append(t)
+                continue
+            for j in range(num_vars):
+                if sum(a * b for a, b in zip(value, columns[j])) >= 0:
+                    continue
+                child = tuple(x + (i == j) for i, x in enumerate(t))
+                if not dominated(child, basis):
+                    next_frontier[child] = True
+        explored += len(next_frontier)
+        if explored > cap:
+            raise BudgetExceededError("reference search", cap)
+        frontier = [t for t in next_frontier if not dominated(t, basis)]
+    return basis
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-4, 4)] * (n + 1)), min_size=1, max_size=3)))
+def test_slack_cap_keeps_the_solution_sequence(matrix):
+    num_vars = len(matrix[0])
+    try:
+        reference = uncapped_minimal_solutions(matrix, num_vars, 3_000)
+    except BudgetExceededError:
+        return
+    capped = _minimal_nonneg_solutions(matrix, num_vars, 3_000)
+    assert capped == [m for m in reference if m[-1] <= 1]
