@@ -7,8 +7,12 @@ Group files hold a constructor-tagged description tree (see
 groups.build_backend); expressions use the textual syntax of
 expr.parse_expr.  solve prints {"vars", "components", "diagnostics"}
 and exits 0, or prints {"diagnostics"} and exits 2 when a search budget
-was exhausted, or exits 1 on bad input.  verify compares a saved result
-against brute force on a box.
+was exhausted, or exits 1 on bad input.  --budget-refinement caps the
+refinement splits and --budget-automata the states of the reduction
+search; --fast caps the splits at FAST_SPLITS_BUDGET.  solve warns on
+stderr when diagnostics["complete"] is false: a splits cap below the
+search's ceiling, or FACTOR_CAP, cut the search.  verify compares a
+saved result against brute force on a box.
 """
 
 import argparse
@@ -29,8 +33,8 @@ from .hnn import (
 from .oracle import compare
 from .semilinear import SemilinearSet
 
-#: --fast trades completeness for speed by shrinking the refinement budget
-FAST_PIECES_BUDGET = 6
+#: --fast trades completeness for speed by capping refinement splits
+FAST_SPLITS_BUDGET = 6
 
 
 def _load_group(path):
@@ -52,10 +56,10 @@ SEARCHING_SOLVERS = (
 )
 
 
-def _dispatch_solve(backend, e, pieces_budget, states_budget, diagnostics):
+def _dispatch_solve(backend, e, splits_budget, states_budget, diagnostics):
     for cls, solve in SEARCHING_SOLVERS:
         if isinstance(backend, cls):
-            kwargs = {"pieces_budget": pieces_budget, "diagnostics": diagnostics}
+            kwargs = {"splits_budget": splits_budget, "diagnostics": diagnostics}
             if states_budget is not None:
                 kwargs["states_budget"] = states_budget
             return solve(backend, e, **kwargs)
@@ -74,19 +78,19 @@ def _sorted_result(sols, diagnostics):
 def cmd_solve(args):
     backend = _load_group(args.group)
     e = parse_expr(args.expr)
-    pieces_budget = args.budget_refinement
+    splits_budget = args.budget_refinement
     if args.fast:
         print(
             "warning: --fast lowers search budgets; the result may miss "
             "solutions",
             file=sys.stderr,
         )
-        if pieces_budget is None or pieces_budget > FAST_PIECES_BUDGET:
-            pieces_budget = FAST_PIECES_BUDGET
+        if splits_budget is None or splits_budget > FAST_SPLITS_BUDGET:
+            splits_budget = FAST_SPLITS_BUDGET
     diagnostics = {}
     try:
         sols = _dispatch_solve(
-            backend, e, pieces_budget, args.budget_automata, diagnostics
+            backend, e, splits_budget, args.budget_automata, diagnostics
         )
     except BudgetExceededError:
         # the work done so far; main prints the error line and exits 2
@@ -136,11 +140,11 @@ def build_parser():
     solve.add_argument("--expr", required=True, help="exponent expression")
     solve.add_argument(
         "--budget-refinement", type=int, default=None,
-        help="cap on refinement pieces in the reduction search",
+        help="cap on refinement splits in the reduction search",
     )
     solve.add_argument(
         "--budget-automata", type=int, default=None,
-        help="cap on search states and automata trajectories",
+        help="cap on reduction-search states",
     )
     solve.add_argument(
         "--fast", action="store_true",

@@ -113,11 +113,6 @@ class CosetOrbit:
         self.k = k
         self.entry = self.values[l]
 
-    def value_at(self, z):
-        if z < self.l:
-            return self.values[z]
-        return self.values[self.l + (z - self.l) % self.k]
-
     def residues(self, target):
         """All r in [0, k) with f^{l+r}(d) = target; empty means bad guess."""
         return [r for r in range(self.k) if self.values[self.l + r] == target]

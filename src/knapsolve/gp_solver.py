@@ -26,7 +26,6 @@ import itertools
 from .errors import InputError
 from .groups import GroupBackend, backend_of, require_elements
 from .reduction import (
-    FACTOR_CAP,
     SEARCH_STATES_CAP,
     ReductionSearchBase,
     Scheme,
@@ -106,10 +105,8 @@ class ReductionSearch(ReductionSearchBase):
     creations are counted per vertex.
     """
 
-    def __init__(self, monoid, powers, splits_cap, creation_cap,
-                 states_cap=SEARCH_STATES_CAP, factor_cap=FACTOR_CAP):
-        super().__init__(powers, splits_cap, creation_cap, states_cap,
-                         factor_cap)
+    def __init__(self, monoid, powers, splits_cap, creation_cap, states_cap):
+        super().__init__(powers, splits_cap, creation_cap, states_cap)
         self.monoid = monoid
         self.power_alphs = {i: u.alph_gamma() for i, u in powers.items()}
         self.power_atoms = {
@@ -748,12 +745,11 @@ def _form_sig(form):
     return ("concrete", form[1].atoms)
 
 
-def solve_exponent_graph_product(desc, e, pieces_budget=None,
-                                 creation_budget=None,
+def solve_exponent_graph_product(desc, e, splits_budget=None,
                                  states_budget=SEARCH_STATES_CAP,
                                  diagnostics=None):
     """Solution set of e = 1 over the graph product described by desc."""
     return solve_by_reduction(
         GraphProductScheme(backend_of(desc, GraphProductBackend)), e,
-        pieces_budget, creation_budget, states_budget, diagnostics,
+        splits_budget, states_budget, diagnostics,
     )

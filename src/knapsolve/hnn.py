@@ -29,7 +29,6 @@ from .errors import InputError
 from .expr import ExponentExpression
 from .groups import GroupBackend, backend_of, require_elements
 from .reduction import (
-    FACTOR_CAP,
     SEARCH_STATES_CAP,
     ReductionSearchBase,
     Scheme,
@@ -476,12 +475,8 @@ class HnnReductionSearch(ReductionSearchBase):
     are counted under the one key "B".
     """
 
-    creation_keys = ("B",)
-
-    def __init__(self, backend, powers, splits_cap, creation_cap,
-                 states_cap=SEARCH_STATES_CAP, factor_cap=FACTOR_CAP):
-        super().__init__(powers, splits_cap, creation_cap, states_cap,
-                         factor_cap)
+    def __init__(self, backend, powers, splits_cap, creation_cap, states_cap):
+        super().__init__(powers, splits_cap, creation_cap, states_cap)
         self.backend = backend
         self.ab = sorted(backend.ab)
 
@@ -774,12 +769,12 @@ class HnnScheme(Scheme):
         return components
 
 
-def solve_exponent_hnn(desc, e, pieces_budget=None, creation_budget=None,
+def solve_exponent_hnn(desc, e, splits_budget=None,
                        states_budget=SEARCH_STATES_CAP, diagnostics=None):
     """Solution set of e = 1 over the HNN-extension described by desc."""
     return solve_by_reduction(
         HnnScheme(backend_of(desc, HnnBackend)), e,
-        pieces_budget, creation_budget, states_budget, diagnostics,
+        splits_budget, states_budget, diagnostics,
     )
 
 
@@ -841,7 +836,7 @@ def amalgam_embed(backend, word):
     return tuple(out)
 
 
-def solve_exponent_amalgam(desc, e, pieces_budget=None, creation_budget=None,
+def solve_exponent_amalgam(desc, e, splits_budget=None,
                            states_budget=SEARCH_STATES_CAP, diagnostics=None):
     """Solution set of e = 1 over the amalgamated product described by desc."""
     backend = backend_of(desc, AmalgamBackend)
@@ -850,11 +845,7 @@ def solve_exponent_amalgam(desc, e, pieces_budget=None, creation_budget=None,
         for p, var, t in e.factors
     ])
     return solve_exponent_hnn(
-        backend.hnn, embedded,
-        pieces_budget=pieces_budget,
-        creation_budget=creation_budget,
-        states_budget=states_budget,
-        diagnostics=diagnostics,
+        backend.hnn, embedded, splits_budget, states_budget, diagnostics
     )
 
 

@@ -9,13 +9,19 @@ Both solvers answer e = 1 with one scheme:
      guessed power inside its vertex or base group;
   3. search for reductions of the remaining factor tuple: constants
      split, symbolic powers split into factors, neighbouring atoms merge
-     or discharge into local constraints, matching factors cancel;
+     or discharge into local constraints, matching factors cancel; the
+     search runs to the scheme's ceilings on splits and atom creations,
+     and drops a state only when an earlier one with the same items had
+     no more splits and, at every key, no more creations;
   4. cut the factors of every well-behaved power into shapes, resolve
      the factors the search assigned a concrete value, solve matched
      factor pairs with the group's two-dimensional solver, and
      direct-sum the sets of one outcome;
   5. take the union over guesses and outcomes, keep its points on the
      diagonal K and project back to the variables of e.
+
+diagnostics["complete"] turns false only when a cap below a ceiling
+bound: a caller's splits_budget, or FACTOR_CAP refusing a split.
 
 A group plugs in through a Scheme subclass and a ReductionSearchBase
 subclass; everything else lives here once.
@@ -29,7 +35,7 @@ from .semilinear import SemilinearSet
 from .words import invert_word
 
 SEARCH_STATES_CAP = 2_000_000
-#: default limit on symbolic factors per power in the reduction search
+#: limit on symbolic factors per power; a split it refuses clears complete
 FACTOR_CAP = 3
 
 
@@ -117,8 +123,7 @@ class Scheme:
         return prep, K
 
 
-def solve_by_reduction(scheme, e, pieces_budget, creation_budget,
-                       states_budget, diagnostics):
+def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
     """Solution set of e = 1 over the group of scheme."""
     prep, K = scheme.preprocess(e)
     occ_vars = prep.occ_vars
@@ -168,21 +173,20 @@ def solve_by_reduction(scheme, e, pieces_budget, creation_budget,
             continue
 
         m = len(items)
-        ceiling = scheme.max_splits(m)
-        # practical default of 2m; raise via the budget argument
-        splits_cap = min(ceiling, 2 * m if pieces_budget is None
-                         else pieces_budget)
-        if splits_cap < ceiling:
+        splits_cap = scheme.max_splits(m)
+        if splits_budget is not None and splits_budget < splits_cap:
+            splits_cap = splits_budget
             stats["complete"] = False
-        creation_cap = scheme.max_creations(m)
-        if creation_budget is not None:
-            creation_cap = min(creation_cap, creation_budget)
-        search = scheme.search(wb, splits_cap, creation_cap, states_budget)
+        search = scheme.search(
+            wb, splits_cap, scheme.max_creations(m), states_budget
+        )
         try:
             results = search.run(tuple(items))
         finally:
             # a budget or a timeout still leaves the states it counted
             stats["states"] += search.states
+        if search.refused_split:
+            stats["complete"] = False
         stats["reductions"] += len(results)
         for records, orders in results.items():
             sets = _assemble_outcome(
@@ -360,11 +364,11 @@ class ReductionSearchBase:
     (items, orders, records, splits, creations): orders maps each power
     index to its factor id sequence, records is a frozenset of
     constraints, splits counts refinement splits and creations counts
-    atom creations per key.  A state is skipped when one with the same
-    items, orders and records was seen with no more splits and no more
-    creations on each key the newer state counts; a subclass lists in
-    creation_keys the keys it counts from the start.  run() returns
-    {records: orders} over the states with no items left.
+    atom creations per key (a missing key counts 0).  A state is skipped
+    when one with the same items, orders and records was seen with no
+    more splits and, on every key, no more creations.  refused_split
+    turns true when FACTOR_CAP refuses a split that splits_cap allows.
+    run() returns {records: orders} over the states with no items left.
 
     Subclasses define _expand(), the moves out of a state, and factor(),
     the first factor item of a power.  Factor items ("F", i, fid, ...)
@@ -373,15 +377,12 @@ class ReductionSearchBase:
     positions 1 and 4.
     """
 
-    creation_keys = ()
-
-    def __init__(self, powers, splits_cap, creation_cap, states_cap,
-                 factor_cap):
+    def __init__(self, powers, splits_cap, creation_cap, states_cap):
         self.powers = powers
         self.splits_cap = splits_cap
         self.creation_cap = creation_cap
         self.states_cap = states_cap
-        self.factor_cap = factor_cap
+        self.refused_split = False
         self.states = 0
         self.seen = {}
         self.results = {}
@@ -397,8 +398,7 @@ class ReductionSearchBase:
             for i in sorted(self.powers)
             if any(it[0] == "W" and it[1] == i for it in items)
         }
-        creations = dict.fromkeys(self.creation_keys, 0)
-        self._dfs(items, orders, frozenset(), 0, creations)
+        self._dfs(items, orders, frozenset(), 0, {})
         return self.results
 
     def canon_fids(self, items, orders, records):
@@ -443,7 +443,7 @@ class ReductionSearchBase:
         prior = self.seen.setdefault(key, [])
         for old_splits, old_creations in prior:
             if old_splits <= splits and all(
-                old_creations.get(k, 0) <= n for k, n in creations.items()
+                n <= creations.get(k, 0) for k, n in old_creations.items()
             ):
                 return
         prior.append((splits, creations))
@@ -476,7 +476,10 @@ class ReductionSearchBase:
 
         Returns (orders, fid1, fid2).
         """
-        if splits + 1 > self.splits_cap or len(orders[i]) >= self.factor_cap:
+        if splits + 1 > self.splits_cap:
+            return None
+        if len(orders[i]) >= FACTOR_CAP:
+            self.refused_split = True
             return None
         fid1 = self._fresh_fid(orders)
         seq = list(orders[i])

@@ -302,7 +302,7 @@ class Trace:
         keep = sorted(positions)
         return self.monoid.canon([self.atoms[i] for i in keep])
 
-    def downsets(self, cap=DOWNSET_CAP):
+    def downsets(self):
         """All downsets of the dependence order, as frozensets of positions."""
         below = self.order()
         n = len(self.atoms)
@@ -317,8 +317,10 @@ class Trace:
                     d2 = d | {i}
                     if d2 not in found:
                         found.add(d2)
-                        if len(found) > cap:
-                            raise BudgetExceededError("downset enumeration", cap)
+                        if len(found) > DOWNSET_CAP:
+                            raise BudgetExceededError(
+                                "downset enumeration", DOWNSET_CAP
+                            )
                         nxt.append(d2)
             frontier = nxt
         return found
@@ -340,13 +342,6 @@ def independent_traces(t1, t2):
         t1.monoid.independent(v1, v2)
         for v1 in t1.alph_gamma()
         for v2 in t2.alph_gamma()
-    )
-
-
-def equal_by_projections(t1, t2):
-    return all(
-        project_pair(t1, i, j) == project_pair(t2, i, j)
-        for i, j in t1.monoid.dependent_vertex_pairs()
     )
 
 

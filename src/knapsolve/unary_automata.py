@@ -50,14 +50,6 @@ class Nfa:
             if lab == label and src in subset
         }
 
-    def accepts(self, word):
-        subset = self.eps_closure(self.initials)
-        for symbol in word:
-            subset = self.eps_closure(self.step(subset, symbol))
-            if not subset:
-                return False
-        return bool(subset & self.finals)
-
 
 def loop_language_nfa(p, u, s):
     """An automaton for {p u^x s : x >= 0} with |p|+|u|+|s| states."""
@@ -130,7 +122,7 @@ class ProgressionSet:
         return False
 
 
-def unary_length_set(nfa, cap=SUBSET_TRAJECTORY_CAP):
+def unary_length_set(nfa):
     """Accepted lengths of a unary automaton as a ProgressionSet.
 
     Follows the subset trajectory S_0, S_1, ... until the first repeat;
@@ -149,8 +141,10 @@ def unary_length_set(nfa, cap=SUBSET_TRAJECTORY_CAP):
             break
         seen[subset] = len(trajectory)
         trajectory.append(subset)
-        if len(trajectory) > cap:
-            raise BudgetExceededError("subset trajectory", cap)
+        if len(trajectory) > SUBSET_TRAJECTORY_CAP:
+            raise BudgetExceededError(
+                "subset trajectory", SUBSET_TRAJECTORY_CAP
+            )
     pairs = []
     for length, subset in enumerate(trajectory):
         if subset & nfa.finals:

@@ -10,6 +10,10 @@ import pytest
 
 import knapsolve
 from knapsolve.cli import main
+from knapsolve.expr import parse_expr
+from knapsolve.groups import build_backend
+from knapsolve.oracle import compare
+from knapsolve.semilinear import SemilinearSet
 
 
 @pytest.fixture
@@ -96,21 +100,30 @@ def test_budget_exhaustion_exit_code(free_group, capsys):
 
 
 def test_incomplete_solve_warns(free_group, capsys):
-    # four items exceed the practical splits cap of 2m, so the search
-    # runs outside its completeness bounds
-    code = main(["solve", "--group", free_group, "--expr", "a^x b a^y b'"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert json.loads(captured.out)["diagnostics"]["complete"] is False
-    assert "warning" in captured.err
+    # a splits budget below the search's ceiling, and FACTOR_CAP refusing
+    # a fourth factor of a power that the ceiling allows
+    for args in (
+        ["--expr", "a^x b a^y b'", "--budget-refinement", "0"],
+        ["--expr", "(a' b')^x (b' b b)^y a'"],
+    ):
+        code = main(["solve", "--group", free_group] + args)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["diagnostics"]["complete"] is False
+        assert "warning" in captured.err
 
 
 def test_complete_solve_is_quiet(free_group, capsys):
-    code = main(["solve", "--group", free_group, "--expr", "a^x b^y"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert json.loads(captured.out)["diagnostics"]["complete"] is True
-    assert captured.err == ""
+    backend = build_backend(json.loads(Path(free_group).read_text()))
+    for text in ("a^x b^y", "a^x b a^y b'"):
+        code = main(["solve", "--group", free_group, "--expr", text])
+        captured = capsys.readouterr()
+        assert code == 0
+        data = json.loads(captured.out)
+        assert data["diagnostics"]["complete"] is True
+        assert captured.err == ""
+        sols = SemilinearSet.from_json_dict(data)
+        assert compare(backend, parse_expr(text), sols, 6)["ok"]
 
 
 def test_fast_mode_warns(free_group, capsys):

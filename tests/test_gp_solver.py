@@ -88,20 +88,20 @@ def test_preprocess_renames_repeated_variable():
 
 
 def enumerate_refinement_reductions(backend, items, powers=None,
-                                    pieces_budget=None, creation_budget=None,
+                                    splits_budget=None, creation_budget=None,
                                     states_budget=SEARCH_STATES_CAP):
     """All reductions of refinements of the item tuple, within budgets.
 
     Defaults follow the completeness bounds for a tuple of m entries:
     refinements of length at most (3 alpha + 4) m^2 (for free products
-    at most max(m, 7m - 12)) and at most m - 2 atom creations per
-    vertex.  Returns {records: orders}.
+    at most max(m, 7m - 12)), so at most that minus m splits, and at
+    most m - 2 atom creations per vertex.  Returns {records: orders}.
     """
     scheme = GraphProductScheme(backend)
     m = len(items)
     cap = scheme.max_splits(m)
-    if pieces_budget is not None:
-        cap = min(cap, max(0, pieces_budget - m))
+    if splits_budget is not None:
+        cap = min(cap, splits_budget)
     creation_cap = scheme.max_creations(m)
     if creation_budget is not None:
         creation_cap = min(creation_cap, creation_budget)
@@ -129,7 +129,7 @@ def test_no_reduction_without_refinement():
     b = backend.elem_from_word(("b",))
     items = [("C", a.inv()), ("C", ab), ("C", b.inv())]
     none = enumerate_refinement_reductions(
-        backend, items, pieces_budget=len(items), creation_budget=0
+        backend, items, splits_budget=0, creation_budget=0
     )
     assert none == {}
     some = enumerate_refinement_reductions(backend, items)
@@ -149,6 +149,20 @@ def test_free_product_script_with_atom_creation():
         backend, items, creation_budget=0
     )
     assert frozenset() not in none
+
+
+def test_dominance_keeps_states_with_spare_creations():
+    # b . b . b reduces only through the creation b.b -> b^2; a state
+    # seen before with a creation spent somewhere must not stand in for
+    # the same state reached with every creation left
+    backend = free_z2_z3()
+    b = backend.elem_from_word(("b",))
+    items = (("C", b),) * 3
+    for spent in ({0: 1}, {1: 1}):
+        search = ReductionSearch(backend.monoid, {}, 0, 1, SEARCH_STATES_CAP)
+        search.seen[(items, (), frozenset())] = [(0, spent)]
+        assert frozenset() in search.run(items), spent
+        assert search.states > 0
 
 
 def test_search_states_budget_reported():

@@ -263,20 +263,20 @@ def test_two_dim_against_brute_force():
 # -- reduction enumeration ---------------------------------------------------
 
 
-def enumerate_hnn_reductions(backend, items, powers=None, pieces_budget=None,
+def enumerate_hnn_reductions(backend, items, powers=None, splits_budget=None,
                              creation_budget=None,
                              states_budget=SEARCH_STATES_CAP):
     """All reductions of refinements of the item tuple, within budgets.
 
     Defaults follow the completeness bounds for m entries: refinement
-    length at most max(m, 7m - 12) and at most 4m - 8 atom creations.
-    Returns {records: orders}.
+    length at most max(m, 7m - 12), so at most that minus m splits, and
+    at most 4m - 8 atom creations.  Returns {records: orders}.
     """
     scheme = HnnScheme(backend)
     m = len(items)
     cap = scheme.max_splits(m)
-    if pieces_budget is not None:
-        cap = min(cap, max(0, pieces_budget - m))
+    if splits_budget is not None:
+        cap = min(cap, splits_budget)
     creation_cap = scheme.max_creations(m)
     if creation_budget is not None:
         creation_cap = min(creation_cap, creation_budget)

@@ -12,7 +12,6 @@ from knapsolve.trace import (
     Trace,
     TraceMonoid,
     connected_components,
-    equal_by_projections,
     has_redex,
     independent_traces,
     is_connected,
@@ -25,6 +24,14 @@ from knapsolve.words import invert_word
 
 PREFIX_COUNT_CAP = 200_000
 LEVI_CAP = 300_000
+
+
+def equal_by_projections(t1, t2):
+    """Trace equality through the projections onto dependent vertex pairs."""
+    return all(
+        project_pair(t1, i, j) == project_pair(t2, i, j)
+        for i, j in t1.monoid.dependent_vertex_pairs()
+    )
 
 
 def prefix_count(t, cap=PREFIX_COUNT_CAP):

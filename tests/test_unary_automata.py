@@ -17,15 +17,25 @@ from knapsolve.unary_automata import (
 )
 
 
+def accepts(nfa, word):
+    """Whether nfa accepts word, by the subset construction."""
+    subset = nfa.eps_closure(nfa.initials)
+    for symbol in word:
+        subset = nfa.eps_closure(nfa.step(subset, symbol))
+        if not subset:
+            return False
+    return bool(subset & nfa.finals)
+
+
 def test_loop_language_basic():
     nfa = loop_language_nfa((), ("a",), ())
     assert len(nfa.states) == 1
     for k in range(5):
-        assert nfa.accepts(("a",) * k)
+        assert accepts(nfa, ("a",) * k)
     nfa2 = loop_language_nfa(("a",), ("b",), ())
-    assert nfa2.accepts(("a", "b", "b"))
-    assert not nfa2.accepts(("b",))
-    assert not nfa2.accepts(("a", "a"))
+    assert accepts(nfa2, ("a", "b", "b"))
+    assert not accepts(nfa2, ("b",))
+    assert not accepts(nfa2, ("a", "a"))
     with pytest.raises(InputError):
         loop_language_nfa(("a",), (), ())
 
@@ -39,7 +49,7 @@ def test_loop_language_random_membership():
         nfa = loop_language_nfa(p, u, s)
         assert len(nfa.states) <= len(p) + len(u) + len(s)
         for x in range(11):
-            assert nfa.accepts(p + u * x + s)
+            assert accepts(nfa, p + u * x + s)
 
 
 def test_unary_length_set_examples():
