@@ -11,7 +11,7 @@ was exhausted, or exits 1 on bad input.  --budget-refinement caps the
 refinement splits and --budget-automata the states of the reduction
 search; --fast caps the splits at FAST_SPLITS_BUDGET.  solve warns on
 stderr when diagnostics["complete"] is false: a splits cap below the
-search's ceiling, or FACTOR_CAP, cut the search.  verify compares a
+search's ceiling, or FACTOR_CAP, refused a split.  verify compares a
 saved result against brute force on a box.
 """
 

@@ -15,10 +15,13 @@ is particular to graph products:
   - factors are cut by the power-factorization grids, and matched factor
     pairs are resolved by the exact two-dimensional trace solver.
 
-The tuple of factors is treated modulo commutation of independent
-entries, so the search never enumerates swap sequences explicitly; two
-entries interact when nothing lies strictly between them in the
-dependence order of the tuple.
+The moves of the search are written once, as generators.  Without
+edges (free products) nothing commutes and the search is the span solver
+of module reduction.  With edges it is the depth-first search, which
+treats the tuple of factors modulo commutation of independent entries,
+so it never enumerates swap sequences explicitly; two entries interact
+when nothing lies strictly between them in the dependence order of the
+tuple.
 """
 
 import itertools
@@ -102,7 +105,8 @@ class ReductionSearch(ReductionSearchBase):
 
     Records are ("zero", i), ("ident", vertex, entries), ("assign", fid,
     i, alph, value) and ("pair", fidL, iL, alphL, fidR, iR, alphR); atom
-    creations are counted per vertex.
+    creations are counted per vertex.  The depth-first search runs only
+    where the monoid has edges.
     """
 
     def __init__(self, monoid, powers, splits_cap, creation_cap, states_cap):
@@ -114,6 +118,7 @@ class ReductionSearch(ReductionSearchBase):
             for i, u in powers.items()
         }
         self._indep = {}
+        self.use_dfs = bool(monoid.edges)
 
     # -- item helpers --------------------------------------------------
 
@@ -214,123 +219,87 @@ class ReductionSearch(ReductionSearchBase):
     def factor(self, i, fid):
         return ("F", i, fid, self.power_alphs[i])
 
-    def _expand(self, items, orders, records, splits, creations):
-        monoid = self.monoid
-        n = len(items)
-        recurse = self._recurse
-
-        # unary moves
-        for pos in range(n):
-            item = items[pos]
-            tag = item[0]
-            if tag == "W":
-                self._zero_or_open(items, pos, orders, records, splits, creations)
-            elif tag == "C" and len(item[1].atoms) > 1:
-                if splits + 1 > self.splits_cap:
+    def unary_moves(self, item, splits):
+        tag = item[0]
+        if tag == "W":
+            yield from self._zero_or_open(item)
+        elif tag == "C" and len(item[1].atoms) > 1:
+            if not splits:
+                yield None
+                return
+            trace = item[1]
+            all_pos = set(range(len(trace.atoms)))
+            for down in trace.downsets():
+                if not down or down == all_pos:
                     continue
-                trace = item[1]
-                all_pos = set(range(len(trace.atoms)))
-                for down in trace.downsets():
-                    if not down or down == all_pos:
+                left = trace.subtrace(down)
+                right = trace.subtrace(all_pos - down)
+                yield (("C", left), ("C", right)), (), True
+        elif tag == "F":
+            i, fid, alph = item[1], item[2], item[3]
+            # guess that this factor is a single atom of u_i
+            if len(alph) == 1:
+                vertex = next(iter(alph))
+                for atom in self.power_atoms[i]:
+                    if atom.vertex != vertex:
                         continue
-                    left = trace.subtrace(down)
-                    right = trace.subtrace(all_pos - down)
-                    recurse(
-                        items[:pos] + (("C", left), ("C", right)) + items[pos + 1:],
-                        orders, records, splits + 1, creations,
-                    )
-            elif tag == "F":
-                i, fid, alph = item[1], item[2], item[3]
-                # guess that this factor is a single atom of u_i
-                if len(alph) == 1:
-                    vertex = next(iter(alph))
-                    for atom in self.power_atoms[i]:
-                        if atom.vertex != vertex:
-                            continue
-                        value = monoid.canon([atom])
-                        rec = ("assign", fid, i, alph, value)
-                        recurse(
-                            items[:pos] + (("C", value),) + items[pos + 1:],
-                            orders, records | {rec}, splits, creations,
-                        )
-                # split into two alphabet-tagged factors
-                split = self._split_orders(orders, i, fid, splits)
-                if split is None:
-                    continue
-                new_orders, fid1, fid2 = split
-                sub = sorted(alph)
-                for r1 in range(1, len(sub) + 1):
-                    for a1 in itertools.combinations(sub, r1):
-                        s1 = frozenset(a1)
-                        need = alph - s1
-                        for r2 in range(1, len(sub) + 1):
-                            for a2 in itertools.combinations(sub, r2):
-                                s2 = frozenset(a2)
-                                if not need <= s2:
-                                    continue
-                                f1 = ("F", i, fid1, s1)
-                                f2 = ("F", i, fid2, s2)
-                                recurse(
-                                    items[:pos] + (f1, f2) + items[pos + 1:],
-                                    new_orders, records, splits + 1, creations,
-                                )
+                    value = self.monoid.canon([atom])
+                    rec = ("assign", fid, i, alph, value)
+                    yield (("C", value),), (rec,), False
+            # split into two alphabet-tagged factors
+            if not splits:
+                yield None
+                return
+            sub = sorted(alph)
+            for r1 in range(1, len(sub) + 1):
+                for a1 in itertools.combinations(sub, r1):
+                    s1 = frozenset(a1)
+                    need = alph - s1
+                    for r2 in range(1, len(sub) + 1):
+                        for a2 in itertools.combinations(sub, r2):
+                            s2 = frozenset(a2)
+                            if need <= s2:
+                                yield (("F", i, None, s1), ("F", i, None, s2)), (), True
 
-        # binary moves between entries that commutation can make adjacent
-        if not monoid.edges:
-            usable = [(i, i + 1) for i in range(n - 1)]
-        else:
-            usable = self.interaction_pairs(items)
-        for i, j in usable:
-            left, right = items[i], items[j]
-            rest = tuple(
-                it for pos, it in enumerate(items) if pos != i and pos != j
+    def binary_moves(self, left, right):
+        if left[0] == "C" and right[0] == "C":
+            if right[1] == left[1].inv():
+                yield (), (), None
+        if left[0] == "C" and right[0] == "F":
+            value = left[1].inv()
+            if value.alph_gamma() == right[3]:
+                yield (), (("assign", right[2], right[1], right[3], value),), None
+        if left[0] == "F" and right[0] == "C":
+            value = right[1].inv()
+            if value.alph_gamma() == left[3]:
+                yield (), (("assign", left[2], left[1], left[3], value),), None
+        if left[0] == "F" and right[0] == "F" and left[3] == right[3]:
+            rec = (
+                "pair",
+                left[2], left[1], left[3],
+                right[2], right[1], right[3],
             )
+            yield (), (rec,), None
 
-            def consumed(extra_records):
-                recurse(rest, orders, records | extra_records, splits, creations)
-
-            if left[0] == "C" and right[0] == "C":
-                if right[1] == left[1].inv():
-                    consumed(set())
-            if left[0] == "C" and right[0] == "F":
-                value = left[1].inv()
-                if value.alph_gamma() == right[3]:
-                    consumed({("assign", right[2], right[1], right[3], value)})
-            if left[0] == "F" and right[0] == "C":
-                value = right[1].inv()
-                if value.alph_gamma() == left[3]:
-                    consumed({("assign", left[2], left[1], left[3], value)})
-            if left[0] == "F" and right[0] == "F" and left[3] == right[3]:
-                rec = (
-                    "pair",
-                    left[2], left[1], left[3],
-                    right[2], right[1], right[3],
-                )
-                consumed({rec})
-
-            ea = self.atom_entries(left)
-            eb = self.atom_entries(right)
-            if ea and eb and ea[0] == eb[0]:
-                vertex = ea[0]
-                entries = ea[1] + eb[1]
-                if all(entry[0] == "e" for entry in entries):
-                    child = monoid.vertices[vertex]
-                    prod = child.identity_elem
-                    for entry in entries:
-                        prod = child.elem_mul(prod, entry[1])
-                    if prod == child.identity_elem:
-                        consumed(set())  # cancellation
-                        continue
-                    merged = ("C", monoid.canon([Atom(vertex, prod)]))
-                else:
-                    consumed({("ident", vertex, entries)})
-                    merged = ("A", vertex, entries)
-                new_creations = self._created(creations, vertex)
-                if new_creations is not None:
-                    recurse(
-                        rest[:i] + (merged,) + rest[i:],
-                        orders, records, splits, new_creations,
-                    )
+        ea = self.atom_entries(left)
+        eb = self.atom_entries(right)
+        if ea and eb and ea[0] == eb[0]:
+            monoid = self.monoid
+            vertex = ea[0]
+            entries = ea[1] + eb[1]
+            if all(entry[0] == "e" for entry in entries):
+                child = monoid.vertices[vertex]
+                prod = child.identity_elem
+                for entry in entries:
+                    prod = child.elem_mul(prod, entry[1])
+                if prod == child.identity_elem:
+                    yield (), (), None  # cancellation
+                    return
+                merged = ("C", monoid.canon([Atom(vertex, prod)]))
+            else:
+                yield (), (("ident", vertex, entries),), None
+                merged = ("A", vertex, entries)
+            yield (merged,), (), vertex
 
 
 # ---------------------------------------------------------------------------

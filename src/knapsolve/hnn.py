@@ -54,7 +54,7 @@ class BrittonWord:
     Base segments are canonical base-group words; d_i is +1 or -1.
     """
 
-    __slots__ = ("gs", "deltas")
+    __slots__ = ("gs", "deltas", "_hash")
 
     def __init__(self, gs, deltas):
         gs = tuple(tuple(g) for g in gs)
@@ -65,6 +65,7 @@ class BrittonWord:
             raise InputError("BrittonWord exponents must be +1 or -1")
         object.__setattr__(self, "gs", gs)
         object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "_hash", hash((gs, deltas)))
 
     def __setattr__(self, name, value):
         raise AttributeError("BrittonWord is immutable")
@@ -77,7 +78,7 @@ class BrittonWord:
         )
 
     def __hash__(self):
-        return hash((self.gs, self.deltas))
+        return self._hash
 
     def __repr__(self):
         return f"BrittonWord({self.gs}, {self.deltas})"
@@ -472,7 +473,8 @@ class HnnReductionSearch(ReductionSearchBase):
 
     Records are ("zero", i), ("val", entries, a), ("assign", fid, i,
     value) and ("pair", fidL, iL, a, fidR, iR, b); all atom creations
-    are counted under the one key "B".
+    are counted under the one key "B".  Items never commute, so run() is
+    the span solver.
     """
 
     def __init__(self, backend, powers, splits_cap, creation_cap, states_cap):
@@ -496,96 +498,68 @@ class HnnReductionSearch(ReductionSearchBase):
             return True
         return item[0] == "C" and item[1].tcount >= 1
 
-    def _expand(self, items, orders, records, splits, creations):
-        backend = self.backend
-        n = len(items)
+    def unary_moves(self, item, splits):
+        tag = item[0]
+        if tag == "W":
+            yield from self._zero_or_open(item)
+        elif tag == "B":
+            yield (), (("val", item[1], ()),), False
+        elif tag == "F":
+            if not splits:
+                yield None
+                return
+            yield (("F", item[1], None), ("F", item[1], None)), (), True
+        elif tag == "C":
+            backend = self.backend
+            letters = item[1].letters(backend.stable)
+            if len(letters) > 1 and not splits:
+                yield None
+                return
+            seen_cuts = set()
+            for j in range(1, len(letters)):
+                left = backend.parse(letters[:j])
+                right = backend.parse(letters[j:])
+                if left.is_identity() or right.is_identity():
+                    continue
+                if (left, right) in seen_cuts:
+                    continue
+                seen_cuts.add((left, right))
+                yield (("C", left), ("C", right)), (), True
 
-        # unary moves
-        for pos in range(n):
-            item = items[pos]
-            rest = items[:pos] + items[pos + 1 :]
-            tag = item[0]
-            if tag == "W":
-                self._zero_or_open(items, pos, orders, records, splits, creations)
-            elif tag == "F":
-                i, fid = item[1], item[2]
-                split = self._split_orders(orders, i, fid, splits)
-                if split is not None:
-                    new_orders, fid1, fid2 = split
-                    self._recurse(
-                        items[:pos] + (("F", i, fid1), ("F", i, fid2))
-                        + items[pos + 1 :],
-                        new_orders, records, splits + 1, creations,
-                    )
-            elif tag == "C":
-                letters = item[1].letters(backend.stable)
-                if len(letters) > 1 and splits + 1 <= self.splits_cap:
-                    seen_cuts = set()
-                    for j in range(1, len(letters)):
-                        left = backend.parse(letters[:j])
-                        right = backend.parse(letters[j:])
-                        if left.is_identity() or right.is_identity():
-                            continue
-                        if (left, right) in seen_cuts:
-                            continue
-                        seen_cuts.add((left, right))
-                        self._recurse(
-                            items[:pos] + (("C", left), ("C", right))
-                            + items[pos + 1 :],
-                            orders, records, splits + 1, creations,
-                        )
-            elif tag == "B":
-                rec = ("val", item[1], ())
-                self._recurse(rest, orders, records | {rec}, splits, creations)
-
-        # adjacent base merges
-        for pos in range(n - 1):
-            left, right = items[pos], items[pos + 1]
-            el = self._base_entries(left)
-            er = self._base_entries(right)
-            if el is None or er is None:
-                continue
-            rest = items[:pos] + items[pos + 2 :]
+    def binary_moves(self, left, right):
+        el = self._base_entries(left)
+        er = self._base_entries(right)
+        if el is not None and er is not None:
+            # adjacent base items merge
             entries = el + er
             if all(entry[0] == "e" for entry in entries):
-                prod = backend.base_mul(*[entry[1] for entry in entries])
+                prod = self.backend.base_mul(*[entry[1] for entry in entries])
                 if prod == ():
-                    self._recurse(rest, orders, records, splits, creations)
-                    continue
-                merged = ("C", backend.base_bw(prod))
+                    yield (), (), None
+                    return
+                merged = ("C", self.backend.base_bw(prod))
             else:
-                rec = ("val", entries, ())
-                self._recurse(rest, orders, records | {rec}, splits, creations)
+                yield (), (("val", entries, ()),), None
                 merged = ("B", entries)
-            new_creations = self._created(creations, "B")
-            if new_creations is not None:
-                self._recurse(
-                    items[:pos] + (merged,) + items[pos + 2 :],
-                    orders, records, splits, new_creations,
-                )
+            yield (merged,), (), "B"
+        elif self._t_bearing(left) and self._t_bearing(right):
+            for out, records in self._gencancel(left, None, right):
+                yield out, records, None
 
-        # generalized cancellations (u_i, a, u_{i+1}) -> b
-        for pos in range(n - 1):
-            if self._t_bearing(items[pos]) and self._t_bearing(items[pos + 1]):
-                self._gencancel(
-                    items, pos, None, pos + 1, orders, records, splits, creations
-                )
-        for pos in range(n - 2):
-            if (self._t_bearing(items[pos])
-                    and self._base_entries(items[pos + 1]) is not None
-                    and self._t_bearing(items[pos + 2])):
-                self._gencancel(
-                    items, pos, pos + 1, pos + 2,
-                    orders, records, splits, creations,
-                )
+    def starts_ternary(self, x, middle):
+        return self._t_bearing(x) and self._base_entries(middle) is not None
 
-    def _gencancel(self, items, ix, im, iy, orders, records, splits, creations):
+    def ternary_moves(self, x, middle, y):
+        if self._t_bearing(y):
+            yield from self._gencancel(x, middle, y)
+
+    def _gencancel(self, X, middle, Y):
+        """Generalized cancellations (X, a, Y) -> b: (out, records)."""
         backend = self.backend
-        X, Y = items[ix], items[iy]
-        if im is None:
+        if middle is None:
             a_opts = [((), None)]
         else:
-            entries = self._base_entries(items[im])
+            entries = self._base_entries(middle)
             if all(entry[0] == "e" for entry in entries):
                 aw = backend.base_mul(*[entry[1] for entry in entries])
                 if aw not in backend.ab:
@@ -593,28 +567,24 @@ class HnnReductionSearch(ReductionSearchBase):
                 a_opts = [(aw, None)]
             else:
                 a_opts = [(aw, ("val", entries, aw)) for aw in self.ab]
-        before, after = items[:ix], items[iy + 1 :]
 
-        def emit(out_word, extra, new_creations):
+        def emit(out_word, extra):
             out = () if out_word == () else (("C", backend.base_bw(out_word)),)
-            self._recurse(
-                before + out + after,
-                orders, records | extra, splits, new_creations,
-            )
+            return out, extra
 
         for aw, val_rec in a_opts:
-            extra = {val_rec} if val_rec else set()
+            extra = (val_rec,) if val_rec else ()
             if X[0] == "C" and Y[0] == "C":
                 mid = backend.base_bw(aw)
                 r = britton_reduce(
                     backend, backend.concat(backend.concat(X[1], mid), Y[1])
                 )
                 if r.tcount == 0 and r.gs[0] in backend.ab:
-                    emit(r.gs[0], extra, creations)
+                    yield emit(r.gs[0], extra)
             elif X[0] == "F" and Y[0] == "F":
                 for bw_ in self.ab:
                     rec = ("pair", X[2], X[1], aw, Y[2], Y[1], bw_)
-                    emit(bw_, extra | {rec}, creations)
+                    yield emit(bw_, extra + (rec,))
             elif X[0] == "F":
                 # X a Y = b, so X = b Y^{-1} a^{-1}
                 for bw_ in self.ab:
@@ -625,7 +595,7 @@ class HnnReductionSearch(ReductionSearchBase):
                     if value.tcount == 0:
                         continue
                     rec = ("assign", X[2], X[1], value)
-                    emit(bw_, extra | {rec}, creations)
+                    yield emit(bw_, extra + (rec,))
             else:
                 # X a Y = b, so Y = a^{-1} X^{-1} b
                 for bw_ in self.ab:
@@ -639,7 +609,7 @@ class HnnReductionSearch(ReductionSearchBase):
                     if value.tcount == 0:
                         continue
                     rec = ("assign", Y[2], Y[1], value)
-                    emit(bw_, extra | {rec}, creations)
+                    yield emit(bw_, extra + (rec,))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,14 @@ Both solvers answer e = 1 with one scheme:
   3. search for reductions of the remaining factor tuple: constants
      split, symbolic powers split into factors, neighbouring atoms merge
      or discharge into local constraints, matching factors cancel; the
-     search runs to the scheme's ceilings on splits and atom creations,
-     and drops a state only when an earlier one with the same items had
-     no more splits and, at every key, no more creations;
+     search runs to the scheme's ceilings on splits and atom creations.
+     Where items do not commute (free products, HNN-extensions and
+     amalgams) it is a span solver: a reduction is a non-crossing
+     cancellation pattern, so it branches only on how the leftmost item
+     is used up and solves every tuple once.  Where they commute (graph
+     products with edges) it is a depth-first search over states that
+     drops a state only when an earlier one with the same items had no
+     more splits and, at every key, no more creations;
   4. cut the factors of every well-behaved power into shapes, resolve
      the factors the search assigned a concrete value, solve matched
      factor pairs with the group's two-dimensional solver, and
@@ -21,7 +26,7 @@ Both solvers answer e = 1 with one scheme:
      diagonal K and project back to the variables of e.
 
 diagnostics["complete"] turns false only when a cap below a ceiling
-bound: a caller's splits_budget, or FACTOR_CAP refusing a split.
+bound: a caller's splits_budget refusing a split, or FACTOR_CAP doing so.
 
 A group plugs in through a Scheme subclass and a ReductionSearchBase
 subclass; everything else lives here once.
@@ -35,6 +40,9 @@ from .semilinear import SemilinearSet
 from .words import invert_word
 
 SEARCH_STATES_CAP = 2_000_000
+#: limit on nested span-solver entries, far above the 32 the benchmark's
+#: instances reach; beyond it the search ends as a spent budget
+SPAN_DEPTH_CAP = 250
 #: limit on symbolic factors per power; a split it refuses clears complete
 FACTOR_CAP = 3
 
@@ -174,9 +182,9 @@ def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
 
         m = len(items)
         splits_cap = scheme.max_splits(m)
-        if splits_budget is not None and splits_budget < splits_cap:
+        budgeted = splits_budget is not None and splits_budget < splits_cap
+        if budgeted:
             splits_cap = splits_budget
-            stats["complete"] = False
         search = scheme.search(
             wb, splits_cap, scheme.max_creations(m), states_budget
         )
@@ -185,7 +193,7 @@ def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
         finally:
             # a budget or a timeout still leaves the states it counted
             stats["states"] += search.states
-        if search.refused_split:
+        if search.refused_split or (budgeted and search.splits_cap_bound):
             stats["complete"] = False
         stats["reductions"] += len(results)
         for records, orders in results.items():
@@ -357,25 +365,70 @@ def pair_line_sets(order, offsets, pair_lines):
         yield tuple(shift[i] for i in order), periods
 
 
+#: entry kinds of the span solver: the reductions of a whole tuple, and
+#: the ways to reduce a prefix of a tuple until one item is exposed
+_SOLVE, _LEAD = "solve", "lead"
+#: bundle keys of reductions a cap dropped; they keep only their costs,
+#: so that the search can tell whether the cap cost a reduction
+_OVER_SPLITS, _OVER_FACTORS = "over splits", "over factors"
+_OVER = (_OVER_SPLITS, _OVER_FACTORS)
+_NOTHING = ((), ())
+#: the costs of a bundle that spent nothing, and of one split
+_FREE, _ONE_SPLIT = ((0, ()),), ((1, ()),)
+#: the bundles of the empty tuple, which is reduced already
+_EMPTY_SOLVED = {_NOTHING: _FREE}
+#: factor ids of the left and the right item that a move uses up
+_LEFT, _RIGHT = "left", "right"
+
+
 class ReductionSearchBase:
     """Enumerates reductions of refinements of an item tuple.
 
-    powers maps well-behaved power indices to their periods.  A state is
-    (items, orders, records, splits, creations): orders maps each power
-    index to its factor id sequence, records is a frozenset of
-    constraints, splits counts refinement splits and creations counts
-    atom creations per key (a missing key counts 0).  A state is skipped
-    when one with the same items, orders and records was seen with no
-    more splits and, on every key, no more creations.  refused_split
-    turns true when FACTOR_CAP refuses a split that splits_cap allows.
-    run() returns {records: orders} over the states with no items left.
+    powers maps well-behaved power indices to their periods.  A subclass
+    writes its moves once, as generators over items:
 
-    Subclasses define _expand(), the moves out of a state, and factor(),
-    the first factor item of a power.  Factor items ("F", i, fid, ...)
-    carry their id at position 2, ("assign", fid, ...) records at
-    position 1 and ("pair", fidL, iL, a, fidR, iR, b) records at
-    positions 1 and 4.
+      unary_moves(item, splits)   (out, records, split): item becomes
+                                  the items out; split moves come last,
+                                  and when splits is false one None
+                                  stands in for them
+      binary_moves(left, right)   (out, records, key): two neighbours
+                                  become out; key is the creation key
+                                  of an atom merge, or None
+      starts_ternary(x, middle), ternary_moves(x, middle, y)
+                                  whether three neighbours can meet,
+                                  and (out, records) when they do; a
+                                  search without them leaves
+                                  ternary_moves None
+
+    and factor(i, fid), the factor item of power i.  Factor items ("F",
+    i, fid, ...) carry their id at position 2 (None in a new factor),
+    ("assign", fid, i, ...) records at position 1 and ("pair", fidL, iL,
+    a, fidR, iR, b) records at positions 1 and 4.
+
+    run() returns {records: orders} over the reductions with at most
+    splits_cap splits, creation_cap atom creations per key and FACTOR_CAP
+    factors per power; orders maps each power index to its factor ids,
+    which are numbered by power and then from left to right.
+    splits_cap_bound turns true when splits_cap refuses a split, and
+    refused_split when FACTOR_CAP does.
+
+    Where items do not commute, run() is a span solver.  The leftmost
+    item of a tuple is used up either by a unary move or by a binary or
+    ternary move with the items that prefixes to its right reduce to;
+    every tuple is solved once, into bundles of records, factor counts
+    per power and Pareto-minimal (splits, creations), and the caps are
+    checked where bundles combine.  There a split that FACTOR_CAP
+    refuses is noted only when the path to it stays within the other
+    caps, and states counts the tuples solved (a tuple solved again
+    inside a cycle counts again).  Where items commute (use_dfs), run() is
+    a depth-first search over states (items, orders, records, splits,
+    creations) that skips a state when one with the same items, orders
+    and records was seen with no more splits and, on every key, no more
+    creations, and states counts the states expanded.
     """
+
+    use_dfs = False
+    ternary_moves = None
 
     def __init__(self, powers, splits_cap, creation_cap, states_cap):
         self.powers = powers
@@ -383,6 +436,7 @@ class ReductionSearchBase:
         self.creation_cap = creation_cap
         self.states_cap = states_cap
         self.refused_split = False
+        self.splits_cap_bound = False
         self.states = 0
         self.seen = {}
         self.results = {}
@@ -391,15 +445,39 @@ class ReductionSearchBase:
         """Normal form of the item tuple; items do not commute here."""
         return items
 
+    def interaction_pairs(self, items):
+        """Index pairs that can meet in a binary move: here neighbours."""
+        return [(i, i + 1) for i in range(len(items) - 1)]
+
     def run(self, items):
-        items = self.canon_items(tuple(items))
-        orders = {
-            i: ()
-            for i in sorted(self.powers)
-            if any(it[0] == "W" and it[1] == i for it in items)
-        }
-        self._dfs(items, orders, frozenset(), 0, {})
+        items = tuple(items)
+        opened = [i for i in sorted(self.powers) if ("W", i) in items]
+        if self.use_dfs:
+            orders = {i: () for i in opened}
+            self._moves = {}
+            try:
+                self._dfs(self.canon_items(items), orders, frozenset(), 0, {})
+            finally:
+                self._moves = None
+        else:
+            self._span_run(items, opened)
         return self.results
+
+    def _zero_or_open(self, item):
+        """Moves of an untouched power: it is zero, or one open factor."""
+        i = item[1]
+        yield (), (("zero", i),), False
+        yield (self.factor(i, None),), (), False
+
+    def _created(self, creations, key):
+        """creations with one more atom created at key, or None at the cap."""
+        if creations.get(key, 0) >= self.creation_cap:
+            return None
+        new_creations = dict(creations)
+        new_creations[key] = new_creations.get(key, 0) + 1
+        return new_creations
+
+    # -- depth-first search over commuting items ---------------------------
 
     def canon_fids(self, items, orders, records):
         """Renumber factor ids by position so isomorphic states collapse."""
@@ -416,21 +494,7 @@ class ReductionSearchBase:
         new_orders = {
             i: tuple(mapping[f] for f in fids) for i, fids in orders.items()
         }
-        new_records = frozenset(
-            (r[0], mapping[r[1]]) + r[2:] if r[0] == "assign"
-            else (r[0], mapping[r[1]]) + r[2:4] + (mapping[r[4]],) + r[5:]
-            if r[0] == "pair" else r
-            for r in records
-        )
-        return new_items, new_orders, new_records
-
-    @staticmethod
-    def _fresh_fid(orders):
-        top = -1
-        for fids in orders.values():
-            for fid in fids:
-                top = max(top, fid)
-        return top + 1
+        return new_items, new_orders, _renumber(records, mapping.__getitem__)
 
     def _recurse(self, items, orders, records, splits, creations):
         items, orders, records = self.canon_fids(
@@ -456,42 +520,498 @@ class ReductionSearchBase:
             return
         self._expand(items, orders, records, splits, creations)
 
-    def _zero_or_open(self, items, pos, orders, records, splits, creations):
-        """Moves of an untouched power: it is zero, or one open factor."""
-        i = items[pos][1]
-        self._recurse(
-            items[:pos] + items[pos + 1:],
-            orders, records | {("zero", i)}, splits, creations,
-        )
-        fid = self._fresh_fid(orders)
-        new_orders = dict(orders)
-        new_orders[i] = (fid,)
-        self._recurse(
-            items[:pos] + (self.factor(i, fid),) + items[pos + 1:],
-            new_orders, records, splits, creations,
-        )
+    def _expand(self, items, orders, records, splits, creations):
+        """Recurse into every state one move away.
 
-    def _split_orders(self, orders, i, fid, splits):
-        """Orders with factor fid of power i split in two, or None past a cap.
-
-        Returns (orders, fid1, fid2).
+        The moves of an item or a pair depend on the state only through
+        whether a split is allowed, so each search lists them once.
         """
-        if splits + 1 > self.splits_cap:
-            return None
-        if len(orders[i]) >= FACTOR_CAP:
-            self.refused_split = True
-            return None
-        fid1 = self._fresh_fid(orders)
-        seq = list(orders[i])
-        at = seq.index(fid)
-        new_orders = dict(orders)
-        new_orders[i] = tuple(seq[:at] + [fid1, fid1 + 1] + seq[at + 1:])
-        return new_orders, fid1, fid1 + 1
+        allowed = splits < self.splits_cap
+        for pos, item in enumerate(items):
+            unary = self._moves.get((item, allowed))
+            if unary is None:
+                unary = self._moves[(item, allowed)] = list(
+                    self.unary_moves(item, allowed)
+                )
+            for move in unary:
+                if move is None:
+                    self.splits_cap_bound = True
+                    break
+                out, recs, split = move
+                new_splits = splits
+                if split:
+                    if item[0] == "F" and len(orders[item[1]]) >= FACTOR_CAP:
+                        self.refused_split = True
+                        break
+                    new_splits += 1
+                out, new_orders = self._number_factors(item, out, orders)
+                self._recurse(
+                    items[:pos] + out + items[pos + 1:],
+                    new_orders, records.union(recs), new_splits, creations,
+                )
+        for i, j in self.interaction_pairs(items):
+            pair = (items[i], items[j])
+            binary = self._moves.get(pair)
+            if binary is None:
+                binary = self._moves[pair] = list(self.binary_moves(*pair))
+            if not binary:
+                continue
+            rest = items[:i] + items[i + 1:j] + items[j + 1:]
+            for out, recs, key in binary:
+                new_creations = creations
+                if key is not None:
+                    new_creations = self._created(creations, key)
+                    if new_creations is None:
+                        continue
+                self._recurse(
+                    rest[:i] + out + rest[i:],
+                    orders, records.union(recs), splits, new_creations,
+                )
+        if self.ternary_moves is None:
+            return
+        for pos in range(len(items) - 2):
+            x, middle, y = items[pos:pos + 3]
+            if not self.starts_ternary(x, middle):
+                continue
+            for out, recs in self.ternary_moves(x, middle, y):
+                self._recurse(
+                    items[:pos] + out + items[pos + 3:],
+                    orders, records.union(recs), splits, creations,
+                )
 
-    def _created(self, creations, key):
-        """creations with one more atom created at key, or None at the cap."""
-        if creations.get(key, 0) >= self.creation_cap:
-            return None
-        new_creations = dict(creations)
-        new_creations[key] = new_creations.get(key, 0) + 1
-        return new_creations
+    @staticmethod
+    def _number_factors(item, out, orders):
+        """out with ids for its new factors, and the orders that follow.
+
+        The new factors of an opened power make up its order; those of a
+        split factor take its place in the order.
+        """
+        if item[0] != "W" and item[0] != "F":
+            return out, orders
+        new = [pos for pos, it in enumerate(out) if it[0] == "F" and it[2] is None]
+        if not new:
+            return out, orders
+        top = max((fid for fids in orders.values() for fid in fids), default=-1)
+        fids = tuple(range(top + 1, top + 1 + len(new)))
+        out = list(out)
+        for pos, fid in zip(new, fids):
+            out[pos] = out[pos][:2] + (fid,) + out[pos][3:]
+        new_orders = dict(orders)
+        seq = orders[item[1]]
+        if item[0] == "F":
+            at = seq.index(item[2])
+            fids = seq[:at] + fids + seq[at + 1:]
+        new_orders[item[1]] = fids
+        return tuple(out), new_orders
+
+    # -- span solver over items that do not commute --------------------
+
+    def _span_run(self, items, opened):
+        self._memo, self._value, self._version = {}, {}, {}
+        self._reads, self._pending, self._stack, self._low = {}, [], [], 0
+        self._moves, self._shared, self._rank = {}, {}, {}
+        try:
+            bundles = self._entry(_SOLVE, items, ())
+        finally:
+            # the memo holds every solved tuple; free it with the search
+            self._memo = self._value = self._version = self._reads = None
+            self._moves = self._shared = self._rank = None
+        for key in bundles:
+            if key == _OVER_SPLITS:
+                self.splits_cap_bound = True
+            elif key == _OVER_FACTORS:
+                self.refused_split = True
+            else:
+                records, counts = key
+                counts = dict(counts)
+                offsets, orders, top = {}, {}, 0
+                for i in opened:
+                    offsets[i] = top
+                    orders[i] = tuple(range(top, top + counts.get(i, 0)))
+                    top += counts.get(i, 0)
+                records = _renumber(records, None, offsets)
+                self.results.setdefault(records, orders)
+
+    def _entry(self, kind, seq, used):
+        """The bundles of seq for kind.
+
+        used counts, per power, the factors made left of seq (used up,
+        or waiting for a partner in seq); only powers with factor items
+        in seq are kept, as only their splits depend on it.
+
+        _memo maps a solved entry to its bundles and an entry being
+        solved or provisional to the depth it depends on.  Entries can
+        depend on each other in a cycle (split pieces merge back).  An
+        entry met again while it is being solved is read as far as it is
+        solved, and entries solved from such reads stay provisional; each
+        read records the version it saw.  When the first entry of the
+        cycle is solved, the provisional entries whose reads went stale
+        are solved again until none is, and all of them become final.
+        """
+        if not seq:
+            return _EMPTY_SOLVED if kind == _SOLVE else {}
+        if used:
+            live = {it[1] for it in seq if it[0] == "F"}
+            used = tuple(count for count in used if count[0] in live)
+        key = (kind, seq, used)
+        hit = self._memo.get(key)
+        if hit is not None:
+            if hit.__class__ is dict:
+                return hit
+            # being solved, or provisional: read it as it stands
+            self._low = min(self._low, hit)
+            reads = self._reads.setdefault(self._stack[-1], {})
+            reads[key] = self._version.get(key, 0)
+            return self._value.get(key, {})
+        start = len(self._pending)
+        depth = len(self._stack)
+        outer_low = self._low
+        result = self._solve(key, depth)
+        low = self._low
+        self._low = min(outer_low, low)
+        if low >= depth and len(self._pending) == start and key not in self._reads:
+            # no cycle runs through this entry
+            self._memo[key] = result
+            return result
+        self._store(key, result)
+        if low < depth:
+            self._memo[key] = low
+            self._pending.append(key)
+            return result
+        group = self._pending[start:] + [key]
+        del self._pending[start:]
+        for member in group:
+            self._memo[member] = depth
+        # sweep in the order the entries were first solved, which puts
+        # most of them after the entries they read, until no read is stale
+        stale = True
+        while stale:
+            stale = False
+            for member in list(group):
+                if not self._stale(member):
+                    continue
+                stale = True
+                old = len(self._pending)
+                self._store(member, self._solve(member, depth, depth))
+                self._low = min(outer_low, self._low)
+                grown = self._pending[old:]
+                del self._pending[old:]
+                for new in grown:
+                    self._memo[new] = depth
+                group += grown
+        for member in group:
+            self._memo[member] = self._value.pop(member)
+            self._reads.pop(member, None)
+            del self._version[member]
+        return self._memo[key]
+
+    def _solve(self, key, depth, prior=None):
+        """The bundles of the entry key, solved at stack depth depth;
+        prior is its mark in _memo to restore afterwards."""
+        if depth >= SPAN_DEPTH_CAP:
+            raise BudgetExceededError("reduction search depth", SPAN_DEPTH_CAP)
+        self.states += 1
+        if self.states > self.states_cap:
+            raise BudgetExceededError("reduction search states", self.states_cap)
+        self._stack.append(key)
+        self._memo[key] = depth
+        if self._reads:
+            self._reads.pop(key, None)
+        self._low = depth
+        try:
+            return self._span(*key)
+        finally:
+            self._stack.pop()
+            if prior is None:
+                del self._memo[key]
+            else:
+                self._memo[key] = prior
+
+    def _store(self, key, result):
+        """Keep a provisional result; its version moves when it changed."""
+        old = self._value.get(key)
+        if old is None or result != old:
+            self._version[key] = self._version.get(key, 0) + 1
+            self._value[key] = result
+
+    def _stale(self, key):
+        """Whether an entry read a version that has changed since."""
+        version = self._version
+        return any(
+            version.get(k, 0) != seen
+            for k, seen in self._reads.get(key, {}).items()
+        )
+
+    def _span(self, kind, seq, used):
+        """_SOLVE: the bundles that reduce seq to 1.  _LEAD: {(y, rest):
+        bundles} over the ways to reduce a prefix of seq to the item y
+        followed by the tuple rest, and {None: bundles} for refusals."""
+        out = {}
+        if kind == _LEAD:
+            out[(seq[0], seq[1:])] = {_NOTHING: _FREE}
+        refused = out if kind == _SOLVE else {}
+        for nxt, step in self._steps(seq, used):
+            if nxt is None:
+                self._join(step, _EMPTY_SOLVED, refused)
+                continue
+            by_counts = {}
+            for key, costs in step.items():
+                if key in _OVER:
+                    self._join({key: costs}, _EMPTY_SOLVED, refused)
+                else:
+                    by_counts.setdefault(key[1], {})[key] = costs
+            for counts, part in by_counts.items():
+                after = self._entry(kind, nxt, _add_counts(used, counts))
+                if kind == _SOLVE:
+                    self._join(part, after, out)
+                    continue
+                for head, bundles in after.items():
+                    self._join(part, bundles, out.setdefault(head, {}))
+        if kind == _LEAD:
+            # a cap reached on the way to an item is a refusal
+            for head, bundles in list(out.items()):
+                if head is None or not (
+                        _OVER_SPLITS in bundles or _OVER_FACTORS in bundles):
+                    continue
+                for key in _OVER:
+                    if key in bundles:
+                        self._join({key: bundles.pop(key)}, _EMPTY_SOLVED, refused)
+                if not bundles:
+                    del out[head]
+            if refused:
+                out[None] = refused
+        return out
+
+    def _steps(self, seq, used):
+        """(next tuple, bundles) for every move that uses up seq[0], and
+        (None, bundles) for the refusals on the way."""
+        x, rest = seq[0], seq[1:]
+        unary = self._moves.get(("u", x))
+        if unary is None:
+            unary = self._moves[("u", x)] = []
+            for move in self.unary_moves(_named(x, _LEFT), self.splits_cap > 0):
+                if move is None:
+                    self.splits_cap_bound = True
+                    break
+                unary.append(move)
+        for out, recs, split in unary:
+            if not split:
+                yield out + rest, self._move_bundles(x, (), recs, None)
+                continue
+            if x[0] == "F" and dict(used).get(x[1], 0) + sum(
+                it[0] == "F" and it[1] == x[1] for it in seq
+            ) >= FACTOR_CAP:
+                yield None, {_OVER_FACTORS: _ONE_SPLIT}
+                break
+            yield out + rest, {_NOTHING: _ONE_SPLIT}
+        if not rest or x[0] == "W":
+            # an untouched power only opens or turns zero
+            return
+        held = _add_counts(used, ((x[1], 1),)) if x[0] == "F" else used
+        for head, between in self._entry(_LEAD, rest, held).items():
+            if head is None:
+                yield None, between
+                continue
+            y, after = head
+            for out, recs, key in self._cached((x, y), self.binary_moves, x, y):
+                yield out + after, self._move_bundles(
+                    x, ((between, y),), recs, key
+                )
+            if (not after or self.ternary_moves is None
+                    or not self.starts_ternary(x, y)):
+                continue
+            by_counts = {}
+            for key, costs in between.items():
+                by_counts.setdefault(key[1], {})[key] = costs
+            for counts, part in by_counts.items():
+                lead = self._entry(_LEAD, after, _add_counts(held, counts))
+                for head2, between2 in lead.items():
+                    if head2 is None:
+                        refusals = {}
+                        self._join(part, between2, refusals)
+                        yield None, refusals
+                        continue
+                    z, last = head2
+                    for out, recs in self._cached(
+                        (x, y, z), self.ternary_moves, x, y, z
+                    ):
+                        yield out + last, self._move_bundles(
+                            x, ((part, None), (between2, z)), recs, None
+                        )
+
+    def _cached(self, key, moves, x, *others):
+        """The moves with x as the left item and the last of others as
+        the right one, their factor ids named _LEFT and _RIGHT."""
+        hit = self._moves.get(key)
+        if hit is None:
+            named = [_named(x, _LEFT)] + list(others)
+            named[-1] = _named(others[-1], _RIGHT)
+            hit = self._moves[key] = list(moves(*named))
+        return hit
+
+    def _move_bundles(self, x, parts, recs, key):
+        """Bundles of a move that uses up x and one partner per part.
+
+        parts lists (between, partner) from left to right: between holds
+        the bundles of the prefix that reduced to the partner, and the
+        move uses up the partner (None for a ternary move's middle).
+        Factor ids count from the left per power, so those of a part
+        shift by the factors before it.
+        """
+        if not parts:
+            # a unary move spends nothing and uses up at most x itself
+            if x[0] != "F":
+                return {self._key(recs, ()) if recs else _NOTHING: _FREE}
+            recs = _renumber(recs, {_LEFT: 0}.__getitem__)
+            return {self._key(recs, ((x[1], 1),)): _FREE}
+        out = {}
+        move = ((key, 1),) if key is not None else ()
+        for combo in itertools.product(*(between.items() for between, _ in parts)):
+            if x[0] == "F":
+                fids, counts = {_LEFT: 0}, {x[1]: 1}
+            else:
+                fids, counts = {}, {}
+            records = set()
+            for ((brecords, bcounts), _c), (_b, partner) in zip(combo, parts):
+                if counts:
+                    brecords = _renumber(brecords, None, counts)
+                records.update(brecords)
+                for i, n in bcounts:
+                    counts[i] = counts.get(i, 0) + n
+                if partner is not None and partner[0] == "F":
+                    fids[_RIGHT] = counts.get(partner[1], 0)
+                    counts[partner[1]] = fids[_RIGHT] + 1
+            records.update(_renumber(recs, fids.__getitem__))
+            bkey = self._key(records, tuple(sorted(counts.items())))
+            for costs in itertools.product(*(c for _k, c in combo)):
+                creations = move
+                for _splits, more in costs:
+                    creations = _add_counts(creations, more)
+                self._add_bundle(
+                    out, bkey, (sum(c[0] for c in costs), creations)
+                )
+        return out
+
+    def _join(self, left, right, out):
+        """Add to out the bundles of left followed by those of right."""
+        add = self._add_bundle
+        if len(left) == 1 and _NOTHING in left and len(left[_NOTHING]) == 1:
+            # left only spent a cost: right's bundles keep their keys
+            splits, creations = left[_NOTHING][0]
+            for key, costs in right.items():
+                if not (splits or creations) and key not in out:
+                    out[key] = costs
+                    continue
+                for s, c in costs:
+                    add(out, key, (
+                        splits + s, _add_counts(creations, c) if c else creations
+                    ))
+            return
+        for lkey, lcosts in left.items():
+            for rkey, rcosts in right.items():
+                if lkey.__class__ is str:
+                    key = lkey
+                elif rkey.__class__ is str or lkey == _NOTHING:
+                    key = rkey
+                elif rkey == _NOTHING:
+                    key = lkey
+                else:
+                    records = rkey[0]
+                    if lkey[1] and records:
+                        records = _renumber(records, None, dict(lkey[1]))
+                    key = self._key(
+                        set(lkey[0]).union(records),
+                        _add_counts(lkey[1], rkey[1]),
+                    )
+                for lcost in lcosts:
+                    if lcost == (0, ()):
+                        for rcost in rcosts:
+                            add(out, key, rcost)
+                        continue
+                    for rsplits, rcreations in rcosts:
+                        add(out, key, (
+                            lcost[0] + rsplits,
+                            _add_counts(lcost[1], rcreations),
+                        ))
+
+    def _add_bundle(self, out, key, cost):
+        """Keep a bundle cost within the caps if no kept cost is below it."""
+        splits, creations = cost
+        for _k, n in creations:
+            if n > self.creation_cap:
+                return
+        if splits > self.splits_cap:
+            key, cost = _OVER_SPLITS, (self.splits_cap + 1, creations)
+        costs = out.get(key)
+        if costs is None:
+            single = (cost,)
+            out[key] = self._shared.setdefault(single, single)
+            return
+        for old in costs:
+            if _no_more(old, cost):
+                return
+        kept = [old for old in costs if not _no_more(cost, old)]
+        out[key] = tuple(sorted(kept + [cost]))
+
+    def _key(self, records, counts):
+        """The bundle key (records, counts).
+
+        records, a set, becomes a tuple in the order records were first
+        met in this search, which takes a third of a frozenset's memory;
+        equal records, tuples and keys are shared, as they recur across
+        many bundles.
+        """
+        shared, rank = self._shared, self._rank
+        listed = []
+        for r in records:
+            r = shared.setdefault(r, r)
+            if r not in rank:
+                rank[r] = len(rank)
+            listed.append(r)
+        listed.sort(key=rank.__getitem__)
+        listed = tuple(listed)
+        key = (shared.setdefault(listed, listed), shared.setdefault(counts, counts))
+        return shared.setdefault(key, key)
+
+
+def _named(item, fid):
+    return item[:2] + (fid,) + item[3:] if item[0] == "F" else item
+
+
+def _renumber(records, rename=None, shift=None):
+    """records with factor ids renamed, or shifted by their power's offset."""
+    out = []
+    for r in records:
+        if r[0] == "assign":
+            fid = rename(r[1]) if rename else r[1] + shift.get(r[2], 0)
+            r = (r[0], fid) + r[2:]
+        elif r[0] == "pair":
+            if rename:
+                left, right = rename(r[1]), rename(r[4])
+            else:
+                left, right = r[1] + shift.get(r[2], 0), r[4] + shift.get(r[5], 0)
+            r = (r[0], left) + r[2:4] + (right,) + r[5:]
+        out.append(r)
+    return frozenset(out)
+
+
+def _add_counts(a, b):
+    """Sum of two sorted (key, count) tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    counts = dict(a)
+    for k, n in b:
+        counts[k] = counts.get(k, 0) + n
+    return tuple(sorted(counts.items()))
+
+
+def _no_more(small, big):
+    """Cost small has no more splits and no more creations at any key."""
+    if small[0] > big[0]:
+        return False
+    if not small[1]:
+        return True
+    counts = dict(big[1])
+    return all(n <= counts.get(k, 0) for k, n in small[1])

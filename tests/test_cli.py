@@ -100,10 +100,11 @@ def test_budget_exhaustion_exit_code(free_group, capsys):
 
 
 def test_incomplete_solve_warns(free_group, capsys):
-    # a splits budget below the search's ceiling, and FACTOR_CAP refusing
-    # a fourth factor of a power that the ceiling allows
+    # a splits budget that refuses the split of the constant a b' every
+    # reduction needs, and FACTOR_CAP refusing a fourth factor of a power
+    # that the splits ceiling allows
     for args in (
-        ["--expr", "a^x b a^y b'", "--budget-refinement", "0"],
+        ["--expr", "a^x a b' b^y", "--budget-refinement", "0"],
         ["--expr", "(a' b')^x (b' b b)^y a'"],
     ):
         code = main(["solve", "--group", free_group] + args)
@@ -115,8 +116,11 @@ def test_incomplete_solve_warns(free_group, capsys):
 
 def test_complete_solve_is_quiet(free_group, capsys):
     backend = build_backend(json.loads(Path(free_group).read_text()))
-    for text in ("a^x b^y", "a^x b a^y b'"):
-        code = main(["solve", "--group", free_group, "--expr", text])
+    # a splits budget that no reduction reaches leaves the answer complete
+    for args in (["a^x b^y"], ["a^x b a^y b'"],
+                 ["a^x b a^y b'", "--budget-refinement", "0"]):
+        text = args[0]
+        code = main(["solve", "--group", free_group, "--expr"] + args)
         captured = capsys.readouterr()
         assert code == 0
         data = json.loads(captured.out)

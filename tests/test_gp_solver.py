@@ -154,15 +154,41 @@ def test_free_product_script_with_atom_creation():
 def test_dominance_keeps_states_with_spare_creations():
     # b . b . b reduces only through the creation b.b -> b^2; a state
     # seen before with a creation spent somewhere must not stand in for
-    # the same state reached with every creation left
-    backend = free_z2_z3()
+    # the same state reached with every creation left.  The depth-first
+    # search, and with it this rule, runs where items commute: here in
+    # Z2 x Z3
+    backend = GraphProductBackend(
+        [cyclic_group(2, "a"), cyclic_group(3, "b")], [(0, 1)]
+    )
     b = backend.elem_from_word(("b",))
     items = (("C", b),) * 3
     for spent in ({0: 1}, {1: 1}):
         search = ReductionSearch(backend.monoid, {}, 0, 1, SEARCH_STATES_CAP)
+        assert search.use_dfs
         search.seen[(items, (), frozenset())] = [(0, spent)]
         assert frozenset() in search.run(items), spent
         assert search.states > 0
+
+
+def test_span_solver_keeps_spans_with_spare_creations():
+    # over Z2 * Z3 the span solver solves every tuple once, for all the
+    # creations its reductions spend.  In b^2 . b . b . b . b the span
+    # b . b . b is reached both after b^2 . (b . b) -> b, which spends
+    # two creations, and after the cancellation b^2 . b -> 1, which
+    # spends none; solved in the first place, it must still reduce in
+    # the second
+    backend = free_z2_z3()
+    b = backend.elem_from_word(("b",))
+    b2 = backend.elem_from_word(("b", "b"))
+    for items, cap, reduces in (
+        ((("C", b),) * 3, 1, True),
+        ((("C", b),) * 3, 0, False),
+        ((("C", b2),) + (("C", b),) * 4, 1, True),
+        ((("C", b2),) + (("C", b),) * 4, 0, False),
+    ):
+        search = ReductionSearch(backend.monoid, {}, 0, cap, SEARCH_STATES_CAP)
+        assert not search.use_dfs
+        assert (frozenset() in search.run(items)) is reduces, (len(items), cap)
 
 
 def test_search_states_budget_reported():
