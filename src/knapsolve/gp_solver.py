@@ -15,19 +15,28 @@ is particular to graph products:
   - factors are cut by the power-factorization grids, and matched factor
     pairs are resolved by the exact two-dimensional trace solver.
 
+A graph product over a join is the direct product of the graph
+products over its co-components (the connected components of the
+non-commutation graph), so e = 1 iff each projection of e onto a
+factor's letters is 1.  solve_exponent_graph_product then solves each
+projection that keeps a power with that factor's own solver (a vertex
+group's, or this one on the induced subgraph), checks the others by the
+word problem and intersects the factors' solution sets.
+
 The moves of the search are written once, as generators.  Without
 edges (free products) nothing commutes and the search is the span solver
-of module reduction.  With edges it is the depth-first search, which
-treats the tuple of factors modulo commutation of independent entries,
-so it never enumerates swap sequences explicitly; two entries interact
-when nothing lies strictly between them in the dependence order of the
-tuple.
+of module reduction.  With edges, on graphs that are not joins, it is
+the depth-first search, which treats the tuple of factors modulo
+commutation of independent entries, so it never enumerates swap
+sequences explicitly; two entries interact when nothing lies strictly
+between them in the dependence order of the tuple.
 """
 
 import itertools
 
 from .errors import InputError
-from .groups import GroupBackend, backend_of, require_elements
+from .expr import expr_from_entries
+from .groups import GroupBackend, backend_of, require_elements, solve_exponent
 from .reduction import (
     SEARCH_STATES_CAP,
     ReductionSearchBase,
@@ -62,6 +71,44 @@ class GraphProductBackend(GroupBackend):
         self.monoid = TraceMonoid(children, edges)
         self.alphabet = self.monoid.alphabet
         self.identity_elem = self.monoid.empty_trace()
+        self.direct_factors = self._direct_factors()
+
+    def _direct_factors(self):
+        """The direct factors, one per co-component; () if there is one.
+
+        Co-components are the connected components of the non-commutation
+        graph; the group is the direct product of their graph products.
+        A one-vertex factor is that vertex's backend.
+        """
+        monoid = self.monoid
+        n = len(monoid.vertices)
+        parent = list(range(n))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for v, w in monoid.dependent_vertex_pairs():
+            parent[find(v)] = find(w)
+        parts = {}
+        for v in range(n):
+            parts.setdefault(find(v), []).append(v)
+        if len(parts) < 2:
+            return ()
+        factors = []
+        for part in parts.values():
+            if len(part) == 1:
+                factors.append(monoid.vertices[part[0]])
+                continue
+            index = {v: k for k, v in enumerate(part)}
+            factors.append(GraphProductBackend(
+                [monoid.vertices[v] for v in part],
+                [(index[v], index[w]) for v, w in monoid.edges
+                 if v < w and v in index and w in index],
+            ))
+        return tuple(factors)
 
     def elem_from_word(self, word):
         self.check_word(word)
@@ -717,8 +764,51 @@ def _form_sig(form):
 def solve_exponent_graph_product(desc, e, splits_budget=None,
                                  states_budget=SEARCH_STATES_CAP,
                                  diagnostics=None):
-    """Solution set of e = 1 over the graph product described by desc."""
-    return solve_by_reduction(
-        GraphProductScheme(backend_of(desc, GraphProductBackend)), e,
-        splits_budget, states_budget, diagnostics,
-    )
+    """Solution set of e = 1 over the graph product described by desc.
+
+    Over a join the group is the direct product of its factors, so e = 1
+    iff each projection of e onto a factor's letters is 1: the answer is
+    the intersection of the factors' solution sets.
+    """
+    backend = backend_of(desc, GraphProductBackend)
+    if not backend.direct_factors:
+        return solve_by_reduction(
+            GraphProductScheme(backend), e,
+            splits_budget, states_budget, diagnostics,
+        )
+    for period, _var, tail in e.factors:
+        backend.check_word(period)
+        backend.check_word(tail)
+    stats = diagnostics if diagnostics is not None else {}
+    for key in ("branches", "reductions", "states", "grids"):
+        stats.setdefault(key, 0)
+    stats.setdefault("complete", True)
+    names = e.variables
+    result = None
+    for factor in backend.direct_factors:
+        entries = []
+        for period, var, tail in e.factors:
+            period = tuple(a for a in period if a in factor.alphabet)
+            if period:
+                entries.append(("p", var, period))
+            entries.append(("e", tuple(a for a in tail if a in factor.alphabet)))
+        if not any(entry[0] == "p" for entry in entries):
+            if not factor.word_problem(sum((w for _e, w in entries), ())):
+                return SemilinearSet.empty(names)
+            continue
+        e_factor = expr_from_entries(entries)
+        if isinstance(factor, GraphProductBackend):
+            sols = solve_exponent_graph_product(
+                factor, e_factor, splits_budget, states_budget, stats
+            )
+        else:
+            sols = solve_exponent(factor, e_factor)
+        free = tuple(v for v in names if v not in sols.vars)
+        if free:
+            sols = sols.direct_sum(SemilinearSet.universe(free))
+        sols = sols._aligned_to(names)
+        result = sols if result is None else result.intersect(sols)
+        if result.is_empty_representation():
+            break
+    assert result is not None, "every period keeps a power in some factor"
+    return result

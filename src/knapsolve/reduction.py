@@ -15,9 +15,11 @@ Both solvers answer e = 1 with one scheme:
      amalgams) it is a span solver: a reduction is a non-crossing
      cancellation pattern, so it branches only on how the leftmost item
      is used up and solves every tuple once.  Where they commute (graph
-     products with edges) it is a depth-first search over states that
-     drops a state only when an earlier one with the same items had no
-     more splits and, at every key, no more creations;
+     products with edges that are not joins; a join is split into its
+     direct factors before, see gp_solver) it is a depth-first search
+     over states that drops a state only when an earlier one with the
+     same items had no more splits and, at every key, no more
+     creations;
   4. cut the factors of every well-behaved power into shapes, resolve
      the factors the search assigned a concrete value, solve matched
      factor pairs with the group's two-dimensional solver, and

@@ -38,6 +38,14 @@ def path_p3():
     )
 
 
+def path_p4():
+    return GraphProductBackend(
+        [cyclic_group(2, "a"), cyclic_group(2, "b"), cyclic_group(2, "c"),
+         cyclic_group(2, "d")],
+        [(0, 1), (1, 2), (2, 3)],
+    )
+
+
 def free_f2():
     return GraphProductBackend(
         [IntegerGroup("a"), IntegerGroup("b")], []
@@ -383,6 +391,40 @@ def test_diagnostics_count_states_when_the_budget_ends_the_search():
             states_budget=50, diagnostics=diag,
         )
     assert diag["states"] >= 50
+
+
+def test_split_diagnostics_carry_every_key():
+    diag = {}
+    solve_exponent_graph_product(
+        direct_z2_z2(), parse_expr("a^x b^y (a b)"), diagnostics=diag
+    )
+    assert diag == {
+        "branches": 0, "reductions": 0, "states": 0, "grids": 0,
+        "complete": True,
+    }
+
+
+def test_split_diagnostics_count_states_when_the_budget_ends_the_search():
+    diag = {}
+    with pytest.raises(BudgetExceededError):
+        solve_exponent_graph_product(
+            path_p3(), parse_expr("(a c')^x (c')^y (c')^z c a"),
+            states_budget=20, diagnostics=diag,
+        )
+    assert diag["states"] > 0
+
+
+def test_non_join_graph_runs_the_depth_first_search():
+    backend = path_p4()
+    assert backend.direct_factors == ()
+    assert GraphProductScheme(backend).search({}, 0, 0, 1).use_dfs
+    for text in ("a^x b d^y b", "(a b)^x b a", "a^x d^y a d"):
+        e = parse_expr(text)
+        diag = {}
+        S = solve_exponent_graph_product(backend, e, diagnostics=diag)
+        assert diag["states"] > 0
+        rep = compare(backend, e, S, 6)
+        assert rep["ok"], (text, rep["mismatches"][:5])
 
 
 def test_repeated_variable_occurrences():

@@ -34,6 +34,33 @@ Z2_Z2_TABLE = {
     "generators": {"a": 1, "b": 2},
 }
 
+Z2_Z3_PRODUCT = {
+    "type": "GraphProduct",
+    "vertices": [Z2, Z3],
+    "edges": [[0, 1]],
+}
+Z6_TABLE = {
+    "type": "FiniteGroup",
+    "elements": ["0", "1", "2", "3", "4", "5"],
+    "table": [[(i + j) % 6 for j in range(6)] for i in range(6)],
+    "generators": {"a": 3, "b": 2},
+}
+
+Z2_C = {**Z2, "generator": "c"}
+PATH_P3_FLAT = {
+    "type": "GraphProduct",
+    "vertices": [Z2, {**Z2, "generator": "b"}, Z2_C],
+    "edges": [[0, 1], [1, 2]],
+}
+PATH_P3_NESTED = {
+    "type": "GraphProduct",
+    "vertices": [
+        {"type": "FreeProduct", "children": [Z2, Z2_C]},
+        {**Z2, "generator": "b"},
+    ],
+    "edges": [[0, 1]],
+}
+
 Z_LEAF = {"type": "IntegerGroup", "generator": "t"}
 Z_HNN = {
     "type": "Hnn",
@@ -51,6 +78,10 @@ Z_HNN = {
     (NESTED_FREE, FLAT_FREE, "(a b z)^x (z' b' a)^y"),
     (Z2_Z2_PRODUCT, Z2_Z2_TABLE, "(a b)^x a b"),
     (Z2_Z2_PRODUCT, Z2_Z2_TABLE, "(a b)^x (b)^y a"),
+    (Z2_Z3_PRODUCT, Z6_TABLE, "(a b)^x (b' a)^y b"),
+    (Z2_Z3_PRODUCT, Z6_TABLE, "(a b b)^x a b^y"),
+    (PATH_P3_FLAT, PATH_P3_NESTED, "(a b c)^x (c' b' a')^y"),
+    (PATH_P3_FLAT, PATH_P3_NESTED, "(a c)^x b (a c)^y b"),
     (Z_LEAF, Z_HNN, "t^x t'^4"),
     (Z_LEAF, Z_HNN, "(t t)^x (t' t' t')^y t"),
 ])
