@@ -78,12 +78,12 @@ Z_HNN = {
     (NESTED_FREE, FLAT_FREE, "(a b z)^x (z' b' a)^y"),
     (Z2_Z2_PRODUCT, Z2_Z2_TABLE, "(a b)^x a b"),
     (Z2_Z2_PRODUCT, Z2_Z2_TABLE, "(a b)^x (b)^y a"),
+    (Z_LEAF, Z_HNN, "t^x t'^4"),
+    (Z_LEAF, Z_HNN, "(t t)^x (t' t' t')^y t"),
     (Z2_Z3_PRODUCT, Z6_TABLE, "(a b)^x (b' a)^y b"),
     (Z2_Z3_PRODUCT, Z6_TABLE, "(a b b)^x a b^y"),
     (PATH_P3_FLAT, PATH_P3_NESTED, "(a b c)^x (c' b' a')^y"),
     (PATH_P3_FLAT, PATH_P3_NESTED, "(a c)^x b (a c)^y b"),
-    (Z_LEAF, Z_HNN, "t^x t'^4"),
-    (Z_LEAF, Z_HNN, "(t t)^x (t' t' t')^y t"),
 ])
 def test_isomorphic_presentations_agree(left, right, text):
     e = parse_expr(text)
