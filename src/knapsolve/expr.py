@@ -73,13 +73,6 @@ class ExponentExpression:
     def length(self):
         return sum(len(p) + len(t) for p, _v, t in self.factors)
 
-    def letters(self):
-        out = set()
-        for p, _v, t in self.factors:
-            out.update(p)
-            out.update(t)
-        return out
-
     def evaluate(self, valuation):
         """The word u1^{sigma(x1)} v1 ... for a total valuation sigma."""
         word = []
@@ -169,14 +162,6 @@ def parse_expr(text):
     return expr_from_entries(items)
 
 
-def format_expr(e):
-    parts = []
-    for period, var, tail in e.factors:
-        parts.append("(" + " ".join(period) + f")^{var}")
-        parts.extend(tail)
-    return " ".join(parts)
-
-
 class Renaming:
     """Fresh names for repeated occurrences of variables, and their diagonal.
 
@@ -231,34 +216,11 @@ def knapsackify(e):
     return e_prime, renaming.diagonal()
 
 
-def expr_to_json_dict(e):
-    return {
-        "factors": [
-            {"period": list(p), "var": v, **({"tail": list(t)} if t else {})}
-            for p, v, t in e.factors
-        ]
-    }
-
-
-def expr_from_json_dict(data):
-    try:
-        factors = [
-            (tuple(f["period"]), f["var"], tuple(f.get("tail", ())))
-            for f in data["factors"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"bad expression JSON: {exc}") from exc
-    return ExponentExpression(factors)
-
-
 __all__ = [
     "ExponentExpression",
     "normalize",
     "expr_from_entries",
     "parse_expr",
-    "format_expr",
     "knapsackify",
-    "expr_to_json_dict",
-    "expr_from_json_dict",
     "invert_word",
 ]

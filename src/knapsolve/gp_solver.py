@@ -353,13 +353,16 @@ class ReductionSearch(ReductionSearchBase):
 # Power factorization grids
 
 
+#: the caches of this module key by the monoid itself, not its id(): a
+#: key keeps its monoid alive, so a new monoid never meets a freed one's
+#: entries
 _FACTORIZATION_CACHE = {}
 _GRID_CACHE = {}
 
 
 def _ordered_factorizations(t, parts):
     """All tuples (w_1, ..., w_parts) with w_1 ... w_parts = t."""
-    key = (id(t.monoid), t.atoms, parts)
+    key = (t.monoid, t.atoms, parts)
     cached = _FACTORIZATION_CACHE.get(key)
     if cached is not None:
         return cached
@@ -386,7 +389,7 @@ def simplify_power_factorization(u, m):
     """
     assert u.atoms and is_connected(u)
     assert m >= 1
-    key = (id(u.monoid), u.atoms, m)
+    key = (u.monoid, u.atoms, m)
     cached = _GRID_CACHE.get(key)
     if cached is not None:
         return cached
@@ -492,7 +495,7 @@ def two_dim_trace_solve(p, u, s, q, v, t):
     if not u.atoms or not v.atoms:
         raise InputError("two_dim_trace_solve needs nonempty periods")
     key = (
-        id(monoid),
+        monoid,
         p.atoms, u.atoms, s.atoms, q.atoms, v.atoms, t.atoms,
     )
     cached = _TWO_DIM_CACHE.get(key)
@@ -562,7 +565,7 @@ _CONCRETE_POWER_CACHE = {}
 
 def _solve_concrete_power(prefix, u, suffix, target):
     """The unique x >= 1 with prefix u^x suffix = target, or None."""
-    key = (id(u.monoid), prefix.atoms, u.atoms, suffix.atoms, target.atoms)
+    key = (u.monoid, prefix.atoms, u.atoms, suffix.atoms, target.atoms)
     if key in _CONCRETE_POWER_CACHE:
         return _CONCRETE_POWER_CACHE[key]
     slack = len(target.atoms) - len(prefix.atoms) - len(suffix.atoms)
@@ -673,7 +676,7 @@ class GraphProductScheme(Scheme):
             for fid in sorted(first):
                 fid_map[fid] = len(fid_map)
         key = (
-            id(wb[order[0]].monoid),
+            wb[order[0]].monoid,
             tuple(
                 (wb[i], tuple(
                     (c, tuple(sorted(

@@ -10,10 +10,10 @@ HNN-extensions:
   - periods become a base element or a well-behaved core via the power
     presentation u^m = s v^m p, and a base-element power is zero when
     the base group's solver says so;
-  - in the search, constants split at letter positions, adjacent base
-    items merge or discharge into base-group constraints, and
-    generalized cancellations consume two t-bearing items around a
-    connecting element from A u B;
+  - in the search, constants with a stable letter split at letter
+    positions, adjacent base items merge or discharge into base-group
+    constraints, and generalized cancellations consume two t-bearing
+    items around a connecting element from A u B;
   - factors are cut at letter positions into s u^{x_j} p, and matched
     factor pairs are resolved by the two-dimensional automaton solver.
 
@@ -412,6 +412,8 @@ def _connect_product(backend, n1, n2, a, b):
     return Nfa(states, transitions, initials, finals)
 
 
+#: keyed by the backend itself, not its id(): a key keeps its backend
+#: alive, so a new backend never meets a freed one's entries
 _HNN_TWO_DIM_CACHE = {}
 
 
@@ -431,7 +433,7 @@ def two_dim_hnn_solve(backend, a, u1, u, u2, v1, v, v2, b):
     for w in (u, v):
         if not w.tcount:
             raise InputError("two_dim_hnn_solve needs periods containing t")
-    key = (id(backend), a, u1, u, u2, v1, v, v2, b)
+    key = (backend, a, u1, u, u2, v1, v, v2, b)
     cached = _HNN_TWO_DIM_CACHE.get(key)
     if cached is not None:
         return cached
@@ -474,7 +476,8 @@ class HnnReductionSearch(ReductionSearchBase):
     Records are ("zero", i), ("val", entries, a), ("assign", fid, i,
     value) and ("pair", fidL, iL, a, fidR, iR, b); all atom creations
     are counted under the one key "B".  Items never commute, so run() is
-    the span solver.
+    the span solver.  Only constants with a stable letter split, so no
+    tuple reaches itself and the span solver solves each tuple once.
     """
 
     def __init__(self, backend, powers, splits_cap, creation_cap, states_cap):
@@ -509,7 +512,11 @@ class HnnReductionSearch(ReductionSearchBase):
                 yield None
                 return
             yield (("F", item[1], None), ("F", item[1], None)), (), True
-        elif tag == "C":
+        elif tag == "C" and not item[1].is_base():
+            # a base constant never splits: base items merge in any
+            # grouping and a base run is used up only by a merge, a val
+            # record or a cancellation middle, so whatever uses the pieces
+            # the unsplit constant reaches too, at lower cost
             backend = self.backend
             letters = item[1].letters(backend.stable)
             if len(letters) > 1 and not splits:

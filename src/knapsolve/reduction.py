@@ -8,18 +8,19 @@ Both solvers answer e = 1 with one scheme:
   2. guess which atomic powers evaluate to the identity and solve each
      guessed power inside its vertex or base group;
   3. search for reductions of the remaining factor tuple: constants
-     split, symbolic powers split into factors, neighbouring atoms merge
-     or discharge into local constraints, matching factors cancel; the
+     split (in an HNN-extension only those with a stable letter),
+     symbolic powers split into factors, neighbouring atoms merge or
+     discharge into local constraints, matching factors cancel; the
      search runs to the scheme's ceilings on splits and atom creations.
      Where items do not commute (free products, HNN-extensions and
      amalgams) it is a span solver: a reduction is a non-crossing
      cancellation pattern, so it branches only on how the leftmost item
-     is used up and solves every tuple once.  Where they commute (graph
-     products with edges that are not joins; a join is split into its
-     direct factors before, see gp_solver) it is a depth-first search
-     over states that drops a state only when an earlier one with the
-     same items had no more splits and, at every key, no more
-     creations;
+     is used up; as no tuple reaches itself, it solves every tuple once,
+     in a plain memo.  Where they commute (graph products with edges
+     that are not joins; a join is split into its direct factors
+     before, see gp_solver) it is a depth-first search over states that
+     drops a state only when an earlier one with the same items had no
+     more splits and, at every key, no more creations;
   4. cut the factors of every well-behaved power into shapes, resolve
      the factors the search assigned a concrete value, solve matched
      factor pairs with the group's two-dimensional solver, and
@@ -379,6 +380,8 @@ _NOTHING = ((), ())
 _FREE, _ONE_SPLIT = ((0, ()),), ((1, ()),)
 #: the bundles of the empty tuple, which is reduced already
 _EMPTY_SOLVED = {_NOTHING: _FREE}
+#: the memo's mark of an entry that is being solved
+_SOLVING = "solving"
 #: factor ids of the left and the right item that a move uses up
 _LEFT, _RIGHT = "left", "right"
 
@@ -421,8 +424,8 @@ class ReductionSearchBase:
     per power and Pareto-minimal (splits, creations), and the caps are
     checked where bundles combine.  There a split that FACTOR_CAP
     refuses is noted only when the path to it stays within the other
-    caps, and states counts the tuples solved (a tuple solved again
-    inside a cycle counts again).  Where items commute (use_dfs), run() is
+    caps, and states counts the tuples solved.  The moves must never
+    lead a tuple back to itself.  Where items commute (use_dfs), run() is
     a depth-first search over states (items, orders, records, splits,
     creations) that skips a state when one with the same items, orders
     and records was seen with no more splits and, on every key, no more
@@ -609,15 +612,13 @@ class ReductionSearchBase:
     # -- span solver over items that do not commute --------------------
 
     def _span_run(self, items, opened):
-        self._memo, self._value, self._version = {}, {}, {}
-        self._reads, self._pending, self._stack, self._low = {}, [], [], 0
-        self._moves, self._shared, self._rank = {}, {}, {}
+        self._memo, self._moves, self._shared, self._rank = {}, {}, {}, {}
+        self._depth = 0
         try:
             bundles = self._entry(_SOLVE, items, ())
         finally:
             # the memo holds every solved tuple; free it with the search
-            self._memo = self._value = self._version = self._reads = None
-            self._moves = self._shared = self._rank = None
+            self._memo = self._moves = self._shared = self._rank = None
         for key in bundles:
             if key == _OVER_SPLITS:
                 self.splits_cap_bound = True
@@ -635,20 +636,14 @@ class ReductionSearchBase:
                 self.results.setdefault(records, orders)
 
     def _entry(self, kind, seq, used):
-        """The bundles of seq for kind.
+        """The bundles of seq for kind, solved once and memoised.
 
         used counts, per power, the factors made left of seq (used up,
         or waiting for a partner in seq); only powers with factor items
-        in seq are kept, as only their splits depend on it.
-
-        _memo maps a solved entry to its bundles and an entry being
-        solved or provisional to the depth it depends on.  Entries can
-        depend on each other in a cycle (split pieces merge back).  An
-        entry met again while it is being solved is read as far as it is
-        solved, and entries solved from such reads stay provisional; each
-        read records the version it saw.  When the first entry of the
-        cycle is solved, the provisional entries whose reads went stale
-        are solved again until none is, and all of them become final.
+        in seq are kept, as only their splits depend on it.  No entry
+        depends on itself, as no move splits an item that others could
+        merge back into it (see HnnReductionSearch.unary_moves); an entry
+        met again while it is being solved raises AssertionError.
         """
         if not seq:
             return _EMPTY_SOLVED if kind == _SOLVE else {}
@@ -657,92 +652,23 @@ class ReductionSearchBase:
             used = tuple(count for count in used if count[0] in live)
         key = (kind, seq, used)
         hit = self._memo.get(key)
+        if hit is _SOLVING:
+            raise AssertionError(f"the span solver reached {seq} from itself")
         if hit is not None:
-            if hit.__class__ is dict:
-                return hit
-            # being solved, or provisional: read it as it stands
-            self._low = min(self._low, hit)
-            reads = self._reads.setdefault(self._stack[-1], {})
-            reads[key] = self._version.get(key, 0)
-            return self._value.get(key, {})
-        start = len(self._pending)
-        depth = len(self._stack)
-        outer_low = self._low
-        result = self._solve(key, depth)
-        low = self._low
-        self._low = min(outer_low, low)
-        if low >= depth and len(self._pending) == start and key not in self._reads:
-            # no cycle runs through this entry
-            self._memo[key] = result
-            return result
-        self._store(key, result)
-        if low < depth:
-            self._memo[key] = low
-            self._pending.append(key)
-            return result
-        group = self._pending[start:] + [key]
-        del self._pending[start:]
-        for member in group:
-            self._memo[member] = depth
-        # sweep in the order the entries were first solved, which puts
-        # most of them after the entries they read, until no read is stale
-        stale = True
-        while stale:
-            stale = False
-            for member in list(group):
-                if not self._stale(member):
-                    continue
-                stale = True
-                old = len(self._pending)
-                self._store(member, self._solve(member, depth, depth))
-                self._low = min(outer_low, self._low)
-                grown = self._pending[old:]
-                del self._pending[old:]
-                for new in grown:
-                    self._memo[new] = depth
-                group += grown
-        for member in group:
-            self._memo[member] = self._value.pop(member)
-            self._reads.pop(member, None)
-            del self._version[member]
-        return self._memo[key]
-
-    def _solve(self, key, depth, prior=None):
-        """The bundles of the entry key, solved at stack depth depth;
-        prior is its mark in _memo to restore afterwards."""
-        if depth >= SPAN_DEPTH_CAP:
+            return hit
+        if self._depth >= SPAN_DEPTH_CAP:
             raise BudgetExceededError("reduction search depth", SPAN_DEPTH_CAP)
         self.states += 1
         if self.states > self.states_cap:
             raise BudgetExceededError("reduction search states", self.states_cap)
-        self._stack.append(key)
-        self._memo[key] = depth
-        if self._reads:
-            self._reads.pop(key, None)
-        self._low = depth
+        self._memo[key] = _SOLVING
+        self._depth += 1
         try:
-            return self._span(*key)
+            result = self._span(kind, seq, used)
         finally:
-            self._stack.pop()
-            if prior is None:
-                del self._memo[key]
-            else:
-                self._memo[key] = prior
-
-    def _store(self, key, result):
-        """Keep a provisional result; its version moves when it changed."""
-        old = self._value.get(key)
-        if old is None or result != old:
-            self._version[key] = self._version.get(key, 0) + 1
-            self._value[key] = result
-
-    def _stale(self, key):
-        """Whether an entry read a version that has changed since."""
-        version = self._version
-        return any(
-            version.get(k, 0) != seen
-            for k, seen in self._reads.get(key, {}).items()
-        )
+            self._depth -= 1
+        self._memo[key] = result
+        return result
 
     def _span(self, kind, seq, used):
         """_SOLVE: the bundles that reduce seq to 1.  _LEAD: {(y, rest):

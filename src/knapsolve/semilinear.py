@@ -17,7 +17,6 @@ renaming by a system over the component's own period coefficients alone.
 """
 
 import itertools
-import json
 
 from .errors import BudgetExceededError, InputError
 
@@ -456,9 +455,6 @@ class SemilinearSet:
             ],
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_dict(), indent=indent)
-
     @classmethod
     def from_json_dict(cls, data):
         try:
@@ -469,11 +465,3 @@ class SemilinearSet:
             return cls(tuple(data["vars"]), comps)
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad SemilinearSet JSON: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON: {exc}") from exc
-        return cls.from_json_dict(data)

@@ -7,10 +7,7 @@ import pytest
 from knapsolve.errors import InputError
 from knapsolve.expr import (
     ExponentExpression,
-    format_expr,
     knapsackify,
-    expr_from_json_dict,
-    expr_to_json_dict,
     parse_expr,
 )
 from knapsolve.groups import IntegerGroup, solve_exponent
@@ -94,13 +91,3 @@ def test_knapsackify_three_occurrences():
     assert e2.degree() == e.degree()
     for v in itertools.product(range(4), repeat=3):
         assert K.membership(v) == (v[0] == v[1] == v[2])
-
-
-def test_json_round_trip():
-    e = parse_expr("(a b)^x c (a)^y")
-    assert expr_from_json_dict(expr_to_json_dict(e)) == e
-
-
-def test_format_round_trip():
-    e = parse_expr("(a b)^x c (a)^y")
-    assert parse_expr(format_expr(e)) == e

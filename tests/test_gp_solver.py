@@ -1,6 +1,8 @@
 """Graph-product solver: preprocessing, reductions, grids, full pipeline."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -216,6 +218,19 @@ def test_two_dim_diagonal():
     empty = backend.monoid.empty_trace()
     lines = two_dim_trace_solve(empty, u, empty, empty, u, empty)
     assert lines == [(0, 1, 0, 1)]
+
+
+def test_two_dim_cache_keeps_its_monoid_alive():
+    """The cache keys by the monoid itself, so a freed monoid's address
+    cannot be reused by a new one while its entries stand."""
+    backend = free_z2_z3()
+    u = backend.elem_from_word(("a", "b"))
+    empty = backend.monoid.empty_trace()
+    two_dim_trace_solve(empty, u, empty, empty, u, empty)
+    ref = weakref.ref(backend.monoid)
+    del backend, u, empty
+    gc.collect()
+    assert ref() is not None
 
 
 def test_two_dim_index_shift():

@@ -1,6 +1,8 @@
 """HNN-extensions and amalgams: reduction, equality, powers, full solver."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -199,6 +201,34 @@ def test_two_dim_signature_mismatch_empty():
     # and length 0 fails the base equation a != 1
     lines = two_dim_hnn_solve(backend, (), one, u, one, one, w, backend.base_bw(("a",)), ())
     assert lines == []
+
+
+def test_two_dim_cache_never_serves_a_freed_backend():
+    """A new backend at the address of a freed one gets its own lines.
+
+    (t a a)^x = t^y holds for every even x = y over Z4 with A = B =
+    {1, a a}, and only at x = y = 0 with A = B = 1.
+    """
+    def solve(backend):
+        one = backend.identity_bw()
+        u, v = backend.parse(("t", "a", "a")), backend.parse(("t",))
+        return two_dim_hnn_solve(backend, (), one, u, one, one, v, one, ())
+
+    refs = []
+    for _ in range(50):
+        backend = HnnBackend(
+            cyclic_group(4, "a"), "t", [(), ("a", "a")], [(), ("a", "a")]
+        )
+        assert solve(backend) == [(0, 0, 0, 0), (2, 2, 2, 2)]
+        refs.append(weakref.ref(backend))
+    del backend
+    gc.collect()
+    for _ in range(200):
+        backend = HnnBackend(cyclic_group(4, "a"), "t", [()], [()])
+        assert solve(backend) == [(0, 0, 0, 0)]
+    # address reuse is up to the allocator; what rules it out is that
+    # the cache keeps every backend it holds entries of alive
+    assert all(ref() is not None for ref in refs)
 
 
 def _expand_lines(lines, box):

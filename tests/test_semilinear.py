@@ -207,7 +207,7 @@ def test_union_commutative_associative():
 
 def test_json_round_trip():
     S = SemilinearSet(("x", "y"), [LinearSet((1, 2), [(3, 0)])])
-    assert SemilinearSet.from_json(S.to_json()) == S
+    assert SemilinearSet.from_json_dict(S.to_json_dict()) == S
 
 
 # -- intersection with a renaming diagonal, and the slack cap -------------

@@ -5,6 +5,11 @@ search as a span solver; the depth-first search over states, driven by
 the same move generators, stays for graph products with edges.  Here
 both run on the same item tuples with small caps and must return the
 same {records: orders} map.
+
+The span solver is a plain memo: it requires that no tuple reaches
+itself.  The HNN moves keep that by never splitting a constant without
+the stable letter (its pieces could only merge back), and a toy search
+whose moves break it must fail with an AssertionError.
 """
 
 import random
@@ -22,7 +27,7 @@ from knapsolve.hnn import (
     HnnScheme,
 )
 from knapsolve.oracle import compare
-from knapsolve.reduction import SEARCH_STATES_CAP
+from knapsolve.reduction import SEARCH_STATES_CAP, ReductionSearchBase
 
 FREE_Z2_Z3 = {
     "type": "FreeProduct",
@@ -153,6 +158,8 @@ AMALGAM_Z4_Z2_Z4 = {
     (FREE_Z2_Z3, "(a b')^x (b')^y (b a)^z a", 3),
     (AMALGAM_Z4_Z2_Z4, "(b' a' b)^x a b (a' b)^y b", 4),
     (AMALGAM_Z4_Z2_Z4, "(a b b)^x a (b')^y b (a b)^z", 3),
+    # split base constants merged back here (amalgam d3/5 of solve-corpus)
+    (AMALGAM_Z4_Z2_Z4, "(a' b')^x (a')^y (b b a)^z", 3),
 ])
 def test_edgeless_searches_answer(desc, text, box):
     backend = build_backend(desc)
@@ -162,3 +169,33 @@ def test_edgeless_searches_answer(desc, text, box):
     assert time.perf_counter() - start < 5.0
     report = compare(backend, e, sols, box)
     assert report["ok"], report["mismatches"][:3]
+
+
+def test_base_constants_never_split():
+    backend = amalgam_z4_z2_z4()
+    search = HnnReductionSearch(backend, {}, 4, 4, SEARCH_STATES_CAP)
+    item = ("C", backend.parse(("b", "b")))
+    assert item[1].is_base()
+    assert list(search.unary_moves(item, True)) == []
+    assert list(search.unary_moves(item, False)) == []
+    # a constant with the stable letter still splits
+    item = ("C", backend.parse(("b", "t", "b")))
+    assert any(split for _out, _recs, split in search.unary_moves(item, True))
+
+
+class MergeBackSearch(ReductionSearchBase):
+    """A toy search: "ab" splits into "a" and "b", which merge back."""
+
+    def unary_moves(self, item, splits):
+        if item[1] == "ab":
+            yield (("C", "a"), ("C", "b")), (), True
+
+    def binary_moves(self, left, right):
+        if (left[1], right[1]) == ("a", "b"):
+            yield (("C", "ab"),), (), None
+
+
+def test_span_solver_rejects_a_tuple_that_reaches_itself():
+    search = MergeBackSearch({}, 2, 2, SEARCH_STATES_CAP)
+    with pytest.raises(AssertionError, match="from itself"):
+        search.run((("C", "ab"),))
