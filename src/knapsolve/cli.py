@@ -5,14 +5,17 @@
 
 Group files hold a constructor-tagged description tree (see
 groups.build_backend); expressions use the textual syntax of
-expr.parse_expr.  solve prints {"vars", "components", "diagnostics"}
-and exits 0, or prints {"diagnostics"} and exits 2 when a search budget
-was exhausted, or exits 1 on bad input.  --budget-refinement caps the
-refinement splits and --budget-automata the states of the reduction
-search; --fast caps the splits at FAST_SPLITS_BUDGET.  solve warns on
-stderr when diagnostics["complete"] is false: a splits cap below the
-search's ceiling, or FACTOR_CAP, refused a split.  verify compares a
-saved result against brute force on a box.
+expr.parse_expr.  solve makes one call to groups.solve_exponent, the
+solve entry of every group, and prints {"vars", "components",
+"diagnostics"} and exits 0, or prints {"diagnostics"} and exits 2 when
+a search budget was exhausted, or exits 1 on bad input, a negative
+budget or box included.  --budget-refinement caps the refinement splits
+and --budget-automata the states of every reduction search of the
+solve, nested ones included; --fast caps the splits at
+FAST_SPLITS_BUDGET.  solve warns on stderr when diagnostics["complete"]
+is false: a splits cap below a search's ceiling, or FACTOR_CAP, refused
+a split in the solve or in a nested one.  verify compares a saved
+result against brute force on a box.
 """
 
 import argparse
@@ -21,16 +24,9 @@ import sys
 
 from .errors import BudgetExceededError, InputError
 from .expr import parse_expr
-from .finite_ext import FiniteExtBackend, solve_exponent_finite_ext
-from .gp_solver import GraphProductBackend, solve_exponent_graph_product
 from .groups import build_backend, solve_exponent
-from .hnn import (
-    AmalgamBackend,
-    HnnBackend,
-    solve_exponent_amalgam,
-    solve_exponent_hnn,
-)
 from .oracle import compare
+from .reduction import SEARCH_STATES_CAP
 from .semilinear import SemilinearSet
 
 #: --fast trades completeness for speed by capping refinement splits
@@ -48,33 +44,6 @@ def _load_group(path):
     return build_backend(desc)
 
 
-#: backends solved by the guess-and-reduce search, with their solvers
-SEARCHING_SOLVERS = (
-    (GraphProductBackend, solve_exponent_graph_product),
-    (HnnBackend, solve_exponent_hnn),
-    (AmalgamBackend, solve_exponent_amalgam),
-)
-
-
-def _dispatch_solve(backend, e, splits_budget, states_budget, diagnostics):
-    for cls, solve in SEARCHING_SOLVERS:
-        if isinstance(backend, cls):
-            kwargs = {"splits_budget": splits_budget, "diagnostics": diagnostics}
-            if states_budget is not None:
-                kwargs["states_budget"] = states_budget
-            return solve(backend, e, **kwargs)
-    if isinstance(backend, FiniteExtBackend):
-        return solve_exponent_finite_ext(backend, e, diagnostics=diagnostics)
-    return solve_exponent(backend, e)
-
-
-def _sorted_result(sols, diagnostics):
-    data = sols.to_json_dict()
-    data["components"].sort(key=lambda c: (c["base"], c["periods"]))
-    data["diagnostics"] = diagnostics
-    return data
-
-
 def cmd_solve(args):
     backend = _load_group(args.group)
     e = parse_expr(args.expr)
@@ -89,7 +58,7 @@ def cmd_solve(args):
             splits_budget = FAST_SPLITS_BUDGET
     diagnostics = {}
     try:
-        sols = _dispatch_solve(
+        sols = solve_exponent(
             backend, e, splits_budget, args.budget_automata, diagnostics
         )
     except BudgetExceededError:
@@ -97,7 +66,9 @@ def cmd_solve(args):
         print(json.dumps({"diagnostics": diagnostics},
                          indent=args.json_indent))
         raise
-    data = _sorted_result(sols, diagnostics)
+    data = sols.to_json_dict()
+    data["components"].sort(key=lambda c: (c["base"], c["periods"]))
+    data["diagnostics"] = diagnostics
     print(json.dumps(data, indent=args.json_indent))
     if not diagnostics.get("complete", True):
         print(
@@ -143,7 +114,7 @@ def build_parser():
         help="cap on refinement splits in the reduction search",
     )
     solve.add_argument(
-        "--budget-automata", type=int, default=None,
+        "--budget-automata", type=int, default=SEARCH_STATES_CAP,
         help="cap on reduction-search states",
     )
     solve.add_argument(
@@ -169,6 +140,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("budget_refinement", "budget_automata", "box"):
+            value = getattr(args, name, None)
+            if value is not None and value < 0:
+                flag = "--" + name.replace("_", "-")
+                raise InputError(f"{flag} must be nonnegative, got {value}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

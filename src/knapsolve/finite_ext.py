@@ -16,9 +16,8 @@ substitution.
 """
 
 from .errors import InputError
-from .expr import knapsackify
-from .groups import GroupBackend, backend_of
-from .reduction import solve_local
+from .groups import GroupBackend, backend_of, solve_exponent
+from .reduction import SEARCH_STATES_CAP, solve_local
 from .semilinear import LinearSet, SemilinearSet
 from .words import invert_letter
 
@@ -87,8 +86,51 @@ class FiniteExtBackend(GroupBackend):
     def word_problem(self, word):
         return fe_word_problem(self, word)
 
-    def solve_knapsack(self, e):
-        return solve_exponent_finite_ext(self, e)
+    def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
+        """Guess per factor and solve in the subgroup (module docstring)."""
+        stats = diagnostics if diagnostics is not None else {}
+        stats.setdefault("branches", 0)
+        stats.setdefault("pruned", 0)
+        limits = (splits_budget, states_budget, stats)
+        l = len(self.cosets)
+        branches = [_Branch(IDENTITY_COSET, (), [], {}, {})]
+        for period, var, tail in e.factors:
+            nxt = []
+            for branch in branches:
+                for j in range(l):
+                    child = branch.child()
+                    g, child.coset = self.push(child.coset, period * j + tail)
+                    child.emit_const(g)
+                    child.points[var] = j
+                    nxt.append(child)
+                orbit = coset_orbit(self, branch.coset, period)
+                entry = orbit.entry
+                g_enter, c_enter = self.push(branch.coset, period * orbit.l)
+                assert c_enter == entry, "orbit entry certification failed"
+                g_cycle, c_cycle = self.push(entry, period * orbit.k)
+                assert c_cycle == entry, "orbit cycle certification failed"
+                for r in range(orbit.k):
+                    child = branch.child()
+                    child.emit_const(g_enter)
+                    g_res, child.coset = self.push(entry, period * r + tail)
+                    child.factors_g.append((g_cycle, var, g_res))
+                    child.substitutions[var] = (orbit.k, orbit.l + r)
+                    nxt.append(child)
+            branches = nxt
+
+        names = e.variables
+        total = SemilinearSet.empty(names)
+        for branch in branches:
+            stats["branches"] += 1
+            if branch.coset != IDENTITY_COSET:
+                stats["pruned"] += 1
+                continue
+            solved = _branch_solutions(self.subgroup, names, branch, limits)
+            if solved is None:
+                stats["pruned"] += 1
+                continue
+            total = total.union(solved)
+        return total
 
 
 def fe_word_problem(desc, word):
@@ -159,72 +201,15 @@ class _Branch:
         )
 
 
-def solve_exponent_finite_ext(desc, e, diagnostics=None):
-    """Solution set of e = 1 over the finite extension described by desc.
-
-    Per factor, either the exponent takes a concrete value below l or it
-    equals l + r + k x' for the orbit residue r and cycle length k; each
-    guess combination rewrites e into an exponent equation over the
-    subgroup whose solutions map back through affine_substitute.
-    """
-    backend = backend_of(desc, FiniteExtBackend)
-    e_prime, K = knapsackify(e)
-    stats = diagnostics if diagnostics is not None else {}
-    stats.setdefault("branches", 0)
-    stats.setdefault("pruned", 0)
-
-    sub = backend.subgroup
-    l = len(backend.cosets)
-    names = e_prime.variables
-    for period, _var, tail in e_prime.factors:
-        backend.check_word(period)
-        backend.check_word(tail)
-
-    branches = [_Branch(IDENTITY_COSET, (), [], {}, {})]
-    for period, var, tail in e_prime.factors:
-        period = tuple(period)
-        tail = tuple(tail)
-        nxt = []
-        for branch in branches:
-            for j in range(l):
-                child = branch.child()
-                g, child.coset = backend.push(
-                    child.coset, period * j + tail
-                )
-                child.emit_const(g)
-                child.points[var] = j
-                nxt.append(child)
-            orbit = coset_orbit(backend, branch.coset, period)
-            entry = orbit.entry
-            g_enter, c_enter = backend.push(branch.coset, period * orbit.l)
-            assert c_enter == entry, "orbit entry certification failed"
-            g_cycle, c_cycle = backend.push(entry, period * orbit.k)
-            assert c_cycle == entry, "orbit cycle certification failed"
-            for r in range(orbit.k):
-                child = branch.child()
-                child.emit_const(g_enter)
-                g_res, child.coset = backend.push(entry, period * r + tail)
-                child.factors_g.append((g_cycle, var, g_res))
-                child.substitutions[var] = (orbit.k, orbit.l + r)
-                nxt.append(child)
-        branches = nxt
-
-    total = SemilinearSet.empty(names)
-    for branch in branches:
-        stats["branches"] += 1
-        if branch.coset != IDENTITY_COSET:
-            stats["pruned"] += 1
-            continue
-        solved = _branch_solutions(sub, names, branch)
-        if solved is None:
-            stats["pruned"] += 1
-            continue
-        total = total.union(solved)
-
-    return total.on_diagonal(K).restrict(e.variables)
+def solve_exponent_finite_ext(desc, e, splits_budget=None,
+                              states_budget=SEARCH_STATES_CAP,
+                              diagnostics=None):
+    """Solution set of e = 1 over the finite extension described by desc."""
+    return solve_exponent(backend_of(desc, FiniteExtBackend), e,
+                          splits_budget, states_budget, diagnostics)
 
 
-def _branch_solutions(sub, names, branch):
+def _branch_solutions(sub, names, branch, limits):
     """SemilinearSet over all equation variables for one guess, or None."""
     # a factor whose cycle word is syntactically empty puts no subgroup
     # constraint on its variable; its tail joins the constants around it
@@ -239,7 +224,7 @@ def _branch_solutions(sub, names, branch):
 
     pieces = []
     if len(free) < len(branch.factors_g):
-        sols = solve_local(sub, entries)
+        sols = solve_local(sub, entries, limits)
         if sols.is_empty_representation():
             return None
         coeffs = {v: branch.substitutions[v][0] for v in sols.vars}

@@ -18,10 +18,11 @@ is particular to graph products:
 A graph product over a join is the direct product of the graph
 products over its co-components (the connected components of the
 non-commutation graph), so e = 1 iff each projection of e onto a
-factor's letters is 1.  solve_exponent_graph_product then solves each
-projection that keeps a power with that factor's own solver (a vertex
-group's, or this one on the induced subgraph), checks the others by the
-word problem and intersects the factors' solution sets.
+factor's letters is 1.  GraphProductBackend.solve then solves each
+projection that keeps a power with that factor's own solve (a vertex
+group's, or this one on the induced subgraph) under the caller's
+limits, checks the others by the word problem and intersects the
+factors' solution sets.
 
 The moves of the search are written once, as generators.  Without
 edges (free products) nothing commutes and the search is the span solver
@@ -130,8 +131,18 @@ class GraphProductBackend(GroupBackend):
     def elem_sort_key(self, a):
         return tuple(self.monoid.atom_key(atom) for atom in a.atoms)
 
-    def solve_knapsack(self, e):
-        return solve_exponent_graph_product(self, e)
+    def solve(self, e, splits_budget, states_budget, diagnostics):
+        """The reduction search, or over a join the direct-product split."""
+        if not self.direct_factors:
+            return solve_by_reduction(
+                GraphProductScheme(self), e,
+                splits_budget, states_budget, diagnostics,
+            )
+        return _solve_over_join(
+            self, e, splits_budget, states_budget, diagnostics
+        )
+
+    solve_knapsack = solve
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +626,12 @@ class GraphProductScheme(Scheme):
     def is_atomic(self, u):
         return len(u.atoms) == 1
 
-    def zero_guess(self, u, var):
+    def zero_guess(self, u, var, limits):
         atom = u.atoms[0]
         child = self.monoid.vertices[atom.vertex]
-        return solve_local(child, [("p", var, child.elem_word(atom.elem))])
+        return solve_local(
+            child, [("p", var, child.elem_word(atom.elem))], limits
+        )
 
     def atomic_item(self, i, u):
         atom = u.atoms[0]
@@ -638,7 +651,7 @@ class GraphProductScheme(Scheme):
             self.monoid, powers, splits_cap, creation_cap, states_cap
         )
 
-    def local_solutions(self, rec, var_of):
+    def local_solutions(self, rec, var_of, limits):
         """("ident", vertex, entries): the entries multiply to 1."""
         _kind, vertex, entries = rec
         child = self.monoid.vertices[vertex]
@@ -646,7 +659,7 @@ class GraphProductScheme(Scheme):
             ("e", child.elem_word(entry[1])) if entry[0] == "e"
             else ("p", var_of[entry[1]], child.elem_word(entry[2]))
             for entry in entries
-        ])
+        ], limits)
 
     def factor_shapes(self, u, fids, assigns, pairs):
         """Grid shapes whose forms have the alphabets the search guessed."""
@@ -767,21 +780,15 @@ def _form_sig(form):
 def solve_exponent_graph_product(desc, e, splits_budget=None,
                                  states_budget=SEARCH_STATES_CAP,
                                  diagnostics=None):
-    """Solution set of e = 1 over the graph product described by desc.
+    """Solution set of e = 1 over the graph product described by desc."""
+    return solve_exponent(backend_of(desc, GraphProductBackend), e,
+                          splits_budget, states_budget, diagnostics)
 
-    Over a join the group is the direct product of its factors, so e = 1
-    iff each projection of e onto a factor's letters is 1: the answer is
-    the intersection of the factors' solution sets.
+
+def _solve_over_join(backend, e, splits_budget, states_budget, diagnostics):
+    """The intersection of the factors' solution sets of their projections
+    of e, each solved under the caller's limits (module docstring).
     """
-    backend = backend_of(desc, GraphProductBackend)
-    if not backend.direct_factors:
-        return solve_by_reduction(
-            GraphProductScheme(backend), e,
-            splits_budget, states_budget, diagnostics,
-        )
-    for period, _var, tail in e.factors:
-        backend.check_word(period)
-        backend.check_word(tail)
     stats = diagnostics if diagnostics is not None else {}
     for key in ("branches", "reductions", "states", "grids"):
         stats.setdefault(key, 0)
@@ -799,13 +806,9 @@ def solve_exponent_graph_product(desc, e, splits_budget=None,
             if not factor.word_problem(sum((w for _e, w in entries), ())):
                 return SemilinearSet.empty(names)
             continue
-        e_factor = expr_from_entries(entries)
-        if isinstance(factor, GraphProductBackend):
-            sols = solve_exponent_graph_product(
-                factor, e_factor, splits_budget, states_budget, stats
-            )
-        else:
-            sols = solve_exponent(factor, e_factor)
+        sols = factor.solve(
+            expr_from_entries(entries), splits_budget, states_budget, stats
+        )
         free = tuple(v for v in names if v not in sols.vars)
         if free:
             sols = sols.direct_sum(SemilinearSet.universe(free))

@@ -2,11 +2,14 @@
 
 A backend wraps a concretely described group and exposes three things:
 the generator alphabet (closed under formal inverses), the word problem
-(w =? 1), and a knapsack solver producing a SemilinearSet for
-expressions in which every variable occurs once.  The generic driver
-solve_exponent() handles repeated variables by knapsackify, then keeps
-the points on the diagonal (SemilinearSet.on_diagonal) and restricts, so
-backends never see them.
+(w =? 1), and two solvers producing a SemilinearSet: solve for any
+expression, and solve_knapsack, which nested solves call, for one in
+which every variable occurs once.  The default solve renames repeated
+variables apart (knapsackify) and keeps the points on the diagonal
+(SemilinearSet.on_diagonal); graph products, HNN-extensions and
+amalgams override it with the reduction search.  Both take the limits
+splits_budget, states_budget and diagnostics and hand them on to every
+nested solve.  solve_exponent() is the one solve entry for every group.
 
 Base backends: the infinite cyclic group (one generator, exponent sums)
 and finite groups given by a Cayley table.  Composite backends (graph
@@ -18,6 +21,7 @@ import itertools
 
 from .errors import InputError
 from .expr import knapsackify
+from .reduction import SEARCH_STATES_CAP
 from .semilinear import DiophSystem, LinearSet, SemilinearSet, solve_dioph_nonneg
 from .words import invert_letter
 
@@ -67,7 +71,16 @@ class GroupBackend:
         """Geodesic length of the element represented by word."""
         return self.elem_norm(self.elem_from_word(word))
 
-    def solve_knapsack(self, e):
+    def solve(self, e, splits_budget, states_budget, diagnostics):
+        """Solution set of e = 1; variables may repeat."""
+        limits = (splits_budget, states_budget, diagnostics)
+        if len(e.variables) == len(e.factors):
+            return self.solve_knapsack(e, *limits)
+        e_prime, K = knapsackify(e)
+        sols = self.solve_knapsack(e_prime, *limits)
+        return sols.on_diagonal(K).restrict(e.variables)
+
+    def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
         """Solution set of e = 1; every variable of e occurs exactly once."""
         raise NotImplementedError
 
@@ -95,20 +108,19 @@ def require_elements(backend, where):
     return backend
 
 
-def solve_exponent(backend, e):
+def solve_exponent(backend, e, splits_budget=None,
+                   states_budget=SEARCH_STATES_CAP, diagnostics=None):
     """Full solution set of e = 1 over the backend's group.
 
-    Reduces to the knapsack case: rename repeated variables apart,
-    solve, keep the points on the diagonal constraint, project back.
+    splits_budget caps the refinement splits and states_budget the
+    states of every reduction search the solve runs, nested ones
+    included; diagnostics, a dict, collects their counters and the
+    complete flag.  A spent states budget raises BudgetExceededError.
     """
     for period, _var, tail in e.factors:
         backend.check_word(period)
         backend.check_word(tail)
-    e_prime, K = knapsackify(e)
-    sols = backend.solve_knapsack(e_prime)
-    if tuple(sols.vars) != e_prime.variables:
-        sols = sols._aligned_to(e_prime.variables)
-    return sols.on_diagonal(K).restrict(e.variables)
+    return backend.solve(e, splits_budget, states_budget, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +158,7 @@ class IntegerGroup(GroupBackend):
     def elem_sort_key(self, a):
         return (abs(a), a)
 
-    def solve_knapsack(self, e):
+    def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
         coeffs = [self.elem_from_word(p) for p, _v, _t in e.factors]
         const = sum(self.elem_from_word(t) for _p, _v, t in e.factors)
         sys = DiophSystem([tuple(coeffs)], (-const,))
@@ -264,7 +276,7 @@ class FiniteGroup(GroupBackend):
             k += 1
         return k
 
-    def solve_knapsack(self, e):
+    def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
         """Enumerate residue tuples modulo element orders."""
         gs = [self.elem_from_word(p) for p, _v, _t in e.factors]
         tails = [self.elem_from_word(t) for _p, _v, t in e.factors]

@@ -27,7 +27,7 @@ import math
 
 from .errors import InputError
 from .expr import ExponentExpression
-from .groups import GroupBackend, backend_of, require_elements
+from .groups import GroupBackend, backend_of, require_elements, solve_exponent
 from .reduction import (
     SEARCH_STATES_CAP,
     ReductionSearchBase,
@@ -237,8 +237,12 @@ class HnnBackend(GroupBackend):
     def norm(self, word):
         return self.bw_norm(britton_reduce(self, self.parse(word)))
 
-    def solve_knapsack(self, e):
-        return solve_exponent_hnn(self, e)
+    def solve(self, e, splits_budget, states_budget, diagnostics):
+        return solve_by_reduction(
+            HnnScheme(self), e, splits_budget, states_budget, diagnostics
+        )
+
+    solve_knapsack = solve
 
 
 def britton_reduce(backend, w):
@@ -643,8 +647,8 @@ class HnnScheme(Scheme):
     def is_atomic(self, u):
         return u.tcount == 0
 
-    def zero_guess(self, u, var):
-        return solve_local(self.backend.base, [("p", var, u.gs[0])])
+    def zero_guess(self, u, var, limits):
+        return solve_local(self.backend.base, [("p", var, u.gs[0])], limits)
 
     def atomic_item(self, i, u):
         return ("B", (("p", i, u.gs[0]),))
@@ -660,13 +664,13 @@ class HnnScheme(Scheme):
             self.backend, powers, splits_cap, creation_cap, states_cap
         )
 
-    def local_solutions(self, rec, var_of):
+    def local_solutions(self, rec, var_of, limits):
         """("val", entries, a): the entries multiply to a in the base group."""
         _kind, entries, a = rec
         return solve_local(self.backend.base, [
             entry if entry[0] == "e" else ("p", var_of[entry[1]], entry[2])
             for entry in entries
-        ], a)
+        ], limits, a)
 
     def factor_shapes(self, u, fids, assigns, pairs):
         """Cuts of u^x at letter positions into forms (sfx, pfx).
@@ -749,10 +753,8 @@ class HnnScheme(Scheme):
 def solve_exponent_hnn(desc, e, splits_budget=None,
                        states_budget=SEARCH_STATES_CAP, diagnostics=None):
     """Solution set of e = 1 over the HNN-extension described by desc."""
-    return solve_by_reduction(
-        HnnScheme(backend_of(desc, HnnBackend)), e,
-        splits_budget, states_budget, diagnostics,
-    )
+    return solve_exponent(backend_of(desc, HnnBackend), e,
+                          splits_budget, states_budget, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +798,17 @@ class AmalgamBackend(GroupBackend):
     def norm(self, word):
         return self.hnn.norm(amalgam_embed(self, word))
 
-    def solve_knapsack(self, e):
-        return solve_exponent_amalgam(self, e)
+    def solve(self, e, splits_budget, states_budget, diagnostics):
+        """The HNN solve of e after the embedding."""
+        embedded = ExponentExpression([
+            (amalgam_embed(self, p), var, amalgam_embed(self, t))
+            for p, var, t in e.factors
+        ])
+        return self.hnn.solve(
+            embedded, splits_budget, states_budget, diagnostics
+        )
+
+    solve_knapsack = solve
 
 
 def amalgam_embed(backend, word):
@@ -816,14 +827,8 @@ def amalgam_embed(backend, word):
 def solve_exponent_amalgam(desc, e, splits_budget=None,
                            states_budget=SEARCH_STATES_CAP, diagnostics=None):
     """Solution set of e = 1 over the amalgamated product described by desc."""
-    backend = backend_of(desc, AmalgamBackend)
-    embedded = ExponentExpression([
-        (amalgam_embed(backend, p), var, amalgam_embed(backend, t))
-        for p, var, t in e.factors
-    ])
-    return solve_exponent_hnn(
-        backend.hnn, embedded, splits_budget, states_budget, diagnostics
-    )
+    return solve_exponent(backend_of(desc, AmalgamBackend), e,
+                          splits_budget, states_budget, diagnostics)
 
 
 __all__ = [

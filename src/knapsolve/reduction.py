@@ -30,6 +30,9 @@ Both solvers answer e = 1 with one scheme:
 
 diagnostics["complete"] turns false only when a cap below a ceiling
 bound: a caller's splits_budget refusing a split, or FACTOR_CAP doing so.
+The solves inside a vertex or base group (solve_local) take the
+caller's limits, so a nested search has the same budgets, adds its
+counters to the caller's diagnostics and may clear its complete flag.
 
 A group plugs in through a Scheme subclass and a ReductionSearchBase
 subclass; everything else lives here once.
@@ -79,13 +82,13 @@ class Scheme:
       presentation(u)             (s, parts, t) with u^m = s (prod of
                                   parts^m) t
       is_atomic(u)                u is an atomic period, not well-behaved
-      zero_guess(u, var)          solutions of u^var = 1 for atomic u
+      zero_guess(u, var, limits)  solutions of u^var = 1 for atomic u
       atomic_item(i, u)           the search item of atomic power i
       max_splits(m), max_creations(m)
                                   completeness ceilings for m items
       search(powers, splits_cap, creation_cap, states_cap)
                                   a ReductionSearchBase
-      local_solutions(rec, var_of)
+      local_solutions(rec, var_of, limits)
                                   the set of a local-constraint record
       factor_shapes(u, fids, assigns, pairs)
                                   (c, forms) cutting u^x into one form
@@ -93,6 +96,8 @@ class Scheme:
       match_value(u, form, value) the x with form(u^x) = value, or None
       pair_components(powers, order, comp_pairs, reduced)
                                   LinearSets of a pair-connected group
+
+    limits is the caller's (splits_budget, states_budget, diagnostics).
     """
 
     def preprocess(self, e):
@@ -102,9 +107,6 @@ class Scheme:
         the variables of e; K has magnitude one and ties renamed
         occurrences of the same variable together.
         """
-        for period, _var, tail in e.factors:
-            self.backend.check_word(period)
-            self.backend.check_word(tail)
         renaming = Renaming(e.variables)
         powers = []
         free_occs = []
@@ -143,6 +145,7 @@ def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
     stats.setdefault("reductions", 0)
     stats.setdefault("states", 0)
     stats.setdefault("complete", True)
+    limits = (splits_budget, states_budget, stats)
 
     if not prep.powers:
         assert occ_vars, "an exponent expression always carries variables"
@@ -164,7 +167,7 @@ def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
         stats["branches"] += 1
         n1_sets = []
         for i in sorted(n1):
-            sols = scheme.zero_guess(period[i], var_of[i])
+            sols = scheme.zero_guess(period[i], var_of[i], limits)
             if sols.is_empty_representation():
                 break
             n1_sets.append(sols)
@@ -201,7 +204,7 @@ def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
         stats["reductions"] += len(results)
         for records, orders in results.items():
             sets = _assemble_outcome(
-                scheme, wb, var_of, records, orders, n1_sets, stats
+                scheme, wb, var_of, records, orders, n1_sets, limits
             )
             if sets is not None:
                 total = total.union(_assemble_direct_sum(sets, constrained))
@@ -223,12 +226,13 @@ def _assemble_direct_sum(sets, names):
     return out._aligned_to(tuple(names))
 
 
-def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, stats):
+def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
     """Turn one reduction outcome into per-variable semilinear sets.
 
     Returns a list of SemilinearSets over disjoint variable groups, or
     None if the outcome is contradictory.
     """
+    stats = limits[2]
     zero_powers = set()
     local = []
     assigns = {}
@@ -248,7 +252,7 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, stats):
         sets.append(SemilinearSet.point((var_of[i],), (0,)))
 
     for rec in local:
-        sols = scheme.local_solutions(rec, var_of)
+        sols = scheme.local_solutions(rec, var_of, limits)
         if sols.is_empty_representation():
             return None
         sets.append(sols)
@@ -317,16 +321,18 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, stats):
     return sets
 
 
-def solve_local(group, entries, target=()):
+def solve_local(group, entries, limits, target=()):
     """Solutions of a product of entries equal to target inside group.
 
-    group is a vertex or base group; entries are ("e", word) constants
-    and ("p", var, word) powers word^var, every var once and at least
-    one power among them; target is a word.  The group's own
-    solve_knapsack answers the knapsack expression of the product.
+    group is a vertex, base or finite-extension subgroup; entries are
+    ("e", word) constants and ("p", var, word) powers word^var, every
+    var once and at least one power among them; target is a word.  The
+    group's own solve_knapsack answers the knapsack expression of the
+    product under the caller's limits (splits_budget, states_budget,
+    diagnostics), so its counters add to the caller's.
     """
     e = expr_from_entries(list(entries) + [("e", invert_word(target))])
-    return group.solve_knapsack(e)
+    return group.solve_knapsack(e, *limits)
 
 
 def restrict_lines(lines, need_x, need_y):

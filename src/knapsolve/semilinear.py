@@ -457,11 +457,23 @@ class SemilinearSet:
 
     @classmethod
     def from_json_dict(cls, data):
+        """The set of to_json_dict's form; anything else is an InputError."""
         try:
-            comps = [
-                LinearSet(c["base"], c.get("periods", []))
-                for c in data["components"]
-            ]
-            return cls(tuple(data["vars"]), comps)
-        except (KeyError, TypeError) as exc:
+            names = data["vars"]
+            rows = [[c["base"]] + c.get("periods", []) for c in data["components"]]
+        except (AttributeError, KeyError, TypeError) as exc:
             raise InputError(f"bad SemilinearSet JSON: {exc}") from exc
+        if not (_list_of(str, names) and len(set(names)) == len(names)):
+            raise InputError("bad SemilinearSet JSON: vars must be a list of "
+                             f"distinct strings, got {names!r}")
+        for row in rows:
+            if not all(_list_of(int, v) for v in row):
+                raise InputError("bad SemilinearSet JSON: base and periods "
+                                 f"must be lists of integers, got {row!r}")
+        return cls(tuple(names), [LinearSet(row[0], row[1:]) for row in rows])
+
+
+def _list_of(kind, v):
+    """v is a list of kind values, bools not counted as ints."""
+    return isinstance(v, list) and all(
+        isinstance(a, kind) and not isinstance(a, bool) for a in v)

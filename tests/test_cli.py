@@ -181,3 +181,54 @@ def test_verify_dimension_mismatch(z_group, tmp_path, capsys):
     ])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def _run_cli(*args):
+    env = dict(os.environ)
+    src = str(Path(knapsolve.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "knapsolve.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("result", [
+    {"vars": ["x"], "components": [{"base": ["q"], "periods": []}]},
+    {"vars": ["x"], "components": [{"base": [1.5], "periods": []}]},
+    {"vars": ["x"], "components": [{"base": [True], "periods": []}]},
+    {"vars": ["x"], "components": [{"base": [4], "periods": [["1"]]}]},
+    {"vars": "x", "components": [{"base": [4], "periods": []}]},
+    {"vars": [1], "components": [{"base": [4], "periods": []}]},
+    {"vars": ["x", "x"], "components": [{"base": [4, 4], "periods": []}]},
+    {"vars": ["x"], "components": ["base"]},
+])
+def test_verify_rejects_unreadable_result(z_group, tmp_path, result):
+    out = tmp_path / "bad.json"
+    out.write_text(json.dumps(result))
+    proc = _run_cli("verify", "--group", z_group, "--expr", "t^x t'^4",
+                    "--result", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--budget-refinement", "--budget-automata"])
+def test_negative_solve_budget_is_an_input_error(free_group, flag, capsys):
+    code = main(["solve", "--group", free_group, "--expr", "a^x b^y",
+                 flag, "-5"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
+def test_negative_verify_box_is_an_input_error(z_group, tmp_path, capsys):
+    out = tmp_path / "result.json"
+    out.write_text(json.dumps({
+        "vars": ["x"], "components": [{"base": [4], "periods": []}],
+    }))
+    code = main(["verify", "--group", z_group, "--expr", "t^x t'^4",
+                 "--result", str(out), "--box", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: --box")
