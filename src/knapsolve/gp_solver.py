@@ -42,7 +42,6 @@ from .reduction import (
     SEARCH_STATES_CAP,
     ReductionSearchBase,
     Scheme,
-    pair_line_sets,
     restrict_lines,
     solve_by_reduction,
     solve_local,
@@ -141,8 +140,6 @@ class GraphProductBackend(GroupBackend):
         return _solve_over_join(
             self, e, splits_budget, states_budget, diagnostics
         )
-
-    solve_knapsack = solve
 
 
 # ---------------------------------------------------------------------------
@@ -681,19 +678,36 @@ class GraphProductScheme(Scheme):
             return 0 if form[1] == value else None
         return _solve_concrete_power(form[1], u, form[2], value)
 
+    def pair_lines(self, wb, pair, form_l, form_r):
+        """Lines of (p_l u_l^x s_l)(p_r u_r^y s_r) = 1 with x, y >= 1.
+
+        A power form is ("power", p, s); a concrete one adds 0 to its
+        power and leaves the other exponent to match_value.
+        """
+        _fl, i_l, _al, _fr, i_r, _ar = pair
+        if form_l[0] == "concrete":
+            x = self.match_value(wb[i_r], form_r, form_l[1].inv())
+            return [] if x is None else [(0, 0, x, 0)]
+        if form_r[0] == "concrete":
+            x = self.match_value(wb[i_l], form_l, form_r[1].inv())
+            return [] if x is None else [(x, 0, 0, 0)]
+        return restrict_lines(two_dim_trace_solve(
+            form_l[1], wb[i_l], form_l[2],
+            form_r[2].inv(), wb[i_r].inv(), form_r[1].inv(),
+        ), True, True)
+
     def pair_components(self, wb, order, comp_pairs, reduced):
-        """LinearSets over a pair-connected group of powers (cached)."""
+        """The shared pair resolution, cached by powers, forms and pairs."""
         fid_map = {}
         for i in order:
             _c0, first = reduced[i][0]
             for fid in sorted(first):
                 fid_map[fid] = len(fid_map)
         key = (
-            wb[order[0]].monoid,
             tuple(
                 (wb[i], tuple(
                     (c, tuple(sorted(
-                        (fid_map[fid], _form_sig(f)) for fid, f in of.items()
+                        (fid_map[fid], f) for fid, f in of.items()
                     )))
                     for c, of in reduced[i]
                 ))
@@ -704,77 +718,14 @@ class GraphProductScheme(Scheme):
                 for fl, il, _al, fr, ir, _ar in comp_pairs
             )),
         )
-        cached = _COMPONENT_CACHE.get(key)
-        if cached is not None:
-            return cached
-        # pair resolution only looks at the open forms, so group options by
-        # form shape and expand the constant offsets afterwards
-        grouped = []
-        for i in order:
-            by_forms = {}
-            for c, of in reduced[i]:
-                shape = tuple(sorted(of.items()))
-                slot = by_forms.setdefault(shape, (of, []))
-                slot[1].append(c)
-            grouped.append(list(by_forms.values()))
-        components = []
-        for combo in itertools.product(*grouped):
-            forms = {}
-            for of, _cs in combo:
-                forms.update(of)
-            extra = {i: 0 for i in order}
-            ok = True
-            pair_lines = []
-            for fid_l, i_l, _al, fid_r, i_r, _ar in comp_pairs:
-                form_l, form_r = forms[fid_l], forms[fid_r]
-                if form_l[0] == "concrete" and form_r[0] == "concrete":
-                    if form_r[1] != form_l[1].inv():
-                        ok = False
-                        break
-                elif form_l[0] == "concrete":
-                    x = _solve_concrete_power(
-                        form_r[1], wb[i_r], form_r[2], form_l[1].inv()
-                    )
-                    if x is None:
-                        ok = False
-                        break
-                    extra[i_r] += x
-                elif form_r[0] == "concrete":
-                    x = _solve_concrete_power(
-                        form_l[1], wb[i_l], form_l[2], form_r[1].inv()
-                    )
-                    if x is None:
-                        ok = False
-                        break
-                    extra[i_l] += x
-                else:
-                    lines = two_dim_trace_solve(
-                        form_l[1], wb[i_l], form_l[2],
-                        form_r[2].inv(), wb[i_r].inv(), form_r[1].inv(),
-                    )
-                    lines = restrict_lines(lines, True, True)
-                    if not lines:
-                        ok = False
-                        break
-                    pair_lines.append((i_l, i_r, lines))
-            if not ok:
-                continue
-            for base, periods in pair_line_sets(order, extra, pair_lines):
-                for cs in itertools.product(*(g[1] for g in combo)):
-                    components.append(LinearSet(
-                        tuple(c + b for c, b in zip(cs, base)), periods
-                    ))
-        _COMPONENT_CACHE[key] = components
+        components = _COMPONENT_CACHE.get(key)
+        if components is None:
+            components = super().pair_components(wb, order, comp_pairs, reduced)
+            _COMPONENT_CACHE[key] = components
         return components
 
 
 _COMPONENT_CACHE = {}
-
-
-def _form_sig(form):
-    if form[0] == "power":
-        return ("power", form[1].atoms, form[2].atoms)
-    return ("concrete", form[1].atoms)
 
 
 def solve_exponent_graph_product(desc, e, splits_budget=None,

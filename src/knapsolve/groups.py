@@ -2,14 +2,15 @@
 
 A backend wraps a concretely described group and exposes three things:
 the generator alphabet (closed under formal inverses), the word problem
-(w =? 1), and two solvers producing a SemilinearSet: solve for any
-expression, and solve_knapsack, which nested solves call, for one in
-which every variable occurs once.  The default solve renames repeated
-variables apart (knapsackify) and keeps the points on the diagonal
-(SemilinearSet.on_diagonal); graph products, HNN-extensions and
-amalgams override it with the reduction search.  Both take the limits
-splits_budget, states_budget and diagnostics and hand them on to every
-nested solve.  solve_exponent() is the one solve entry for every group.
+(w =? 1), and solve, which answers any expression with a SemilinearSet
+under the limits splits_budget, states_budget and diagnostics and hands
+them on to every nested solve.  The default solve renames repeated
+variables apart (knapsackify), calls the leaf hook solve_knapsack, for
+an expression in which every variable occurs once, and keeps the points
+on the diagonal (SemilinearSet.on_diagonal); graph products,
+HNN-extensions and amalgams override solve with the reduction search.
+solve_exponent() is the one solve entry for every group, and nested
+solves call solve.
 
 Base backends: the infinite cyclic group (one generator, exponent sums)
 and finite groups given by a Cayley table.  Composite backends (graph
@@ -35,7 +36,7 @@ class GroupBackend:
     and norm follow from them.  Other backends leave identity_elem
     None.  Graph products, HNN-extensions and amalgams take only
     backends with elements as vertex, base or factor groups, and use
-    only this protocol and solve_knapsack of them.
+    only this protocol and solve of them.
     """
 
     #: frozenset of generator letters, closed under invert_letter

@@ -32,12 +32,10 @@ from .reduction import (
     SEARCH_STATES_CAP,
     ReductionSearchBase,
     Scheme,
-    pair_line_sets,
     restrict_lines,
     solve_by_reduction,
     solve_local,
 )
-from .semilinear import LinearSet
 from .unary_automata import (
     TICK,
     Nfa,
@@ -241,8 +239,6 @@ class HnnBackend(GroupBackend):
         return solve_by_reduction(
             HnnScheme(self), e, splits_budget, states_budget, diagnostics
         )
-
-    solve_knapsack = solve
 
 
 def britton_reduce(backend, w):
@@ -706,48 +702,28 @@ class HnnScheme(Scheme):
         candidate = backend.concat(backend.concat(sfx, backend.bw_pow(u, x)), pfx)
         return x if hnn_equal(backend, candidate, value) else None
 
-    def pair_components(self, wb, order, comp_pairs, reduced):
-        """LinearSets over a pair-connected group of powers."""
+    def pair_lines(self, wb, pair, form_l, form_r):
+        """Lines of (sfx_l u_l^x pfx_l) a (sfx_r u_r^y pfx_r) = b."""
+        _fl, i_l, a, _fr, i_r, b = pair
         backend = self.backend
-        components = []
-        for combo in itertools.product(*(reduced[i] for i in order)):
-            forms = {}
-            for _c, of in combo:
-                forms.update(of)
-            ok = True
-            pair_lines = []
-            for fid_l, i_l, a, fid_r, i_r, b in comp_pairs:
-                sfx_l, pfx_l = forms[fid_l]
-                sfx_r, pfx_r = forms[fid_r]
-                # (sfx_l u_l^x pfx_l) a (sfx_r u_r^y pfx_r) = b, inverted to
-                # a^{-1} pfx_l^{-1} (u_l^{-1})^x sfx_l^{-1} = sfx_r u_r^y pfx_r b^{-1}
-                lines = two_dim_hnn_solve(
-                    backend,
-                    invert_word(a),
-                    backend.bw_inv(pfx_l),
-                    backend.bw_inv(wb[i_l]),
-                    backend.bw_inv(sfx_l),
-                    sfx_r,
-                    wb[i_r],
-                    pfx_r,
-                    invert_word(b),
-                )
-                # a factor consumed by a generalized cancellation contains t
-                need_x = sfx_l.tcount + pfx_l.tcount == 0
-                need_y = sfx_r.tcount + pfx_r.tcount == 0
-                lines = restrict_lines(lines, need_x, need_y)
-                if not lines:
-                    ok = False
-                    break
-                pair_lines.append((i_l, i_r, lines))
-            if not ok:
-                continue
-            base_c = {i: c for i, (c, _of) in zip(order, combo)}
-            components.extend(
-                LinearSet(base, periods)
-                for base, periods in pair_line_sets(order, base_c, pair_lines)
-            )
-        return components
+        sfx_l, pfx_l = form_l
+        sfx_r, pfx_r = form_r
+        # as a^{-1} pfx_l^{-1} (u_l^{-1})^x sfx_l^{-1} = sfx_r u_r^y pfx_r b^{-1}
+        lines = two_dim_hnn_solve(
+            backend,
+            invert_word(a),
+            backend.bw_inv(pfx_l),
+            backend.bw_inv(wb[i_l]),
+            backend.bw_inv(sfx_l),
+            sfx_r,
+            wb[i_r],
+            pfx_r,
+            invert_word(b),
+        )
+        # a factor consumed by a generalized cancellation contains t
+        need_x = sfx_l.tcount + pfx_l.tcount == 0
+        need_y = sfx_r.tcount + pfx_r.tcount == 0
+        return restrict_lines(lines, need_x, need_y)
 
 
 def solve_exponent_hnn(desc, e, splits_budget=None,
@@ -807,8 +783,6 @@ class AmalgamBackend(GroupBackend):
         return self.hnn.solve(
             embedded, splits_budget, states_budget, diagnostics
         )
-
-    solve_knapsack = solve
 
 
 def amalgam_embed(backend, word):

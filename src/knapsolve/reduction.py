@@ -23,8 +23,9 @@ Both solvers answer e = 1 with one scheme:
      more splits and, at every key, no more creations;
   4. cut the factors of every well-behaved power into shapes, resolve
      the factors the search assigned a concrete value, solve matched
-     factor pairs with the group's two-dimensional solver, and
-     direct-sum the sets of one outcome;
+     factor pairs (the group's pair_lines gives the lines of one pair;
+     pair_components combines them here) and direct-sum the sets of
+     one outcome;
   5. take the union over guesses and outcomes, keep its points on the
      diagonal K and project back to the variables of e.
 
@@ -42,7 +43,7 @@ import itertools
 
 from .errors import BudgetExceededError
 from .expr import Renaming, expr_from_entries
-from .semilinear import SemilinearSet
+from .semilinear import LinearSet, SemilinearSet
 from .words import invert_word
 
 SEARCH_STATES_CAP = 2_000_000
@@ -94,8 +95,10 @@ class Scheme:
                                   (c, forms) cutting u^x into one form
                                   per factor id, x = c + the x_j
       match_value(u, form, value) the x with form(u^x) = value, or None
-      pair_components(powers, order, comp_pairs, reduced)
-                                  LinearSets of a pair-connected group
+      pair_lines(powers, pair, form_l, form_r)
+                                  the lines (a, b, c, d) of one pair
+                                  record's two powers, given the open
+                                  forms of its two factors
 
     limits is the caller's (splits_budget, states_budget, diagnostics).
     """
@@ -134,6 +137,41 @@ class Scheme:
         assert K.magnitude() <= 1
         prep = Prepared(powers, tails, tuple(renaming.names), free_occs, inputs)
         return prep, K
+
+    def pair_components(self, wb, order, comp_pairs, reduced):
+        """LinearSets over a pair-connected group of powers.
+
+        reduced[i] lists power i's options (c, open forms); options with
+        the same open forms share their pair lines, so each pair record
+        is solved once per choice of open forms and the constants c are
+        added afterwards.
+        """
+        grouped = []
+        for i in order:
+            by_forms = {}
+            for c, of in reduced[i]:
+                key = tuple(sorted(of.items()))
+                by_forms.setdefault(key, (of, []))[1].append(c)
+            grouped.append(list(by_forms.values()))
+        components = []
+        for combo in itertools.product(*grouped):
+            forms = {}
+            for of, _cs in combo:
+                forms.update(of)
+            pair_lines = []
+            for pair in comp_pairs:
+                fid_l, i_l, _al, fid_r, i_r, _ar = pair
+                lines = self.pair_lines(wb, pair, forms[fid_l], forms[fid_r])
+                if not lines:
+                    break
+                pair_lines.append((i_l, i_r, lines))
+            else:
+                for base, periods in pair_line_sets(order, pair_lines):
+                    for cs in itertools.product(*(cs for _of, cs in combo)):
+                        components.append(LinearSet(
+                            tuple(c + b for c, b in zip(cs, base)), periods
+                        ))
+        return components
 
 
 def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
@@ -327,12 +365,12 @@ def solve_local(group, entries, limits, target=()):
     group is a vertex, base or finite-extension subgroup; entries are
     ("e", word) constants and ("p", var, word) powers word^var, every
     var once and at least one power among them; target is a word.  The
-    group's own solve_knapsack answers the knapsack expression of the
-    product under the caller's limits (splits_budget, states_budget,
+    group's own solve answers the knapsack expression of the product
+    under the caller's limits (splits_budget, states_budget,
     diagnostics), so its counters add to the caller's.
     """
     e = expr_from_entries(list(entries) + [("e", invert_word(target))])
-    return group.solve_knapsack(e, *limits)
+    return group.solve(e, *limits)
 
 
 def restrict_lines(lines, need_x, need_y):
@@ -353,15 +391,15 @@ def restrict_lines(lines, need_x, need_y):
     return sorted(out)
 
 
-def pair_line_sets(order, offsets, pair_lines):
+def pair_line_sets(order, pair_lines):
     """Yield (base, periods) for each choice of one line per matched pair.
 
     pair_lines holds (iL, iR, lines); a line (a, b, c, d) stands for the
     exponents (a + b z, c + d z) of powers iL and iR.  base is indexed
-    like order and adds the chosen a and c to offsets.
+    like order and sums the chosen a and c.
     """
     for choice in itertools.product(*(lines for _il, _ir, lines in pair_lines)):
-        shift = dict(offsets)
+        shift = {i: 0 for i in order}
         periods = []
         for (i_l, i_r, _), (a, b, c, d) in zip(pair_lines, choice):
             shift[i_l] += a

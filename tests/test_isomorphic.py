@@ -70,6 +70,27 @@ Z_HNN = {
     "B": [[]],
 }
 
+Z4_A = {"type": "CyclicGroup", "order": 4, "generator": "a"}
+Z4_B = {"type": "CyclicGroup", "order": 4, "generator": "b"}
+Z4_Z4_AMALGAM = {
+    "type": "Amalgam", "left": Z4_A, "right": Z4_B,
+    "phi1": [[]], "phi2": [[]],
+}
+Z4_Z4_FREE = {"type": "FreeProduct", "children": [Z4_A, Z4_B]}
+
+Z2_T_HNN = {
+    "type": "Hnn",
+    "base": Z2,
+    "stable_letter": "t",
+    "A": [[], ["a"]],
+    "B": [[], ["a"]],
+}
+Z2_T_PRODUCT = {
+    "type": "GraphProduct",
+    "vertices": [Z2, {"type": "IntegerGroup", "generator": "t"}],
+    "edges": [[0, 1]],
+}
+
 
 @pytest.mark.parametrize("left, right, text", [
     (NESTED_FREE, FLAT_FREE, "(a b)^x (b' a)^y"),
@@ -84,6 +105,17 @@ Z_HNN = {
     (Z2_Z3_PRODUCT, Z6_TABLE, "(a b b)^x a b^y"),
     (PATH_P3_FLAT, PATH_P3_NESTED, "(a b c)^x (c' b' a')^y"),
     (PATH_P3_FLAT, PATH_P3_NESTED, "(a c)^x b (a c)^y b"),
+    (Z4_Z4_AMALGAM, Z4_Z4_FREE, "(a b')^x (b a')^y a"),
+    (Z4_Z4_AMALGAM, Z4_Z4_FREE, "(b a)^x b (a' b')^y b'"),
+    (Z2_T_HNN, Z2_T_PRODUCT, "(t a)^x t' (a t')^y"),
+    (Z2_T_HNN, Z2_T_PRODUCT, "(t t a)^x (t')^y a"),
+    pytest.param(
+        Z4_Z4_AMALGAM, Z4_Z4_FREE, "(a b)^x (b' a')^y",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 1: the amalgam answers only (0, 0) and misses "
+            "x = y >= 1"
+        )),
+    ),
 ])
 def test_isomorphic_presentations_agree(left, right, text):
     e = parse_expr(text)
