@@ -23,7 +23,9 @@ import itertools
 from .errors import InputError
 from .expr import knapsackify
 from .reduction import SEARCH_STATES_CAP
-from .semilinear import DiophSystem, LinearSet, SemilinearSet, solve_dioph_nonneg
+from .semilinear import (
+    DiophSolver, DiophSystem, LinearSet, SemilinearSet, solve_dioph_nonneg,
+)
 from .words import invert_letter
 
 
@@ -79,7 +81,11 @@ class GroupBackend:
             return self.solve_knapsack(e, *limits)
         e_prime, K = knapsackify(e)
         sols = self.solve_knapsack(e_prime, *limits)
-        return sols.on_diagonal(K).restrict(e.variables)
+        solver = DiophSolver()
+        try:
+            return sols.on_diagonal(K, solver).restrict(e.variables)
+        finally:
+            count_dioph_nodes(diagnostics, solver)
 
     def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
         """Solution set of e = 1; every variable of e occurs exactly once."""
@@ -89,6 +95,13 @@ class GroupBackend:
         for a in word:
             if a not in self.alphabet:
                 raise InputError(f"letter {a!r} not in group alphabet")
+
+
+def count_dioph_nodes(diagnostics, solver):
+    """Add the nodes solver explored to diagnostics["dioph_nodes"]."""
+    if diagnostics is not None:
+        diagnostics["dioph_nodes"] = (
+            diagnostics.get("dioph_nodes", 0) + solver.nodes)
 
 
 def backend_of(desc, cls):
@@ -163,7 +176,11 @@ class IntegerGroup(GroupBackend):
         coeffs = [self.elem_from_word(p) for p, _v, _t in e.factors]
         const = sum(self.elem_from_word(t) for _p, _v, t in e.factors)
         sys = DiophSystem([tuple(coeffs)], (-const,))
-        return solve_dioph_nonneg(sys, var_names=e.variables)
+        solver = DiophSolver()
+        try:
+            return solve_dioph_nonneg(sys, e.variables, solver)
+        finally:
+            count_dioph_nodes(diagnostics, solver)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,19 @@ substitution) have to be exact, not approximate.
 
 Intersection reduces to solving A.x = c over the nonnegative integers:
 the solution set of such a system is itself semilinear, with the minimal
-inhomogeneous solutions as bases and the Hilbert basis of the homogeneous
-system as shared periods.  We find both with a breadth-first minimal
-solution search with domination pruning (Contejean/Devie style), under an
-explicit node cap; it never raises the homogenising slack past 1, the
-only values used.  on_diagonal intersects with the diagonal of a variable
-renaming by a system over the component's own period coefficients alone.
+solutions as bases and the Hilbert basis of A.x = 0 as shared periods.
+A DiophSolver finds both for the systems of one call: a per-row gcd test
+first, then per block of independent unknowns one Contejean/Devie search
+for the Hilbert basis, memoised, and one for the minimal solutions of
+each right-hand side, pruned by it, under an explicit node cap.
+on_diagonal intersects with the diagonal of a variable renaming by a
+system over the component's own period coefficients alone; intersect
+and on_diagonal build one matrix per periods tuple (pair), and every
+component with those periods shares it and its Hilbert basis.
 """
 
 import itertools
+import math
 
 from .errors import BudgetExceededError, InputError
 
@@ -25,11 +29,6 @@ DIOPH_DEFAULT_CAP = 10_000
 
 def _vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def _vec_dominates(u, v):
-    """True if u >= v componentwise."""
-    return all(a >= b for a, b in zip(u, v))
 
 
 class DiophSystem:
@@ -51,91 +50,265 @@ class DiophSystem:
         return tuple(sum(a * xi for a, xi in zip(row, x)) for row in self.matrix)
 
 
-def _minimal_nonneg_solutions(matrix, num_vars, cap):
-    """Minimal solutions of matrix.x = 0, x != 0 in N^num_vars, slack <= 1.
+class DiophSolver:
+    """Minimal nonnegative solutions of the systems of one call.
 
-    Breadth-first search from the unit vectors; a node t is extended by
-    e_j only when <A.t, A.e_j> < 0 (the defect can still shrink) and the
-    slack, the last coordinate, stays at most 1; any node dominating an
-    already-found solution is pruned.  This is the classical complete
-    search for Hilbert bases, cut at slack 1.
+    solve(matrix, rhs, n) first rejects a system with a row whose gcd
+    does not divide its right-hand side.  It then splits the n unknowns
+    into independent blocks, unknowns linked by a nonzero entry in a
+    shared row, and answers each block with two searches (_search): the
+    Hilbert basis of its homogeneous part, then the minimal solutions of
+    its inhomogeneous part, pruned by that basis.  Both are memoised,
+    by the block's submatrix and by that and its right-hand side, so
+    the many systems of one intersection, which share a few homogeneous
+    parts, search each part once.  The memo lives as long as the
+    solver; make one per call.
+
+    nodes counts every node explored.  A system whose blocks explore
+    more than cap nodes between them, counted as if searched afresh,
+    raises BudgetExceededError.
     """
-    if num_vars == 0:
-        return []
-    columns = [tuple(row[j] for row in matrix) for j in range(num_vars)]
-    slack = num_vars - 1
 
-    def apply(x):
-        out = [0] * len(matrix)
-        for j, xj in enumerate(x):
-            if xj:
-                for i, a in enumerate(columns[j]):
-                    out[i] += a * xj
-        return tuple(out)
+    def __init__(self, cap=DIOPH_DEFAULT_CAP):
+        self.cap = cap
+        self.nodes = 0
+        self._splits = {}
+        self._hilbert = {}
+        self._minimal = {}
+        self._solved = {}
 
-    basis = []
-    frontier = []
-    for j in range(num_vars):
-        unit = tuple(1 if i == j else 0 for i in range(num_vars))
-        if all(a == 0 for a in columns[j]):
-            basis.append(unit)
-        else:
-            frontier.append(unit)
-    explored = len(frontier)
-    while frontier:
-        next_frontier = {}
-        for t in frontier:
-            value = apply(t)
-            if all(a == 0 for a in value):
-                if not any(_vec_dominates(t, b) for b in basis):
-                    basis.append(t)
-                continue
-            for j in range(slack if t[slack] else num_vars):
-                col = columns[j]
-                if sum(a * b for a, b in zip(value, col)) >= 0:
-                    continue
-                child = tuple(
-                    x + 1 if i == j else x for i, x in enumerate(t)
-                )
-                if any(_vec_dominates(child, b) for b in basis):
-                    continue
-                next_frontier[child] = True
-        explored += len(next_frontier)
-        if explored > cap:
-            raise BudgetExceededError("Diophantine minimal-solution search", cap)
-        # A frontier node may have become dominated by a solution found in
-        # this very round; filter again before expanding.
-        frontier = [
-            t for t in next_frontier
-            if not any(_vec_dominates(t, b) for b in basis)
-        ]
-    return basis
+    def solve(self, matrix, rhs, n):
+        """(bases, periods) of matrix.x = rhs over N^n, both sorted.
+
+        matrix is a tuple of row tuples.  The bases are the minimal
+        solutions, the periods the Hilbert basis of matrix.x = 0; both
+        are empty when there is no solution.
+        """
+        key = (matrix, rhs, n)
+        solved = self._solved.get(key)
+        if solved is None:
+            solved = self._solved[key] = self._solve(matrix, rhs, n)
+        return solved
+
+    def _solve(self, matrix, rhs, n):
+        split = self._splits.get((matrix, n))
+        if split is None:
+            split = self._splits[(matrix, n)] = _split(matrix, n)
+        gcds, zero_columns, blocks = split
+        if any(c % g if g else c for g, c in zip(gcds, rhs)):
+            return (), ()
+        used = 0
+        solved = []
+        for columns, rows, sub, gram in blocks:
+            hilbert = self._hilbert.get(sub)
+            if hilbert is None:
+                units = [(_unit(len(gram), j), row, row[j], (1 << j) - 1)
+                         for j, row in enumerate(gram)]
+                hilbert = self._hilbert[sub] = self._search(
+                    gram, units, (), self.cap - used)
+            used = self._charge(used, hilbert[1])
+            c = tuple(rhs[i] for i in rows)
+            if not any(c):
+                minimal = [(0,) * len(columns)]
+            else:
+                found = self._minimal.get((sub, c))
+                if found is None:
+                    # the defect of x = 0 is -c
+                    start = [-_dot(c, column) for column in zip(*sub)]
+                    found = self._minimal[(sub, c)] = self._search(
+                        gram, [((0,) * len(columns), start, _dot(c, c), 0)],
+                        hilbert[0], self.cap - used)
+                used = self._charge(used, found[1])
+                minimal = found[0]
+            if not minimal:
+                return (), ()
+            solved.append((columns, hilbert[0], minimal))
+
+        periods = [_unit(n, j) for j in zero_columns]
+        for columns, hilbert, _minimal in solved:
+            periods += [_embed(n, columns, h) for h in hilbert]
+        bases = []
+        for combo in itertools.product(*(m for _c, _h, m in solved)):
+            base = [0] * n
+            for (columns, _h, _m), m in zip(solved, combo):
+                for j, a in zip(columns, m):
+                    base[j] = a
+            bases.append(tuple(base))
+        return tuple(sorted(bases)), tuple(sorted(periods))
+
+    def _charge(self, used, nodes):
+        """used + nodes, or BudgetExceededError past the cap."""
+        used += nodes
+        if used > self.cap:
+            raise BudgetExceededError(
+                "Diophantine minimal-solution search", self.cap)
+        return used
+
+    def _search(self, gram, level, stored, budget):
+        """(minimal zeros of the defect reachable from level, nodes).
+
+        Contejean and Devie's breadth-first search.  A node t has the
+        defect r = A.t - c; it is extended by e_k only when
+        <r, A.e_k> < 0, and a node that dominates a stored vector or a
+        zero found before it is pruned.  level lists the start nodes as
+        (t, <r, A.e_k> for each k, |r|^2, frozen); gram holds the
+        <A.e_j, A.e_k> that update the second and third.
+
+        frozen is the bitmask of coordinates t may no longer raise: the
+        child along e_k freezes every k' < k that t also extends along,
+        and a unit start e_j every j' < j.  A minimal zero s above t is
+        still reached, through the least k with t_k < s_k, since the
+        coordinates frozen on the way already equal s's.  Two paths to
+        one node would part at some node along k' < k, and k' stays
+        frozen on the second, so every node is made once and needs no
+        dedupe.
+
+        Dominance is one AND per coordinate over bitmasks: at_most[j][v]
+        has bit i set when stored vector i has coordinate j at most v,
+        and a value past the list's end keeps every bit.  A parent
+        dominates no stored vector, so its children share the ANDs of
+        all coordinates but their own.
+        """
+        at_most = [[0] for _ in gram]
+        stored_bits = 0
+
+        def store(b):
+            nonlocal stored_bits
+            bit = 1 << stored_bits.bit_length()
+            stored_bits |= bit
+            for masks, v in zip(at_most, b):
+                while len(masks) <= v:
+                    masks.append(masks[-1])
+                for w in range(v, len(masks)):
+                    masks[w] |= bit
+
+        for b in stored:
+            store(b)
+        found = []
+        explored = len(level)
+        self.nodes += explored
+        while level:
+            parents = []
+            for node in level:
+                if node[2]:
+                    parents.append(node)
+                else:
+                    # node was tested against every zero of smaller sum
+                    # when it was made, and no other zero of its sum lies
+                    # below it, so it is minimal
+                    found.append(node[0])
+                    store(node[0])
+            level = []
+            for t, dots, norm, frozen in parents:
+                if stored_bits:
+                    # before[k] / after[k]: the AND of the masks of t's
+                    # coordinates below k / from k on
+                    masks = [m[v] if v < len(m) else stored_bits
+                             for m, v in zip(at_most, t)]
+                    before = [stored_bits]
+                    for m in masks:
+                        before.append(before[-1] & m)
+                    after = [stored_bits]
+                    for m in reversed(masks):
+                        after.append(after[-1] & m)
+                    after.reverse()
+                for k, dot in enumerate(dots):
+                    if dot >= 0 or frozen >> k & 1:
+                        continue
+                    keep = frozen
+                    frozen |= 1 << k
+                    v = t[k] + 1
+                    if stored_bits:
+                        m = at_most[k]
+                        if (before[k] & after[k + 1]
+                                & (m[v] if v < len(m) else stored_bits)):
+                            continue
+                    row = gram[k]
+                    level.append((
+                        t[:k] + (v,) + t[k + 1:],
+                        [a + b for a, b in zip(dots, row)],
+                        norm + 2 * dot + row[k],
+                        keep,
+                    ))
+            explored += len(level)
+            self.nodes += len(level)
+            if explored > budget:
+                raise BudgetExceededError(
+                    "Diophantine minimal-solution search", self.cap)
+        return found, explored
 
 
-def solve_dioph_nonneg(sys, var_names=None, cap=DIOPH_DEFAULT_CAP):
+def _split(matrix, n):
+    """(row gcds, zero columns, blocks) of matrix over n unknowns.
+
+    A block is (columns, rows, submatrix, Gram matrix of its columns)
+    for a class of unknowns linked by nonzero entries in shared rows;
+    blocks come in the order of their first column.
+    """
+    root = list(range(n))
+
+    def find(j):
+        while root[j] != j:
+            root[j] = root[root[j]]
+            j = root[j]
+        return j
+
+    supports = [[j for j, a in enumerate(row) if a] for row in matrix]
+    for support in supports:
+        for j in support[1:]:
+            root[find(j)] = find(support[0])
+    used = set().union(*supports)
+    members = {}
+    for j in range(n):
+        if j in used:
+            members.setdefault(find(j), []).append(j)
+    rows_of = {}
+    for i, support in enumerate(supports):
+        if support:
+            rows_of.setdefault(find(support[0]), []).append(i)
+    blocks = []
+    for label, columns in members.items():
+        rows = rows_of[label]
+        sub = tuple(tuple(matrix[i][j] for j in columns) for i in rows)
+        cols = list(zip(*sub))
+        gram = tuple(tuple(_dot(u, v) for v in cols) for u in cols)
+        blocks.append((tuple(columns), tuple(rows), sub, gram))
+    zero_columns = [j for j in range(n) if j not in used]
+    return tuple(math.gcd(*row) for row in matrix), zero_columns, blocks
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _unit(n, j):
+    return tuple(1 if i == j else 0 for i in range(n))
+
+
+def _embed(n, columns, v):
+    out = [0] * n
+    for j, a in zip(columns, v):
+        out[j] = a
+    return tuple(out)
+
+
+def solve_dioph_nonneg(sys, var_names=None, solver=None):
     """Solution set of sys over N, as a SemilinearSet.
 
-    The system is homogenized with one extra slack variable multiplying
-    -rhs; minimal solutions with slack 1 are the bases, minimal solutions
-    with slack 0 are the shared periods (the Hilbert basis).
+    Its bases are the minimal solutions and its shared periods the
+    Hilbert basis of the homogeneous system (DiophSolver.solve).
+    solver, by default a fresh DiophSolver under DIOPH_DEFAULT_CAP,
+    counts the nodes explored.
     """
     d = sys.num_vars
     if var_names is None:
         var_names = tuple(f"x{i}" for i in range(d))
     if len(var_names) != d:
         raise InputError("solve_dioph_nonneg: wrong number of variable names")
-    matrix = [row + (-c,) for row, c in zip(sys.matrix, sys.rhs)]
-    minimal = _minimal_nonneg_solutions(matrix, d + 1, cap)
-    bases = [m[:d] for m in minimal if m[d] == 1]
-    periods = [m[:d] for m in minimal if m[d] == 0]
-    if not sys.matrix:
-        # no equations: the whole orthant
-        bases = [tuple(0 for _ in range(d))]
-        periods = [
-            tuple(1 if i == j else 0 for i in range(d)) for j in range(d)
-        ]
-    components = [LinearSet(b, periods) for b in bases]
-    return SemilinearSet(var_names, components)
+    solver = solver if solver is not None else DiophSolver()
+    bases, periods = solver.solve(sys.matrix, sys.rhs, d)
+    return SemilinearSet(var_names,
+                         [LinearSet._unchecked(b, periods) for b in bases])
 
 
 class LinearSet:
@@ -160,6 +333,15 @@ class LinearSet:
                 kept.append(p)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "periods", tuple(sorted(kept)))
+
+    @classmethod
+    def _unchecked(cls, base, periods):
+        """LinearSet(base, periods) for a tuple base and a periods tuple
+        that is already canonical: sorted, distinct, nonzero, >= 0."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "periods", periods)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearSet is immutable")
@@ -217,21 +399,29 @@ class LinearSet:
 
         return rec(0, target)
 
-    def images(self, sols):
-        """base + periods.lam for lam the leading coordinates of sols."""
-        k = len(self.periods)
+    def images(self, bases, periods):
+        """One linear set b + P.lam + P.H.N^m per lam in bases.
+
+        P is self.periods and H the vectors of periods; a vector's
+        coordinates past len(P) belong to other unknowns and are
+        ignored.  The images P.h are computed once and shared.
+        """
+        if not bases:
+            return []
 
         def combine(start, lam):
-            for coef, p in zip(lam[:k], self.periods):
-                start = _vec_add(start, tuple(coef * x for x in p))
-            return start
+            out = list(start)
+            for coef, p in zip(lam, self.periods):
+                if coef:
+                    for i, x in enumerate(p):
+                        out[i] += coef * x
+            return tuple(out)
 
         zero = (0,) * self.dim
-        return [
-            LinearSet(combine(self.base, comp.base),
-                      [combine(zero, h) for h in comp.periods])
-            for comp in sols.components
-        ]
+        shared = tuple(sorted({v for v in (combine(zero, h) for h in periods)
+                               if any(v)}))
+        return [LinearSet._unchecked(combine(self.base, b), shared)
+                for b in bases]
 
     def points_in_box(self, bound):
         """All points of the set with every coordinate <= bound."""
@@ -358,45 +548,66 @@ class SemilinearSet:
 
     def intersect(self, other, cap=DIOPH_DEFAULT_CAP):
         other = other._aligned_to(self.vars)
-        d = self.dim
+        solver = DiophSolver(cap)
+        matrices = {}
         comps = []
         for c1, c2 in itertools.product(self.components, other.components):
-            # rows: one per coordinate; unknowns (lam, mu):
-            #   P1.lam - P2.mu = b2 - b1
-            matrix = [
-                [p[i] for p in c1.periods] + [-p[i] for p in c2.periods]
-                for i in range(d)
-            ]
-            rhs = tuple(c2.base[i] - c1.base[i] for i in range(d))
-            sols = solve_dioph_nonneg(DiophSystem(matrix, rhs), cap=cap)
-            comps += c1.images(sols)
+            key = (c1.periods, c2.periods)
+            matrix = matrices.get(key)
+            if matrix is None:
+                # rows: one per coordinate; unknowns (lam, mu):
+                #   P1.lam - P2.mu = b2 - b1
+                matrix = matrices[key] = tuple(
+                    tuple([p[i] for p in c1.periods]
+                          + [-p[i] for p in c2.periods])
+                    for i in range(self.dim)
+                )
+            rhs = tuple(b - a for a, b in zip(c1.base, c2.base))
+            unknowns = len(c1.periods) + len(c2.periods)
+            comps += c1.images(*solver.solve(matrix, rhs, unknowns))
         return SemilinearSet(self.vars, comps)
 
-    def on_diagonal(self, K):
+    def on_diagonal(self, K, solver=None):
         """self.intersect(K) for the diagonal K of an expr.Renaming.
 
         b + P.lam lies on K when (P_i - P_i0).lam = b_i0 - b_i for each
         coordinate i of a period's support but its first, i0.  As P >= 0,
         lam -> (lam, mu(lam)) is an order isomorphism onto the solutions
-        of intersect's system, so both give the same linear sets.
+        of intersect's system, so both give the same linear sets.  The
+        components that share their periods share the system's matrix,
+        so one solver (by default a fresh DiophSolver) searches its
+        homogeneous part once.
         """
         (diagonal,) = K._aligned_to(self.vars).components
         supports = [[i for i, a in enumerate(p) if a] for p in diagonal.periods]
         assert not any(diagonal.base) and set(sum(diagonal.periods, ())) <= {0, 1}
         assert sorted(sum(supports, [])) == list(range(self.dim))
         pairs = [(s[0], i) for s in supports for i in s[1:]]
+        if not pairs:
+            return self
+        solver = solver if solver is not None else DiophSolver()
+        systems = {}
         comps = []
         for c in self.components:
-            matrix, rhs = [], []
-            for i0, i in pairs:
-                row = tuple(p[i] - p[i0] for p in c.periods)
-                if any(row) or c.base[i] != c.base[i0]:
-                    matrix.append(row)
-                    rhs.append(c.base[i0] - c.base[i])
-            if matrix:
-                comps += c.images(solve_dioph_nonneg(DiophSystem(matrix, rhs)))
-            else:
+            system = systems.get(c.periods)
+            if system is None:
+                rows = [tuple(p[i] - p[i0] for p in c.periods)
+                        for i0, i in pairs]
+                # a zero row only asks the base to agree on its pair
+                system = systems[c.periods] = (
+                    tuple(row for row in rows if any(row)),
+                    [pair for pair, row in zip(pairs, rows) if any(row)],
+                    [pair for pair, row in zip(pairs, rows) if not any(row)],
+                )
+            matrix, moving, fixed = system
+            b = c.base
+            if any(b[i] != b[i0] for i0, i in fixed):
+                continue
+            if not matrix:
                 comps.append(c)
+                continue
+            rhs = tuple(b[i0] - b[i] for i0, i in moving)
+            comps += c.images(*solver.solve(matrix, rhs, len(c.periods)))
         return SemilinearSet(self.vars, comps)
 
     def direct_sum(self, other):

@@ -99,6 +99,20 @@ def test_budget_exhaustion_exit_code(free_group, capsys):
     assert captured.err.startswith("error: budget exhausted")
 
 
+def test_diophantine_budget_reports_its_nodes(z_group, capsys):
+    def power(letter, k, var):
+        return f"({' '.join([letter] * k)})^{var}"
+
+    expr = " ".join([power("t", 37, "x"), power("t'", 41, "y"),
+                     power("t", 29, "z"), power("t'", 41, "w")])
+    code = main(["solve", "--group", z_group, "--expr", expr])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["diagnostics"]["dioph_nodes"] > 0
+    assert captured.err.startswith(
+        "error: budget exhausted: Diophantine minimal-solution search")
+
+
 def test_incomplete_solve_warns(free_group, capsys):
     # a splits budget that refuses the split of the constant a b' every
     # reduction needs, and FACTOR_CAP refusing a fourth factor of a power

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from knapsolve.errors import BudgetExceededError, InputError
 from knapsolve.expr import Renaming
 from knapsolve.semilinear import (
+    DiophSolver,
     DiophSystem,
     LinearSet,
     SemilinearSet,
-    _minimal_nonneg_solutions,
     solve_dioph_nonneg,
 )
 
@@ -251,6 +251,17 @@ def test_on_diagonal_without_repeats_returns_the_set(case):
     assert S.on_diagonal(K).components == S.components
 
 
+def minimal_solutions(matrix, num_vars, cap):
+    """DiophSolver's minimal solutions of matrix.x = 0 whose slack, the
+    last coordinate, is at most 1: its periods and bases, sorted."""
+    d = num_vars - 1
+    a = tuple(tuple(row[:d]) for row in matrix)
+    solver = DiophSolver(cap)
+    bases, _ = solver.solve(a, tuple(-row[d] for row in matrix), d)
+    _, periods = solver.solve(a, (0,) * len(matrix), d)
+    return sorted([p + (0,) for p in periods] + [b + (1,) for b in bases])
+
+
 def uncapped_minimal_solutions(matrix, num_vars, cap):
     """The minimal-solution search without the slack cap, as a reference."""
     columns = [tuple(row[j] for row in matrix) for j in range(num_vars)]
@@ -296,5 +307,65 @@ def test_slack_cap_keeps_the_solution_sequence(matrix):
         reference = uncapped_minimal_solutions(matrix, num_vars, 3_000)
     except BudgetExceededError:
         return
-    capped = _minimal_nonneg_solutions(matrix, num_vars, 3_000)
-    assert capped == [m for m in reference if m[-1] <= 1]
+    capped = minimal_solutions(matrix, num_vars, 3_000)
+    assert capped == sorted([m for m in reference if m[-1] <= 1])
+
+
+@st.composite
+def structured_systems(draw):
+    """Homogenised matrices [A | -c] of the shapes the solver splits on.
+
+    A is block-diagonal up to a column permutation; a block may have
+    only even coefficients, with an odd or even right-hand side; a zero
+    column or a row whose only nonzero entry is the slack may be added.
+    """
+    shapes = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)),
+                           min_size=1, max_size=3))
+    n = sum(width for _rows, width in shapes) + draw(st.integers(0, 1))
+    rows, first = [], 0
+    for height, width in shapes:
+        scale = draw(st.sampled_from((1, 2)))
+        for _ in range(height):
+            row = [0] * n
+            row[first:first + width] = [
+                scale * a for a in draw(st.lists(
+                    st.integers(-3, 3), min_size=width, max_size=width))]
+            rows.append(row + [-draw(st.integers(-5, 5))])
+        first += width
+    if draw(st.booleans()):
+        rows.append([0] * n + [draw(st.integers(-2, 2))])
+    order = draw(st.permutations(range(n)))
+    return [tuple(row[j] for j in order) + (row[n],) for row in rows]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(structured_systems())
+def test_block_search_matches_the_reference(matrix):
+    num_vars = len(matrix[0])
+    try:
+        reference = uncapped_minimal_solutions(matrix, num_vars, 5_000)
+    except BudgetExceededError:
+        return
+    assert minimal_solutions(matrix, num_vars, 5_000) == sorted(
+        m for m in reference if m[-1] <= 1)
+
+
+def test_independent_blocks_stay_under_the_cap():
+    # one component pair of the intersection over Z7 x Z5 of
+    # (a b)^x (a a b)^y (b a)^z a (a b b)^w: four independent equations
+    # 7 lam_i - 5 mu_i = c_i, which exhaust the cap when searched as one
+    matrix = [[0] * 8 for _ in range(4)]
+    for i in range(4):
+        matrix[i][3 - i], matrix[i][7 - i] = 7, -5
+    rhs = (-3, -4, -2, -2)
+    solver = DiophSolver()
+    S = solve_dioph_nonneg(DiophSystem(matrix, rhs), solver=solver)
+    assert solver.nodes < 100
+    (comp,) = S.components
+    assert DiophSystem(matrix, rhs).apply(comp.base) == rhs
+    # each block's solutions are its least one plus N (5, 7)
+    assert all(comp.base[3 - i] < 5 for i in range(4))
+    assert set(comp.periods) == {
+        tuple(5 if j == 3 - i else 7 if j == 7 - i else 0 for j in range(8))
+        for i in range(4)
+    }
