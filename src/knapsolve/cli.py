@@ -10,12 +10,12 @@ solve entry of every group, and prints {"vars", "components",
 "diagnostics"} and exits 0, or prints {"diagnostics"} and exits 2 when
 a search budget was exhausted, or exits 1 on bad input, a negative
 budget or box included.  --budget-refinement caps the refinement splits
-and --budget-automata the states of every reduction search of the
-solve, nested ones included; --fast caps the splits at
-FAST_SPLITS_BUDGET.  solve warns on stderr when diagnostics["complete"]
-is false: a splits cap below a search's ceiling, or FACTOR_CAP, refused
-a split in the solve or in a nested one.  verify compares a saved
-result against brute force on a box.
+of every reduction search of the solve, nested ones included, and
+--budget-automata the states of all of them together; --fast caps the
+splits at FAST_SPLITS_BUDGET.  solve warns on stderr when
+diagnostics["complete"] is false: a splits cap below a search's
+ceiling, or FACTOR_CAP, refused a split in the solve or in a nested
+one.  verify compares a saved result against brute force on a box.
 """
 
 import argparse
@@ -115,7 +115,7 @@ def build_parser():
     )
     solve.add_argument(
         "--budget-automata", type=int, default=SEARCH_STATES_CAP,
-        help="cap on reduction-search states",
+        help="cap on the reduction-search states of the whole solve",
     )
     solve.add_argument(
         "--fast", action="store_true",

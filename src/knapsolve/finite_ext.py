@@ -17,7 +17,7 @@ substitution.
 
 from .errors import InputError
 from .groups import GroupBackend, backend_of, solve_exponent
-from .reduction import SEARCH_STATES_CAP, solve_local
+from .reduction import SEARCH_STATES_CAP, direct_sum_all, solve_local
 from .semilinear import LinearSet, SemilinearSet
 from .words import invert_letter
 
@@ -86,12 +86,9 @@ class FiniteExtBackend(GroupBackend):
     def word_problem(self, word):
         return fe_word_problem(self, word)
 
-    def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
+    def solve_knapsack(self, e, limits):
         """Guess per factor and solve in the subgroup (module docstring)."""
-        stats = diagnostics if diagnostics is not None else {}
-        stats.setdefault("branches", 0)
-        stats.setdefault("pruned", 0)
-        limits = (splits_budget, states_budget, stats)
+        limits.open("branches", "pruned")
         l = len(self.cosets)
         branches = [_Branch(IDENTITY_COSET, (), [], {}, {})]
         for period, var, tail in e.factors:
@@ -121,13 +118,13 @@ class FiniteExtBackend(GroupBackend):
         names = e.variables
         total = SemilinearSet.empty(names)
         for branch in branches:
-            stats["branches"] += 1
+            limits.count("branches")
             if branch.coset != IDENTITY_COSET:
-                stats["pruned"] += 1
+                limits.count("pruned")
                 continue
             solved = _branch_solutions(self.subgroup, names, branch, limits)
             if solved is None:
-                stats["pruned"] += 1
+                limits.count("pruned")
                 continue
             total = total.union(solved)
         return total
@@ -154,10 +151,6 @@ class CosetOrbit:
         self.l = l
         self.k = k
         self.entry = self.values[l]
-
-    def residues(self, target):
-        """All r in [0, k) with f^{l+r}(d) = target; empty means bad guess."""
-        return [r for r in range(self.k) if self.values[self.l + r] == target]
 
 
 def coset_orbit(desc, d, u):
@@ -237,8 +230,4 @@ def _branch_solutions(sub, names, branch, limits):
         pieces.append(SemilinearSet((var,), [LinearSet((off,), [(k,)])]))
     for var, j in sorted(branch.points.items()):
         pieces.append(SemilinearSet.point((var,), (j,)))
-    out = None
-    for piece in pieces:
-        out = piece if out is None else out.direct_sum(piece)
-    assert out is not None and set(out.vars) == set(names)
-    return out._aligned_to(names)
+    return direct_sum_all(pieces, names)

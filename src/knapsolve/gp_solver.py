@@ -130,16 +130,11 @@ class GraphProductBackend(GroupBackend):
     def elem_sort_key(self, a):
         return tuple(self.monoid.atom_key(atom) for atom in a.atoms)
 
-    def solve(self, e, splits_budget, states_budget, diagnostics):
+    def solve(self, e, limits):
         """The reduction search, or over a join the direct-product split."""
         if not self.direct_factors:
-            return solve_by_reduction(
-                GraphProductScheme(self), e,
-                splits_budget, states_budget, diagnostics,
-            )
-        return _solve_over_join(
-            self, e, splits_budget, states_budget, diagnostics
-        )
+            return solve_by_reduction(GraphProductScheme(self), e, limits)
+        return _solve_over_join(self, e, limits)
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +731,11 @@ def solve_exponent_graph_product(desc, e, splits_budget=None,
                           splits_budget, states_budget, diagnostics)
 
 
-def _solve_over_join(backend, e, splits_budget, states_budget, diagnostics):
+def _solve_over_join(backend, e, limits):
     """The intersection of the factors' solution sets of their projections
     of e, each solved under the caller's limits (module docstring).
     """
-    stats = diagnostics if diagnostics is not None else {}
-    for key in ("branches", "reductions", "states", "grids"):
-        stats.setdefault(key, 0)
-    stats.setdefault("complete", True)
+    limits.open("branches", "reductions", "states", "grids", "complete")
     names = e.variables
     result = None
     for factor in backend.direct_factors:
@@ -757,14 +749,13 @@ def _solve_over_join(backend, e, splits_budget, states_budget, diagnostics):
             if not factor.word_problem(sum((w for _e, w in entries), ())):
                 return SemilinearSet.empty(names)
             continue
-        sols = factor.solve(
-            expr_from_entries(entries), splits_budget, states_budget, stats
-        )
+        sols = factor.solve(expr_from_entries(entries), limits)
         free = tuple(v for v in names if v not in sols.vars)
         if free:
             sols = sols.direct_sum(SemilinearSet.universe(free))
         sols = sols._aligned_to(names)
-        result = sols if result is None else result.intersect(sols)
+        with limits.dioph() as solver:
+            result = sols if result is None else result.intersect(sols, solver)
         if result.is_empty_representation():
             break
     assert result is not None, "every period keeps a power in some factor"

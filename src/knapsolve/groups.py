@@ -2,15 +2,15 @@
 
 A backend wraps a concretely described group and exposes three things:
 the generator alphabet (closed under formal inverses), the word problem
-(w =? 1), and solve, which answers any expression with a SemilinearSet
-under the limits splits_budget, states_budget and diagnostics and hands
-them on to every nested solve.  The default solve renames repeated
-variables apart (knapsackify), calls the leaf hook solve_knapsack, for
-an expression in which every variable occurs once, and keeps the points
-on the diagonal (SemilinearSet.on_diagonal); graph products,
-HNN-extensions and amalgams override solve with the reduction search.
-solve_exponent() is the one solve entry for every group, and nested
-solves call solve.
+(w =? 1), and solve(e, limits), which answers any expression with a
+SemilinearSet under the solve's reduction.Limits, its budgets and
+report, and hands that object on to every nested solve.  The default
+solve renames repeated variables apart (knapsackify), calls the leaf
+hook solve_knapsack, for an expression in which every variable occurs
+once, and keeps the points on the diagonal (SemilinearSet.on_diagonal);
+graph products, HNN-extensions and amalgams override solve with the
+reduction search.  solve_exponent() is the one solve entry for every
+group and builds the Limits; nested solves call solve.
 
 Base backends: the infinite cyclic group (one generator, exponent sums)
 and finite groups given by a Cayley table.  Composite backends (graph
@@ -22,9 +22,9 @@ import itertools
 
 from .errors import InputError
 from .expr import knapsackify
-from .reduction import SEARCH_STATES_CAP
+from .reduction import SEARCH_STATES_CAP, Limits
 from .semilinear import (
-    DiophSolver, DiophSystem, LinearSet, SemilinearSet, solve_dioph_nonneg,
+    DiophSystem, LinearSet, SemilinearSet, solve_dioph_nonneg,
 )
 from .words import invert_letter
 
@@ -74,20 +74,16 @@ class GroupBackend:
         """Geodesic length of the element represented by word."""
         return self.elem_norm(self.elem_from_word(word))
 
-    def solve(self, e, splits_budget, states_budget, diagnostics):
+    def solve(self, e, limits):
         """Solution set of e = 1; variables may repeat."""
-        limits = (splits_budget, states_budget, diagnostics)
         if len(e.variables) == len(e.factors):
-            return self.solve_knapsack(e, *limits)
+            return self.solve_knapsack(e, limits)
         e_prime, K = knapsackify(e)
-        sols = self.solve_knapsack(e_prime, *limits)
-        solver = DiophSolver()
-        try:
+        sols = self.solve_knapsack(e_prime, limits)
+        with limits.dioph() as solver:
             return sols.on_diagonal(K, solver).restrict(e.variables)
-        finally:
-            count_dioph_nodes(diagnostics, solver)
 
-    def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
+    def solve_knapsack(self, e, limits):
         """Solution set of e = 1; every variable of e occurs exactly once."""
         raise NotImplementedError
 
@@ -95,13 +91,6 @@ class GroupBackend:
         for a in word:
             if a not in self.alphabet:
                 raise InputError(f"letter {a!r} not in group alphabet")
-
-
-def count_dioph_nodes(diagnostics, solver):
-    """Add the nodes solver explored to diagnostics["dioph_nodes"]."""
-    if diagnostics is not None:
-        diagnostics["dioph_nodes"] = (
-            diagnostics.get("dioph_nodes", 0) + solver.nodes)
 
 
 def backend_of(desc, cls):
@@ -126,15 +115,15 @@ def solve_exponent(backend, e, splits_budget=None,
                    states_budget=SEARCH_STATES_CAP, diagnostics=None):
     """Full solution set of e = 1 over the backend's group.
 
-    splits_budget caps the refinement splits and states_budget the
-    states of every reduction search the solve runs, nested ones
-    included; diagnostics, a dict, collects their counters and the
-    complete flag.  A spent states budget raises BudgetExceededError.
+    splits_budget caps the splits of each reduction search the solve
+    runs, nested ones included, and states_budget the states of all of
+    them together; diagnostics, a dict, collects the counters and the
+    complete flag.  A spent budget raises BudgetExceededError.
     """
     for period, _var, tail in e.factors:
         backend.check_word(period)
         backend.check_word(tail)
-    return backend.solve(e, splits_budget, states_budget, diagnostics)
+    return backend.solve(e, Limits(splits_budget, states_budget, diagnostics))
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +161,12 @@ class IntegerGroup(GroupBackend):
     def elem_sort_key(self, a):
         return (abs(a), a)
 
-    def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
+    def solve_knapsack(self, e, limits):
         coeffs = [self.elem_from_word(p) for p, _v, _t in e.factors]
         const = sum(self.elem_from_word(t) for _p, _v, t in e.factors)
         sys = DiophSystem([tuple(coeffs)], (-const,))
-        solver = DiophSolver()
-        try:
+        with limits.dioph() as solver:
             return solve_dioph_nonneg(sys, e.variables, solver)
-        finally:
-            count_dioph_nodes(diagnostics, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +280,7 @@ class FiniteGroup(GroupBackend):
             k += 1
         return k
 
-    def solve_knapsack(self, e, splits_budget, states_budget, diagnostics):
+    def solve_knapsack(self, e, limits):
         """Enumerate residue tuples modulo element orders."""
         gs = [self.elem_from_word(p) for p, _v, _t in e.factors]
         tails = [self.elem_from_word(t) for _p, _v, t in e.factors]

@@ -235,10 +235,8 @@ class HnnBackend(GroupBackend):
     def norm(self, word):
         return self.bw_norm(britton_reduce(self, self.parse(word)))
 
-    def solve(self, e, splits_budget, states_budget, diagnostics):
-        return solve_by_reduction(
-            HnnScheme(self), e, splits_budget, states_budget, diagnostics
-        )
+    def solve(self, e, limits):
+        return solve_by_reduction(HnnScheme(self), e, limits)
 
 
 def britton_reduce(backend, w):
@@ -774,15 +772,13 @@ class AmalgamBackend(GroupBackend):
     def norm(self, word):
         return self.hnn.norm(amalgam_embed(self, word))
 
-    def solve(self, e, splits_budget, states_budget, diagnostics):
+    def solve(self, e, limits):
         """The HNN solve of e after the embedding."""
         embedded = ExponentExpression([
             (amalgam_embed(self, p), var, amalgam_embed(self, t))
             for p, var, t in e.factors
         ])
-        return self.hnn.solve(
-            embedded, splits_budget, states_budget, diagnostics
-        )
+        return self.hnn.solve(embedded, limits)
 
 
 def amalgam_embed(backend, word):

@@ -29,21 +29,21 @@ Both solvers answer e = 1 with one scheme:
   5. take the union over guesses and outcomes, keep its points on the
      diagonal K and project back to the variables of e.
 
-diagnostics["complete"] turns false only when a cap below a ceiling
-bound: a caller's splits_budget refusing a split, or FACTOR_CAP doing so.
-The solves inside a vertex or base group (solve_local) take the
-caller's limits, so a nested search has the same budgets, adds its
-counters to the caller's diagnostics and may clear its complete flag.
+One Limits object carries the budgets and the report of a solve, nested
+solves (solve_local) included, whose searches draw on one states budget.
+The report's complete flag turns false only when a cap below a ceiling
+bound: a splits_budget refusing a split, or FACTOR_CAP doing so.
 
 A group plugs in through a Scheme subclass and a ReductionSearchBase
 subclass; everything else lives here once.
 """
 
+import contextlib
 import itertools
 
 from .errors import BudgetExceededError
 from .expr import Renaming, expr_from_entries
-from .semilinear import LinearSet, SemilinearSet
+from .semilinear import DiophSolver, LinearSet, SemilinearSet
 from .words import invert_word
 
 SEARCH_STATES_CAP = 2_000_000
@@ -52,6 +52,51 @@ SEARCH_STATES_CAP = 2_000_000
 SPAN_DEPTH_CAP = 250
 #: limit on symbolic factors per power; a split it refuses clears complete
 FACTOR_CAP = 3
+
+
+class Limits:
+    """The budgets and the report of one solve, nested solves included.
+
+    splits_budget caps the splits of each reduction search (None: the
+    scheme's ceiling), states_budget the states of all of them together.
+    report, the caller's diagnostics dict, is written only through here.
+    """
+
+    def __init__(self, splits_budget, states_budget, report):
+        self.splits_budget = splits_budget
+        self.states_budget = states_budget
+        self.report = {} if report is None else report
+        self.states = 0
+
+    def open(self, *keys):
+        """Show keys in the report unless set: counters 0, complete true."""
+        for key in keys:
+            self.report.setdefault(key, True if key == "complete" else 0)
+
+    def count(self, key, n=1):
+        self.report[key] = self.report.get(key, 0) + n
+
+    def run_search(self, search, items):
+        """search.run(items); its states count even when a budget ends it."""
+        try:
+            return search.run(items)
+        except BudgetExceededError:
+            if search.states > search.states_cap:
+                raise BudgetExceededError(
+                    "reduction search states", self.states_budget) from None
+            raise
+        finally:
+            self.states += search.states
+            self.count("states", search.states)
+
+    @contextlib.contextmanager
+    def dioph(self):
+        """A fresh DiophSolver whose nodes count, also when its cap ends it."""
+        solver = DiophSolver()
+        try:
+            yield solver
+        finally:
+            self.count("dioph_nodes", solver.nodes)
 
 
 class Prepared:
@@ -100,7 +145,7 @@ class Scheme:
                                   record's two powers, given the open
                                   forms of its two factors
 
-    limits is the caller's (splits_budget, states_budget, diagnostics).
+    limits is the solve's Limits.
     """
 
     def preprocess(self, e):
@@ -174,35 +219,28 @@ class Scheme:
         return components
 
 
-def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
+def solve_by_reduction(scheme, e, limits):
     """Solution set of e = 1 over the group of scheme."""
     prep, K = scheme.preprocess(e)
-    occ_vars = prep.occ_vars
-    stats = diagnostics if diagnostics is not None else {}
-    stats.setdefault("branches", 0)
-    stats.setdefault("reductions", 0)
-    stats.setdefault("states", 0)
-    stats.setdefault("complete", True)
-    limits = (splits_budget, states_budget, stats)
-
+    limits.open("branches", "reductions", "states", "complete")
     if not prep.powers:
-        assert occ_vars, "an exponent expression always carries variables"
-        sols = (SemilinearSet.universe(occ_vars) if prep.tails[0].is_identity()
-                else SemilinearSet.empty(occ_vars))
-        return sols.on_diagonal(K).restrict(e.variables)
+        # every period is the identity, so e = 1 for all exponents or none
+        return (SemilinearSet.universe(e.variables)
+                if prep.tails[0].is_identity()
+                else SemilinearSet.empty(e.variables))
 
     period = {i: u for i, (u, _var) in enumerate(prep.powers, 1)}
     var_of = {i: var for i, (_u, var) in enumerate(prep.powers, 1)}
     atomic = [i for i in period if scheme.is_atomic(period[i])]
     wb = {i: u for i, u in period.items() if i not in atomic}
 
-    constrained = [name for name in occ_vars if name not in prep.free_occs]
+    constrained = [name for name in prep.occ_vars if name not in prep.free_occs]
     assert constrained, "every power contributes a constrained occurrence"
     total = SemilinearSet.empty(tuple(constrained))
 
     for n1_bits in itertools.product((False, True), repeat=len(atomic)):
         n1 = {atomic[k] for k in range(len(atomic)) if n1_bits[k]}
-        stats["branches"] += 1
+        limits.count("branches")
         n1_sets = []
         for i in sorted(n1):
             sols = scheme.zero_guess(period[i], var_of[i], limits)
@@ -221,39 +259,35 @@ def solve_by_reduction(scheme, e, splits_budget, states_budget, diagnostics):
             if not prep.tails[i].is_identity():
                 items.append(("C", prep.tails[i]))
         if not items:
-            total = total.union(_assemble_direct_sum(n1_sets, constrained))
+            total = total.union(direct_sum_all(n1_sets, constrained))
             continue
 
         m = len(items)
         splits_cap = scheme.max_splits(m)
-        budgeted = splits_budget is not None and splits_budget < splits_cap
+        budgeted = (limits.splits_budget is not None
+                    and limits.splits_budget < splits_cap)
         if budgeted:
-            splits_cap = splits_budget
-        search = scheme.search(
-            wb, splits_cap, scheme.max_creations(m), states_budget
-        )
-        try:
-            results = search.run(tuple(items))
-        finally:
-            # a budget or a timeout still leaves the states it counted
-            stats["states"] += search.states
+            splits_cap = limits.splits_budget
+        search = scheme.search(wb, splits_cap, scheme.max_creations(m),
+                               limits.states_budget - limits.states)
+        results = limits.run_search(search, tuple(items))
         if search.refused_split or (budgeted and search.splits_cap_bound):
-            stats["complete"] = False
-        stats["reductions"] += len(results)
+            limits.report["complete"] = False
+        limits.count("reductions", len(results))
         for records, orders in results.items():
             sets = _assemble_outcome(
                 scheme, wb, var_of, records, orders, n1_sets, limits
             )
             if sets is not None:
-                total = total.union(_assemble_direct_sum(sets, constrained))
+                total = total.union(direct_sum_all(sets, constrained))
 
-    result = total
     for name in prep.free_occs:
-        result = result.direct_sum(SemilinearSet.universe((name,)))
-    return result.on_diagonal(K).restrict(e.variables)
+        total = total.direct_sum(SemilinearSet.universe((name,)))
+    with limits.dioph() as solver:
+        return total.on_diagonal(K, solver).restrict(e.variables)
 
 
-def _assemble_direct_sum(sets, names):
+def direct_sum_all(sets, names):
     """Direct-sum disjoint-variable sets and align to the given order."""
     out = None
     for piece in sets:
@@ -270,7 +304,6 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
     Returns a list of SemilinearSets over disjoint variable groups, or
     None if the outcome is contradictory.
     """
-    stats = limits[2]
     zero_powers = set()
     local = []
     assigns = {}
@@ -330,7 +363,7 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
         if not opts:
             return None
         reduced[i] = opts
-    stats["grids"] = stats.get("grids", 0) + 1
+    limits.count("grids")
 
     # pair records couple at most two powers at a time; solve the pair
     # relation per connected component of powers and direct-sum the rest
@@ -366,11 +399,10 @@ def solve_local(group, entries, limits, target=()):
     ("e", word) constants and ("p", var, word) powers word^var, every
     var once and at least one power among them; target is a word.  The
     group's own solve answers the knapsack expression of the product
-    under the caller's limits (splits_budget, states_budget,
-    diagnostics), so its counters add to the caller's.
+    under the caller's Limits, so its counters add to the caller's.
     """
     e = expr_from_entries(list(entries) + [("e", invert_word(target))])
-    return group.solve(e, *limits)
+    return group.solve(e, limits)
 
 
 def restrict_lines(lines, need_x, need_y):

@@ -16,7 +16,7 @@ each right-hand side, pruned by it, under an explicit node cap.
 on_diagonal intersects with the diagonal of a variable renaming by a
 system over the component's own period coefficients alone; intersect
 and on_diagonal build one matrix per periods tuple (pair), and every
-component with those periods shares it and its Hilbert basis.
+component with those periods shares it, its Hilbert basis and its image.
 """
 
 import itertools
@@ -399,12 +399,13 @@ class LinearSet:
 
         return rec(0, target)
 
-    def images(self, bases, periods):
+    def images(self, bases, hilbert, shared):
         """One linear set b + P.lam + P.H.N^m per lam in bases.
 
-        P is self.periods and H the vectors of periods; a vector's
+        P is self.periods and H the vectors of hilbert; a vector's
         coordinates past len(P) belong to other unknowns and are
-        ignored.  The images P.h are computed once and shared.
+        ignored.  The images P.h are computed once per (P, H), in the
+        dict shared that the components of one call share.
         """
         if not bases:
             return []
@@ -417,10 +418,13 @@ class LinearSet:
                         out[i] += coef * x
             return tuple(out)
 
-        zero = (0,) * self.dim
-        shared = tuple(sorted({v for v in (combine(zero, h) for h in periods)
-                               if any(v)}))
-        return [LinearSet._unchecked(combine(self.base, b), shared)
+        key = (self.periods, hilbert)
+        periods = shared.get(key)
+        if periods is None:
+            zero = (0,) * self.dim
+            periods = shared[key] = tuple(sorted(
+                {v for v in (combine(zero, h) for h in hilbert) if any(v)}))
+        return [LinearSet._unchecked(combine(self.base, b), periods)
                 for b in bases]
 
     def points_in_box(self, bound):
@@ -546,10 +550,10 @@ class SemilinearSet:
         other = other._aligned_to(self.vars)
         return SemilinearSet(self.vars, self.components + other.components)
 
-    def intersect(self, other, cap=DIOPH_DEFAULT_CAP):
+    def intersect(self, other, solver=None):
         other = other._aligned_to(self.vars)
-        solver = DiophSolver(cap)
-        matrices = {}
+        solver = solver if solver is not None else DiophSolver()
+        matrices, shared = {}, {}
         comps = []
         for c1, c2 in itertools.product(self.components, other.components):
             key = (c1.periods, c2.periods)
@@ -564,7 +568,7 @@ class SemilinearSet:
                 )
             rhs = tuple(b - a for a, b in zip(c1.base, c2.base))
             unknowns = len(c1.periods) + len(c2.periods)
-            comps += c1.images(*solver.solve(matrix, rhs, unknowns))
+            comps += c1.images(*solver.solve(matrix, rhs, unknowns), shared)
         return SemilinearSet(self.vars, comps)
 
     def on_diagonal(self, K, solver=None):
@@ -586,7 +590,7 @@ class SemilinearSet:
         if not pairs:
             return self
         solver = solver if solver is not None else DiophSolver()
-        systems = {}
+        systems, shared = {}, {}
         comps = []
         for c in self.components:
             system = systems.get(c.periods)
@@ -607,7 +611,8 @@ class SemilinearSet:
                 comps.append(c)
                 continue
             rhs = tuple(b[i0] - b[i] for i0, i in moving)
-            comps += c.images(*solver.solve(matrix, rhs, len(c.periods)))
+            comps += c.images(*solver.solve(matrix, rhs, len(c.periods)),
+                              shared)
         return SemilinearSet(self.vars, comps)
 
     def direct_sum(self, other):

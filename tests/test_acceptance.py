@@ -32,7 +32,7 @@ from knapsolve.hnn import (
     two_dim_hnn_solve,
 )
 from knapsolve.oracle import compare
-from knapsolve.semilinear import LinearSet, SemilinearSet
+from knapsolve.semilinear import DiophSolver, LinearSet, SemilinearSet
 from knapsolve.trace import TraceMonoid, has_redex, nf_R, power_presentation
 from knapsolve.unary_automata import (
     TICK,
@@ -375,7 +375,7 @@ def test_criterion_5_semilinear_operations():
         pts_a = A.points_in_box(box)
         pts_b = B.points_in_box(box)
         assert A.union(B).points_in_box(box) == pts_a | pts_b
-        inter = A.intersect(B, cap=500_000)
+        inter = A.intersect(B, DiophSolver(500_000))
         assert inter.points_in_box(box) == pts_a & pts_b
 
         if d >= 2:

@@ -20,7 +20,7 @@ from knapsolve.expr import ExponentExpression, parse_expr
 from knapsolve.gp_solver import GraphProductScheme, solve_exponent_graph_product
 from knapsolve.groups import build_backend
 from knapsolve.oracle import compare
-from knapsolve.reduction import SEARCH_STATES_CAP, solve_by_reduction
+from knapsolve.reduction import SEARCH_STATES_CAP, Limits, solve_by_reduction
 
 
 def cyclic(order, generator):
@@ -144,7 +144,7 @@ def test_split_agrees_with_unsplit_search_and_brute_force(name):
             with _time_limit(UNSPLIT_LIMIT_S):
                 unsplit = solve_by_reduction(
                     GraphProductScheme(backend), e,
-                    None, SEARCH_STATES_CAP, None,
+                    Limits(None, SEARCH_STATES_CAP, None),
                 )
         except _Slow:
             continue

@@ -22,6 +22,11 @@ def value_at(orbit, z):
     return orbit.values[orbit.l + (z - orbit.l) % orbit.k]
 
 
+def residues(orbit, target):
+    """All r in [0, k) with f^(l+r)(d) = target."""
+    return [r for r in range(orbit.k) if value_at(orbit, orbit.l + r) == target]
+
+
 def z_in_z():
     """H = <t> = Z with index-2 subgroup <s>, s = t^2."""
     return FiniteExtBackend(
@@ -153,7 +158,7 @@ def test_orbit_alternates_cosets():
     assert orbit.l == 2 and orbit.k == 2
     assert orbit.values[:4] == ("1", "t", "1", "t")
     assert orbit.entry == "1"
-    assert orbit.residues("t") == [1]
+    assert residues(orbit, "t") == [1]
     assert value_at(orbit, 7) == "t"
 
 
@@ -162,7 +167,7 @@ def test_orbit_constant_for_subgroup_words():
     orbit = coset_orbit(backend, "t", ("s",))
     assert orbit.k == 1
     assert orbit.entry == "t"
-    assert orbit.residues("1") == []
+    assert residues(orbit, "1") == []
 
 
 # -- the solver --------------------------------------------------------------

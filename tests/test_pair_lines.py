@@ -8,13 +8,21 @@ record the hook's calls during real solves and check each returned line
 (a + b z, c + d z) at z = 0, 1, 2 against the pair's equation, its
 floor x, y >= 1 where the factor needs a copy of its period, and a zero
 exponent on a concrete factor, whose value the driver adds to its power.
+
+The shared routine stops at the first pair record without lines, and
+the order of an outcome's pair records follows the hash seed, so the
+recorder asks the hook for every pair record under every choice of open
+forms itself; what the tests see does not depend on that order.
 """
+
+import itertools
 
 from knapsolve import gp_solver
 from knapsolve.expr import parse_expr
-from knapsolve.gp_solver import GraphProductScheme, two_dim_trace_solve
+from knapsolve.gp_solver import two_dim_trace_solve
 from knapsolve.groups import build_backend, solve_exponent
-from knapsolve.hnn import HnnScheme, hnn_equal, two_dim_hnn_solve
+from knapsolve.hnn import hnn_equal, two_dim_hnn_solve
+from knapsolve.reduction import Scheme
 from knapsolve.words import invert_word
 
 Z = {"type": "IntegerGroup", "generator": "t"}
@@ -43,17 +51,29 @@ HNN_CASES = [
 ]
 
 
-def _record(monkeypatch, cls, cases):
-    """(scheme, powers, pair, form_l, form_r, lines) of every call."""
+def _record(monkeypatch, cases):
+    """(scheme, powers, pair, form_l, form_r, lines) for every pair record
+    that Scheme.pair_components is given, under every choice of open
+    forms of its powers."""
     calls = []
-    hook = cls.pair_lines
+    shared = Scheme.pair_components
 
-    def recording(self, wb, pair, form_l, form_r):
-        lines = hook(self, wb, pair, form_l, form_r)
-        calls.append((self, wb, pair, form_l, form_r, lines))
-        return lines
+    def recording(self, wb, order, comp_pairs, reduced):
+        choices = [
+            {tuple(sorted(of.items())): of for _c, of in reduced[i]}.values()
+            for i in order
+        ]
+        for combo in itertools.product(*choices):
+            forms = {}
+            for of in combo:
+                forms.update(of)
+            for pair in comp_pairs:
+                form_l, form_r = forms[pair[0]], forms[pair[3]]
+                lines = self.pair_lines(wb, pair, form_l, form_r)
+                calls.append((self, wb, pair, form_l, form_r, lines))
+        return shared(self, wb, order, comp_pairs, reduced)
 
-    monkeypatch.setattr(cls, "pair_lines", recording)
+    monkeypatch.setattr(Scheme, "pair_components", recording)
     for desc, text in cases:
         solve_exponent(build_backend(desc), parse_expr(text))
     return calls
@@ -71,7 +91,7 @@ def _gp_value(form, u, k):
 def test_graph_product_pair_lines(monkeypatch):
     # the component cache would skip the hook on pairs seen before
     monkeypatch.setattr(gp_solver, "_COMPONENT_CACHE", {})
-    calls = _record(monkeypatch, GraphProductScheme, GP_CASES)
+    calls = _record(monkeypatch, GP_CASES)
     answered = set()
     floor_used = False
     for scheme, wb, pair, form_l, form_r, lines in calls:
@@ -100,7 +120,7 @@ def test_graph_product_pair_lines(monkeypatch):
 
 
 def test_hnn_pair_lines(monkeypatch):
-    calls = _record(monkeypatch, HnnScheme, HNN_CASES)
+    calls = _record(monkeypatch, HNN_CASES)
     answered = set()
     floor_used = False
     for scheme, wb, pair, form_l, form_r, lines in calls:
