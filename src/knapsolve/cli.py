@@ -11,11 +11,10 @@ solve entry of every group, and prints {"vars", "components",
 a search budget was exhausted, or exits 1 on bad input, a negative
 budget or box included.  --budget-refinement caps the refinement splits
 of every reduction search of the solve, nested ones included, and
---budget-automata the states of all of them together; --fast caps the
-splits at FAST_SPLITS_BUDGET.  solve warns on stderr when
-diagnostics["complete"] is false: a splits cap below a search's
-ceiling, or FACTOR_CAP, refused a split in the solve or in a nested
-one.  verify compares a saved result against brute force on a box.
+--budget-automata the states of all of them together.  solve warns on
+stderr when diagnostics["complete"] is false: a splits cap below a
+search's ceiling, or FACTOR_CAP, refused a split in the solve or in a
+nested one.  verify compares a saved result against brute force on a box.
 """
 
 import argparse
@@ -28,9 +27,6 @@ from .groups import build_backend, solve_exponent
 from .oracle import compare
 from .reduction import SEARCH_STATES_CAP
 from .semilinear import SemilinearSet
-
-#: --fast trades completeness for speed by capping refinement splits
-FAST_SPLITS_BUDGET = 6
 
 
 def _load_group(path):
@@ -47,19 +43,11 @@ def _load_group(path):
 def cmd_solve(args):
     backend = _load_group(args.group)
     e = parse_expr(args.expr)
-    splits_budget = args.budget_refinement
-    if args.fast:
-        print(
-            "warning: --fast lowers search budgets; the result may miss "
-            "solutions",
-            file=sys.stderr,
-        )
-        if splits_budget is None or splits_budget > FAST_SPLITS_BUDGET:
-            splits_budget = FAST_SPLITS_BUDGET
     diagnostics = {}
     try:
         sols = solve_exponent(
-            backend, e, splits_budget, args.budget_automata, diagnostics
+            backend, e, args.budget_refinement, args.budget_automata,
+            diagnostics,
         )
     except BudgetExceededError:
         # the work done so far; main prints the error line and exits 2
@@ -116,10 +104,6 @@ def build_parser():
     solve.add_argument(
         "--budget-automata", type=int, default=SEARCH_STATES_CAP,
         help="cap on the reduction-search states of the whole solve",
-    )
-    solve.add_argument(
-        "--fast", action="store_true",
-        help="lower budgets for speed; may miss solutions",
     )
     solve.add_argument("--json-indent", type=int, default=None)
     solve.set_defaults(func=cmd_solve)

@@ -8,11 +8,16 @@ which decides the word problem whenever G's is decidable.
 
 Exponent equations reduce to G: the coset sequence under powers of a
 period u follows the orbit of the map f(c) = "coset of c u", which is
-eventually periodic with entry and period at most l = |C|.  Guessing,
-per factor, either a concrete exponent below l or the orbit residue r
-turns e = 1 into an exponent equation over G; the exponent change
-sigma(x) = k x' + (l + r) maps G's solution set back through an affine
-substitution.
+eventually periodic with entry and period at most l = |C|.  So every
+exponent x is either a concrete j < l or l + r + k x' with k the cycle
+length and r < k.  One recursive walk over e's factors guesses this
+for each factor in turn and carries (coset, subgroup entries, shifts),
+where shifts[x] = (k, off) means x = k x' + off and a concrete guess is
+the shift (0, j).  At each leaf whose coset is 1, one solve_local call
+answers the remaining powers in G (the word problem does, when none is
+left), affine_substitute maps that set back through the shifts, and a
+variable without a power in G gets the linear set off + k N, a point
+when k = 0.  The union over the leaves is the solution set.
 """
 
 from .errors import InputError
@@ -84,114 +89,82 @@ class FiniteExtBackend(GroupBackend):
         return tuple(out), coset
 
     def word_problem(self, word):
-        return fe_word_problem(self, word)
+        """w = 1 in H: the pushed G-word is 1 in G and the final coset is 1."""
+        self.check_word(word)
+        g, coset = self.push(IDENTITY_COSET, word)
+        return coset == IDENTITY_COSET and self.subgroup.word_problem(g)
+
+    def _orbit(self, d, u):
+        """(entry, k) of the orbit of d under f(c) = coset of c u.
+
+        The orbit enters its cycle within l = |C| steps, so entry = f^l(d)
+        lies on the cycle, and k is the cycle's length.
+        """
+        for _ in self.cosets:
+            _g, d = self.push(d, u)
+        entry = d
+        d, k = self.push(d, u)[1], 1
+        while d != entry:
+            d, k = self.push(d, u)[1], k + 1
+        return entry, k
+
+    def _guesses(self, factors, coset, entries, shifts):
+        """Yield (coset, entries, shifts) for every guess on the factors.
+
+        entries spell the equation so far in the subgroup, as solve_local
+        takes them; shifts[var] = (k, off) stands for var = k var' + off,
+        with k = 0 for a concrete exponent off.
+        """
+        if not factors:
+            yield coset, entries, shifts
+            return
+        (period, var, tail), rest = factors[0], factors[1:]
+        l = len(self.cosets)
+        for j in range(l):
+            g, d = self.push(coset, period * j + tail)
+            yield from self._guesses(rest, d, entries + (("e", g),),
+                                     {**shifts, var: (0, j)})
+        entry, k = self._orbit(coset, period)
+        g_enter, c_enter = self.push(coset, period * l)
+        assert c_enter == entry, "orbit entry certification failed"
+        g_cycle, c_cycle = self.push(entry, period * k)
+        assert c_cycle == entry, "orbit cycle certification failed"
+        # a cycle word that is syntactically empty puts no subgroup
+        # constraint on var: its shift alone describes it
+        power = (("p", var, g_cycle),) if g_cycle else ()
+        for r in range(k):
+            g_res, d = self.push(entry, period * r + tail)
+            yield from self._guesses(
+                rest, d, entries + (("e", g_enter),) + power + (("e", g_res),),
+                {**shifts, var: (k, l + r)})
 
     def solve_knapsack(self, e, limits):
-        """Guess per factor and solve in the subgroup (module docstring)."""
+        """Walk the guesses and solve each in the subgroup (module docstring)."""
         limits.open("branches", "pruned")
-        l = len(self.cosets)
-        branches = [_Branch(IDENTITY_COSET, (), [], {}, {})]
-        for period, var, tail in e.factors:
-            nxt = []
-            for branch in branches:
-                for j in range(l):
-                    child = branch.child()
-                    g, child.coset = self.push(child.coset, period * j + tail)
-                    child.emit_const(g)
-                    child.points[var] = j
-                    nxt.append(child)
-                orbit = coset_orbit(self, branch.coset, period)
-                entry = orbit.entry
-                g_enter, c_enter = self.push(branch.coset, period * orbit.l)
-                assert c_enter == entry, "orbit entry certification failed"
-                g_cycle, c_cycle = self.push(entry, period * orbit.k)
-                assert c_cycle == entry, "orbit cycle certification failed"
-                for r in range(orbit.k):
-                    child = branch.child()
-                    child.emit_const(g_enter)
-                    g_res, child.coset = self.push(entry, period * r + tail)
-                    child.factors_g.append((g_cycle, var, g_res))
-                    child.substitutions[var] = (orbit.k, orbit.l + r)
-                    nxt.append(child)
-            branches = nxt
-
         names = e.variables
         total = SemilinearSet.empty(names)
-        for branch in branches:
+        for coset, entries, shifts in self._guesses(
+                e.factors, IDENTITY_COSET, (), {}):
             limits.count("branches")
-            if branch.coset != IDENTITY_COSET:
+            if coset == IDENTITY_COSET and any(x[0] == "p" for x in entries):
+                sols = solve_local(self.subgroup, entries, limits)
+            elif coset == IDENTITY_COSET and self.subgroup.word_problem(
+                    sum((x[1] for x in entries), ())):
+                # no power left: the set over no variables that holds
+                # the empty point, the unit of direct_sum
+                sols = SemilinearSet.universe(())
+            else:
+                sols = SemilinearSet.empty(())
+            if sols.is_empty_representation():
                 limits.count("pruned")
                 continue
-            solved = _branch_solutions(self.subgroup, names, branch, limits)
-            if solved is None:
-                limits.count("pruned")
-                continue
-            total = total.union(solved)
+            pieces = [sols.affine_substitute(
+                {v: shifts[v][0] for v in sols.vars},
+                {v: shifts[v][1] for v in sols.vars})]
+            pieces += [SemilinearSet((v,), [LinearSet((off,), [(k,)])])
+                       for v, (k, off) in shifts.items() if v not in sols.vars]
+            total = total.union(direct_sum_all(pieces, names))
         return total
-
-
-def fe_word_problem(desc, word):
-    """w = 1 in H: the pushed G-word is 1 in G and the final coset is 1."""
-    backend = backend_of(desc, FiniteExtBackend)
-    backend.check_word(word)
-    g, coset = backend.push(IDENTITY_COSET, word)
-    return coset == IDENTITY_COSET and backend.subgroup.word_problem(g)
-
-
-class CosetOrbit:
-    """Orbit of d under f(c) = coset of c u; eventually periodic.
-
-    values lists f^0(d), ..., f^{2l-1}(d) with l = |C|; the orbit enters
-    its cycle within l steps, so entry = f^l(d) lies on the cycle and k
-    is the cycle length.
-    """
-
-    def __init__(self, values, l, k):
-        self.values = tuple(values)
-        self.l = l
-        self.k = k
-        self.entry = self.values[l]
-
-
-def coset_orbit(desc, d, u):
-    """Iterate the coset map of u from d until one full cycle past l."""
-    backend = backend_of(desc, FiniteExtBackend)
-    if d not in backend.cosets:
-        raise InputError(f"unknown coset {d!r}")
-    backend.check_word(u)
-    l = len(backend.cosets)
-    values = [d]
-    for _ in range(2 * l):
-        _g, d = backend.push(values[-1], u)
-        values.append(d)
-    k = next(k for k in range(1, l + 1) if values[l + k] == values[l])
-    return CosetOrbit(values[: 2 * l], l, k)
-
-
-class _Branch:
-    """Partial rewriting of the equation into the subgroup."""
-
-    __slots__ = ("coset", "leading", "factors_g", "points", "substitutions")
-
-    def __init__(self, coset, leading, factors_g, points, substitutions):
-        self.coset = coset
-        self.leading = leading
-        self.factors_g = factors_g
-        self.points = points
-        self.substitutions = substitutions
-
-    def emit_const(self, word):
-        if self.factors_g:
-            p0, v0, t0 = self.factors_g[-1]
-            self.factors_g[-1] = (p0, v0, t0 + tuple(word))
-        else:
-            self.leading = self.leading + tuple(word)
-
-    def child(self):
-        return _Branch(
-            self.coset, self.leading, list(self.factors_g),
-            dict(self.points), dict(self.substitutions),
-        )
 
 
 def solve_exponent_finite_ext(desc, e, splits_budget=None,
@@ -200,34 +173,3 @@ def solve_exponent_finite_ext(desc, e, splits_budget=None,
     """Solution set of e = 1 over the finite extension described by desc."""
     return solve_exponent(backend_of(desc, FiniteExtBackend), e,
                           splits_budget, states_budget, diagnostics)
-
-
-def _branch_solutions(sub, names, branch, limits):
-    """SemilinearSet over all equation variables for one guess, or None."""
-    # a factor whose cycle word is syntactically empty puts no subgroup
-    # constraint on its variable; its tail joins the constants around it
-    entries = [("e", branch.leading)]
-    free = []
-    for p, var, t in branch.factors_g:
-        if p:
-            entries.append(("p", var, p))
-        else:
-            free.append(var)
-        entries.append(("e", t))
-
-    pieces = []
-    if len(free) < len(branch.factors_g):
-        sols = solve_local(sub, entries, limits)
-        if sols.is_empty_representation():
-            return None
-        coeffs = {v: branch.substitutions[v][0] for v in sols.vars}
-        offsets = {v: branch.substitutions[v][1] for v in sols.vars}
-        pieces.append(sols.affine_substitute(coeffs, offsets))
-    elif not sub.word_problem(sum((word for _e, word in entries), ())):
-        return None
-    for var in free:
-        k, off = branch.substitutions[var]
-        pieces.append(SemilinearSet((var,), [LinearSet((off,), [(k,)])]))
-    for var, j in sorted(branch.points.items()):
-        pieces.append(SemilinearSet.point((var,), (j,)))
-    return direct_sum_all(pieces, names)

@@ -510,15 +510,7 @@ class SemilinearSet:
             raise InputError(
                 f"variable mismatch: {self.vars} vs {tuple(var_names)}"
             )
-        perm = [self.vars.index(v) for v in var_names]
-        comps = [
-            LinearSet(
-                tuple(c.base[i] for i in perm),
-                [tuple(p[i] for i in perm) for p in c.periods],
-            )
-            for c in self.components
-        ]
-        return SemilinearSet(var_names, comps)
+        return self.restrict(var_names)
 
     # -- queries -------------------------------------------------------
 

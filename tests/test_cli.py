@@ -144,15 +144,6 @@ def test_complete_solve_is_quiet(free_group, capsys):
         assert compare(backend, parse_expr(text), sols, 6)["ok"]
 
 
-def test_fast_mode_warns(free_group, capsys):
-    code = main([
-        "solve", "--group", free_group, "--expr", "(a b)^x (b' a)^y", "--fast",
-    ])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "miss" in captured.err
-
-
 def test_solve_then_verify_round_trip(free_group, tmp_path, capsys):
     code = main([
         "solve", "--group", free_group, "--expr", "(a b)^x (b' a)^y",

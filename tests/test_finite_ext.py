@@ -5,26 +5,23 @@ import random
 import pytest
 
 from knapsolve.expr import ExponentExpression, parse_expr
-from knapsolve.finite_ext import (
-    FiniteExtBackend,
-    coset_orbit,
-    fe_word_problem,
-    solve_exponent_finite_ext,
+from knapsolve.finite_ext import FiniteExtBackend, solve_exponent_finite_ext
+from knapsolve.groups import (
+    IntegerGroup, build_backend, cyclic_group, solve_exponent,
 )
-from knapsolve.groups import IntegerGroup, build_backend, cyclic_group
 from knapsolve.oracle import compare
 
 
-def value_at(orbit, z):
-    """f^z(d) read off the eventually periodic orbit."""
-    if z < orbit.l:
-        return orbit.values[z]
-    return orbit.values[orbit.l + (z - orbit.l) % orbit.k]
+def value_at(backend, d, u, z):
+    """f^z(d) for the coset map f(c) = coset of c u, by pushing u^z."""
+    return backend.push(d, tuple(u) * z)[1]
 
 
-def residues(orbit, target):
+def residues(backend, d, u, target):
     """All r in [0, k) with f^(l+r)(d) = target."""
-    return [r for r in range(orbit.k) if value_at(orbit, orbit.l + r) == target]
+    l = len(backend.cosets)
+    _entry, k = backend._orbit(d, u)
+    return [r for r in range(k) if value_at(backend, d, u, l + r) == target]
 
 
 def z_in_z():
@@ -116,9 +113,9 @@ def s3_perm(word):
 
 def test_word_problem_examples():
     backend = z_in_z()
-    assert fe_word_problem(backend, ("t", "t", "s'"))
-    assert not fe_word_problem(backend, ("t",))
-    assert fe_word_problem(backend, ())
+    assert backend.word_problem(("t", "t", "s'"))
+    assert not backend.word_problem(("t",))
+    assert backend.word_problem(())
 
 
 def test_word_problem_against_independent_evaluation():
@@ -154,20 +151,33 @@ def test_norm_raises_without_element_form():
 
 def test_orbit_alternates_cosets():
     backend = z_in_z()
-    orbit = coset_orbit(backend, "1", ("t",))
-    assert orbit.l == 2 and orbit.k == 2
-    assert orbit.values[:4] == ("1", "t", "1", "t")
-    assert orbit.entry == "1"
-    assert residues(orbit, "t") == [1]
-    assert value_at(orbit, 7) == "t"
+    assert backend._orbit("1", ("t",)) == ("1", 2)
+    assert [value_at(backend, "1", ("t",), z) for z in range(4)] == [
+        "1", "t", "1", "t"]
+    assert residues(backend, "1", ("t",), "t") == [1]
+    assert value_at(backend, "1", ("t",), 7) == "t"
 
 
 def test_orbit_constant_for_subgroup_words():
     backend = z_in_z()
-    orbit = coset_orbit(backend, "t", ("s",))
-    assert orbit.k == 1
-    assert orbit.entry == "t"
-    assert residues(orbit, "1") == []
+    assert backend._orbit("t", ("s",)) == ("t", 1)
+    assert residues(backend, "t", ("s",), "1") == []
+
+
+def test_orbit_is_eventually_periodic():
+    """f^z(d) = f^(l + (z - l) mod k)(d) for every z >= l = |C|."""
+    for backend in (z_in_z(), z2_in_z4(), z3_in_s3()):
+        l = len(backend.cosets)
+        for d in backend.cosets:
+            for u in (("t",), ("t", "t"), ("s",), ("f",), ("r", "f"), ("r",)):
+                if not set(u) <= backend.alphabet:
+                    continue
+                entry, k = backend._orbit(d, u)
+                assert value_at(backend, d, u, l) == entry
+                assert value_at(backend, d, u, l + k) == entry
+                for z in range(l, 3 * l + 2):
+                    assert value_at(backend, d, u, z) == value_at(
+                        backend, d, u, l + (z - l) % k)
 
 
 # -- the solver --------------------------------------------------------------
@@ -218,6 +228,25 @@ def test_solver_oracle_random():
         S = solve_exponent_finite_ext(backend, e)
         rep = compare(backend, e, S, 9)
         assert rep["ok"], (name, e.factors, rep["mismatches"][:5])
+
+
+@pytest.mark.parametrize("text, branches, pruned, components", [
+    ("(t)^x (t)^y t'", 16, 14, 2),
+    ("(t s)^x (s' t')^y (t)^z", 64, 51, 13),
+    ("(t' s)^z s (t' t)^z t (s s)^y (t s)^y s (s)^x s'", 432, 432, 0),
+])
+def test_solver_diagnostics(text, branches, pruned, components):
+    """Every guess is a branch; a leaf off coset 1 or without G-solutions
+    is pruned, and each surviving leaf adds its components."""
+    backend = z_in_z()
+    e = parse_expr(text)
+    diagnostics = {}
+    S = solve_exponent(backend, e, diagnostics=diagnostics)
+    assert (diagnostics["branches"], diagnostics["pruned"]) == (
+        branches, pruned)
+    assert len(S.components) == components
+    report = compare(backend, e, S, 4)
+    assert report["ok"], report["mismatches"][:5]
 
 
 def test_solver_repeated_variable():

@@ -112,7 +112,7 @@ Z2_T_PRODUCT = {
     pytest.param(
         Z4_Z4_AMALGAM, Z4_Z4_FREE, "(a b)^x (b' a')^y",
         marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 1: the amalgam answers only (0, 0) and misses "
+            "ROADMAP item 2: the amalgam answers only (0, 0) and misses "
             "x = y >= 1"
         )),
     ),
