@@ -57,6 +57,7 @@ from .trace import (
     project_pair,
 )
 from .unary_automata import word_pair_power_solutions
+from .words import components
 
 
 class GraphProductBackend(GroupBackend):
@@ -81,24 +82,12 @@ class GraphProductBackend(GroupBackend):
         A one-vertex factor is that vertex's backend.
         """
         monoid = self.monoid
-        n = len(monoid.vertices)
-        parent = list(range(n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for v, w in monoid.dependent_vertex_pairs():
-            parent[find(v)] = find(w)
-        parts = {}
-        for v in range(n):
-            parts.setdefault(find(v), []).append(v)
+        parts = components(range(len(monoid.vertices)),
+                           monoid.dependent_vertex_pairs())
         if len(parts) < 2:
             return ()
         factors = []
-        for part in parts.values():
+        for part in parts:
             if len(part) == 1:
                 factors.append(monoid.vertices[part[0]])
                 continue
@@ -269,14 +258,11 @@ class ReductionSearch(ReductionSearchBase):
     def factor(self, i, fid):
         return ("F", i, fid, self.power_alphs[i])
 
-    def unary_moves(self, item, splits):
+    def unary_moves(self, item):
         tag = item[0]
         if tag == "W":
             yield from self._zero_or_open(item)
         elif tag == "C" and len(item[1].atoms) > 1:
-            if not splits:
-                yield None
-                return
             trace = item[1]
             all_pos = set(range(len(trace.atoms)))
             for down in trace.downsets():
@@ -297,9 +283,6 @@ class ReductionSearch(ReductionSearchBase):
                     rec = ("assign", fid, i, alph, value)
                     yield (("C", value),), (rec,), False
             # split into two alphabet-tagged factors
-            if not splits:
-                yield None
-                return
             sub = sorted(alph)
             for r1 in range(1, len(sub) + 1):
                 for a1 in itertools.combinations(sub, r1):
@@ -315,14 +298,11 @@ class ReductionSearch(ReductionSearchBase):
         if left[0] == "C" and right[0] == "C":
             if right[1] == left[1].inv():
                 yield (), (), None
-        if left[0] == "C" and right[0] == "F":
-            value = left[1].inv()
-            if value.alph_gamma() == right[3]:
-                yield (), (("assign", right[2], right[1], right[3], value),), None
-        if left[0] == "F" and right[0] == "C":
-            value = right[1].inv()
-            if value.alph_gamma() == left[3]:
-                yield (), (("assign", left[2], left[1], left[3], value),), None
+        for con, fac in ((left, right), (right, left)):
+            if con[0] == "C" and fac[0] == "F":
+                value = con[1].inv()
+                if value.alph_gamma() == fac[3]:
+                    yield (), (("assign", fac[2], fac[1], fac[3], value),), None
         if left[0] == "F" and right[0] == "F" and left[3] == right[3]:
             rec = (
                 "pair",

@@ -38,8 +38,8 @@ from .reduction import (
 )
 from .unary_automata import (
     TICK,
-    Nfa,
     lengths_to_xy,
+    lockstep_product,
     loop_language_nfa,
     unary_length_set,
 )
@@ -232,9 +232,6 @@ class HnnBackend(GroupBackend):
     def word_problem(self, word):
         return britton_reduce(self, self.parse(word)).is_identity()
 
-    def norm(self, word):
-        return self.bw_norm(britton_reduce(self, self.parse(word)))
-
     def solve(self, e, limits):
         return solve_by_reduction(HnnScheme(self), e, limits)
 
@@ -379,37 +376,6 @@ def _side_parts(affix1, cycle, affix2):
     return stem, cycle, exit_
 
 
-def _connect_product(backend, n1, n2, a, b):
-    """Synchronized product tracking the connecting element c.
-
-    A base-slot pair (g on top, h on bottom) moves c to h^{-1} c g; a
-    t-slot pair needs matching exponents and applies phi, emitting the
-    unary tick.  Runs from c = a to c = b.
-    """
-    transitions = []
-    for p1, top, q1 in n1.transitions:
-        for p2, bot, q2 in n2.transitions:
-            if top[0] == "t" and bot[0] == "t":
-                if top[1] != bot[1]:
-                    continue
-                d = top[1]
-                for c in backend.sub_set(d):
-                    c2 = backend.cross(c, d)
-                    transitions.append(((c, p1, p2), TICK, (c2, q1, q2)))
-            elif top[0] == "g" and bot[0] == "g":
-                for c in backend.ab:
-                    c2 = backend.base_mul(invert_word(bot[1]), c, top[1])
-                    if c2 in backend.ab:
-                        transitions.append(((c, p1, p2), None, (c2, q1, q2)))
-    initials = {(a, p1, p2) for p1 in n1.initials for p2 in n2.initials}
-    finals = {(b, p1, p2) for p1 in n1.finals for p2 in n2.finals}
-    states = initials | finals
-    for src, _lab, dst in transitions:
-        states.add(src)
-        states.add(dst)
-    return Nfa(states, transitions, initials, finals)
-
-
 #: keyed by the backend itself, not its id(): a key keeps its backend
 #: alive, so a new backend never meets a freed one's entries
 _HNN_TWO_DIM_CACHE = {}
@@ -439,8 +405,21 @@ def two_dim_hnn_solve(backend, a, u1, u, u2, v1, v, v2, b):
     stem_v, cyc_v, exit_v = _side_parts(v1, _cycle_slots(v), v2)
     n1 = loop_language_nfa(stem_u, cyc_u, exit_u)
     n2 = loop_language_nfa(stem_v, cyc_v, exit_v)
-    prod = _connect_product(backend, n1, n2, a, b)
-    progs = unary_length_set(prod)
+
+    def moves(top, bot):
+        # the register is the connecting element c: a t-slot pair of one
+        # exponent applies phi and ticks, a base-slot pair (g on top, h
+        # below) moves c to h^{-1} c g inside A u B
+        if top[0] == "t" and top == bot:
+            for c in backend.sub_set(top[1]):
+                yield c, TICK, backend.cross(c, top[1])
+        elif top[0] == "g" and bot[0] == "g":
+            for c in backend.ab:
+                c2 = backend.base_mul(invert_word(bot[1]), c, top[1])
+                if c2 in backend.ab:
+                    yield c, None, c2
+
+    progs = unary_length_set(lockstep_product(n1, n2, moves, (a,), (b,)))
     tu, tv = u.tcount, v.tcount
     pairs = []
     for b0, c0 in progs:
@@ -499,16 +478,13 @@ class HnnReductionSearch(ReductionSearchBase):
             return True
         return item[0] == "C" and item[1].tcount >= 1
 
-    def unary_moves(self, item, splits):
+    def unary_moves(self, item):
         tag = item[0]
         if tag == "W":
             yield from self._zero_or_open(item)
         elif tag == "B":
             yield (), (("val", item[1], ()),), False
         elif tag == "F":
-            if not splits:
-                yield None
-                return
             yield (("F", item[1], None), ("F", item[1], None)), (), True
         elif tag == "C" and not item[1].is_base():
             # a base constant never splits: base items merge in any
@@ -517,9 +493,6 @@ class HnnReductionSearch(ReductionSearchBase):
             # the unsplit constant reaches too, at lower cost
             backend = self.backend
             letters = item[1].letters(backend.stable)
-            if len(letters) > 1 and not splits:
-                yield None
-                return
             seen_cuts = set()
             for j in range(1, len(letters)):
                 left = backend.parse(letters[:j])
@@ -590,30 +563,21 @@ class HnnReductionSearch(ReductionSearchBase):
                 for bw_ in self.ab:
                     rec = ("pair", X[2], X[1], aw, Y[2], Y[1], bw_)
                     yield emit(bw_, extra + (rec,))
-            elif X[0] == "F":
-                # X a Y = b, so X = b Y^{-1} a^{-1}
-                for bw_ in self.ab:
-                    value = britton_reduce(backend, backend.concat(
-                        backend.concat(backend.base_bw(bw_), backend.bw_inv(Y[1])),
-                        backend.base_bw(invert_word(aw)),
-                    ))
-                    if value.tcount == 0:
-                        continue
-                    rec = ("assign", X[2], X[1], value)
-                    yield emit(bw_, extra + (rec,))
             else:
-                # X a Y = b, so Y = a^{-1} X^{-1} b
+                # X a Y = b, so X = b Y^{-1} a^{-1} or Y = a^{-1} X^{-1} b
+                left = X[0] == "F"
+                fac, con = (X, Y) if left else (Y, X)
+                con_inv = backend.bw_inv(con[1])
+                a_inv = backend.base_bw(invert_word(aw))
                 for bw_ in self.ab:
+                    pieces = [backend.base_bw(bw_), con_inv, a_inv]
+                    if not left:
+                        pieces.reverse()
                     value = britton_reduce(backend, backend.concat(
-                        backend.concat(
-                            backend.base_bw(invert_word(aw)),
-                            backend.bw_inv(X[1]),
-                        ),
-                        backend.base_bw(bw_),
-                    ))
+                        backend.concat(pieces[0], pieces[1]), pieces[2]))
                     if value.tcount == 0:
                         continue
-                    rec = ("assign", Y[2], Y[1], value)
+                    rec = ("assign", fac[2], fac[1], value)
                     yield emit(bw_, extra + (rec,))
 
 
@@ -768,9 +732,6 @@ class AmalgamBackend(GroupBackend):
 
     def word_problem(self, word):
         return self.hnn.word_problem(amalgam_embed(self, word))
-
-    def norm(self, word):
-        return self.hnn.norm(amalgam_embed(self, word))
 
     def solve(self, e, limits):
         """The HNN solve of e after the embedding."""

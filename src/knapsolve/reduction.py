@@ -44,7 +44,7 @@ import itertools
 from .errors import BudgetExceededError
 from .expr import Renaming, expr_from_entries
 from .semilinear import DiophSolver, LinearSet, SemilinearSet
-from .words import invert_word
+from .words import components, invert_word
 
 SEARCH_STATES_CAP = 2_000_000
 #: limit on nested span-solver entries, far above the 32 the benchmark's
@@ -367,25 +367,11 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
 
     # pair records couple at most two powers at a time; solve the pair
     # relation per connected component of powers and direct-sum the rest
-    parent = {i: i for i in active}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for _fl, i_l, _xl, _fr, i_r, _xr in pairs:
-        parent[find(i_l)] = find(i_r)
-    groups = {}
-    for i in sorted(active):
-        groups.setdefault(find(i), []).append(i)
-
-    for order in sorted(groups.values()):
-        comp_pairs = [pr for pr in pairs if find(pr[1]) == find(order[0])]
-        names = tuple(var_of[i] for i in order)
-        components = scheme.pair_components(wb, order, comp_pairs, reduced)
-        group_set = SemilinearSet(names, components)
+    for order in components(sorted(active), ((pr[1], pr[4]) for pr in pairs)):
+        comp_pairs = [pr for pr in pairs if pr[1] in order]
+        group_set = SemilinearSet(
+            tuple(var_of[i] for i in order),
+            scheme.pair_components(wb, order, comp_pairs, reduced))
         if group_set.is_empty_representation():
             return None
         sets.append(group_set)
@@ -409,16 +395,12 @@ def restrict_lines(lines, need_x, need_y):
     """Keep only line points with x >= 1 / y >= 1 where required."""
     out = set()
     for a0, b0, c0, d0 in lines:
-        dead = False
-        for _ in range(2):
-            if (need_x and a0 < 1) or (need_y and c0 < 1):
-                if (need_x and a0 < 1 and b0 == 0) or (
-                        need_y and c0 < 1 and d0 == 0):
-                    dead = True
-                    break
-                a0, c0 = a0 + b0, c0 + d0
-        if dead or (need_x and a0 < 1) or (need_y and c0 < 1):
+        low_x, low_y = need_x and a0 < 1, need_y and c0 < 1
+        if (low_x and b0 == 0) or (low_y and d0 == 0):
             continue
+        if low_x or low_y:
+            # bases are >= 0, so one step lifts every required zero
+            a0, c0 = a0 + b0, c0 + d0
         out.add((a0, b0, c0, d0))
     return sorted(out)
 
@@ -468,10 +450,8 @@ class ReductionSearchBase:
     powers maps well-behaved power indices to their periods.  A subclass
     writes its moves once, as generators over items:
 
-      unary_moves(item, splits)   (out, records, split): item becomes
-                                  the items out; split moves come last,
-                                  and when splits is false one None
-                                  stands in for them
+      unary_moves(item)           (out, records, split): item becomes
+                                  the items out; split moves come last
       binary_moves(left, right)   (out, records, key): two neighbours
                                   become out; key is the creation key
                                   of an atom merge, or None
@@ -490,8 +470,9 @@ class ReductionSearchBase:
     splits_cap splits, creation_cap atom creations per key and FACTOR_CAP
     factors per power; orders maps each power index to its factor ids,
     which are numbered by power and then from left to right.
-    splits_cap_bound turns true when splits_cap refuses a split, and
-    refused_split when FACTOR_CAP does.
+    The search, not the moves, applies the caps: splits_cap_bound turns
+    true when splits_cap refuses a split, and refused_split when
+    FACTOR_CAP does.
 
     Where items do not commute, run() is a span solver.  The leftmost
     item of a tuple is used up either by a unary move or by a binary or
@@ -604,23 +585,19 @@ class ReductionSearchBase:
     def _expand(self, items, orders, records, splits, creations):
         """Recurse into every state one move away.
 
-        The moves of an item or a pair depend on the state only through
-        whether a split is allowed, so each search lists them once.
+        The moves of an item or a pair do not depend on the state, so
+        each search lists them once.
         """
-        allowed = splits < self.splits_cap
         for pos, item in enumerate(items):
-            unary = self._moves.get((item, allowed))
+            unary = self._moves.get(item)
             if unary is None:
-                unary = self._moves[(item, allowed)] = list(
-                    self.unary_moves(item, allowed)
-                )
-            for move in unary:
-                if move is None:
-                    self.splits_cap_bound = True
-                    break
-                out, recs, split = move
+                unary = self._moves[item] = list(self.unary_moves(item))
+            for out, recs, split in unary:
                 new_splits = splits
                 if split:
+                    if splits >= self.splits_cap:
+                        self.splits_cap_bound = True
+                        break
                     if item[0] == "F" and len(orders[item[1]]) >= FACTOR_CAP:
                         self.refused_split = True
                         break
@@ -793,15 +770,18 @@ class ReductionSearchBase:
         unary = self._moves.get(("u", x))
         if unary is None:
             unary = self._moves[("u", x)] = []
-            for move in self.unary_moves(_named(x, _LEFT), self.splits_cap > 0):
-                if move is None:
-                    self.splits_cap_bound = True
-                    break
+            for move in self.unary_moves(_named(x, _LEFT)):
                 unary.append(move)
+                if move[2] and not self.splits_cap:
+                    # refused below, as every split after it would be
+                    break
         for out, recs, split in unary:
             if not split:
                 yield out + rest, self._move_bundles(x, (), recs, None)
                 continue
+            if not self.splits_cap:
+                self.splits_cap_bound = True
+                break
             if x[0] == "F" and dict(used).get(x[1], 0) + sum(
                 it[0] == "F" and it[1] == x[1] for it in seq
             ) >= FACTOR_CAP:

@@ -46,9 +46,6 @@ class DiophSystem:
         self.rhs = rhs
         self.num_vars = width.pop() if width else 0
 
-    def apply(self, x):
-        return tuple(sum(a * xi for a, xi in zip(row, x)) for row in self.matrix)
-
 
 class DiophSolver:
     """Minimal nonnegative solutions of the systems of one call.
@@ -380,20 +377,15 @@ class LinearSet:
             if key in memo:
                 return memo[key]
             p = periods[j]
-            bound = min(
-                (r // c for r, c in zip(rem, p) if c > 0), default=None
-            )
+            # periods are nonzero, so some entry bounds the multiple of p
+            bound = min(r // c for r, c in zip(rem, p) if c > 0)
             ok = False
-            if bound is None:
-                # all-zero periods are dropped at construction
-                ok = rec(j + 1, rem)
-            else:
-                cur = rem
-                for _ in range(bound + 1):
-                    if rec(j + 1, cur):
-                        ok = True
-                        break
-                    cur = tuple(r - c for r, c in zip(cur, p))
+            cur = rem
+            for _ in range(bound + 1):
+                if rec(j + 1, cur):
+                    ok = True
+                    break
+                cur = tuple(r - c for r, c in zip(cur, p))
             memo[key] = ok
             return ok
 

@@ -18,6 +18,7 @@ import heapq
 import itertools
 
 from .errors import BudgetExceededError, InputError
+from .words import components
 
 DOWNSET_CAP = 300_000
 
@@ -372,22 +373,16 @@ def nf_R(t):
 
 def connected_components(t):
     """Split t into pairwise independent connected factors."""
-    vertices = sorted(t.alph_gamma())
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for v1, v2 in itertools.combinations(vertices, 2):
-        if not t.monoid.independent(v1, v2):
-            parent[find(v1)] = find(v2)
-    groups = {}
+    vertices = list(dict.fromkeys(atom.vertex for atom in t.atoms))
+    classes = components(vertices, (
+        (v1, v2) for v1, v2 in itertools.combinations(vertices, 2)
+        if not t.monoid.independent(v1, v2)
+    ))
+    part = {v: k for k, cls in enumerate(classes) for v in cls}
+    positions = [[] for _ in classes]
     for pos, atom in enumerate(t.atoms):
-        groups.setdefault(find(atom.vertex), []).append(pos)
-    return [t.subtrace(positions) for positions in groups.values()]
+        positions[part[atom.vertex]].append(pos)
+    return [t.subtrace(p) for p in positions]
 
 
 def is_connected(t):

@@ -1,9 +1,11 @@
 """Automata support for two-dimensional word knapsack.
 
-To solve p u^x s = q v^y t over words, intersect the automata for
-p u^* s and q v^* t, forget the letters (keep only their count), read
+To solve p u^x s = q v^y t over words, read the automata for p u^* s
+and q v^* t in lockstep, ticking once per pair of equal letters, read
 off the accepted lengths as arithmetic progressions, and convert each
-length back to the (x, y) pair it determines.  The length set of a
+length back to the (x, y) pair it determines.  The HNN solver reads
+its two sides with the same lockstep product, tracking a connecting
+element in the product's register.  The length set of a
 unary automaton is extracted from the determinized subset trajectory:
 it is eventually periodic, with the tail giving singletons and the
 cycle giving progressions.
@@ -75,57 +77,34 @@ def loop_language_nfa(p, u, s):
     return Nfa(states, transitions, [pstate(0)], [final])
 
 
-def nfa_product(n1, n2):
-    """Intersection automaton; inputs must be epsilon-free."""
-    for nfa in (n1, n2):
-        if any(label is None for _s, label, _d in nfa.transitions):
-            raise InputError("nfa_product expects epsilon-free automata")
-    states = {(a, b) for a in n1.states for b in n2.states}
+def lockstep_product(n1, n2, moves, starts, ends):
+    """The unary automaton of n1 and n2 read in lockstep, with a register.
+
+    moves(x, y) yields (r, label, r2) for a step that reads x on n1 and
+    y on n2: the register goes from r to r2 and the step emits label,
+    TICK or None (epsilon).  States are (register, p1, p2); runs start
+    at a register in starts and end at one in ends.
+    """
     transitions = []
-    for s1, lab1, d1 in n1.transitions:
-        for s2, lab2, d2 in n2.transitions:
-            if lab1 == lab2:
-                transitions.append(((s1, s2), lab1, (d1, d2)))
-    initials = {(a, b) for a in n1.initials for b in n2.initials}
-    finals = {(a, b) for a in n1.finals for b in n2.finals}
+    for p1, x, q1 in n1.transitions:
+        for p2, y, q2 in n2.transitions:
+            for r, label, r2 in moves(x, y):
+                transitions.append(((r, p1, p2), label, (r2, q1, q2)))
+    initials = {(r, p1, p2) for r in starts
+                for p1 in n1.initials for p2 in n2.initials}
+    finals = {(r, p1, p2) for r in ends for p1 in n1.finals for p2 in n2.finals}
+    states = initials | finals
+    for src, _label, dst in transitions:
+        states.add(src)
+        states.add(dst)
     return Nfa(states, transitions, initials, finals)
 
 
-def relabel_unary(nfa):
-    """Forget letters: every non-epsilon transition becomes a tick."""
-    transitions = [
-        (src, None if label is None else TICK, dst)
-        for src, label, dst in nfa.transitions
-    ]
-    return Nfa(nfa.states, transitions, nfa.initials, nfa.finals)
-
-
-class ProgressionSet:
-    """Union of arithmetic progressions {b + c z}; c = 0 is a singleton."""
-
-    def __init__(self, pairs):
-        self.pairs = sorted(set((int(b), int(c)) for b, c in pairs))
-
-    def __repr__(self):
-        return f"ProgressionSet({self.pairs})"
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def contains(self, length):
-        for b, c in self.pairs:
-            if c == 0:
-                if length == b:
-                    return True
-            elif length >= b and (length - b) % c == 0:
-                return True
-        return False
-
-
 def unary_length_set(nfa):
-    """Accepted lengths of a unary automaton as a ProgressionSet.
+    """Accepted lengths of a unary automaton as sorted pairs (b, c).
 
-    Follows the subset trajectory S_0, S_1, ... until the first repeat;
+    A pair stands for the progression {b + c z : z >= 0}, a singleton
+    when c = 0.  Follows the subset trajectory S_0, S_1, ... until the first repeat;
     lengths before the repeat start are singletons, accepted residues
     within the cycle become progressions with the cycle length as
     period.
@@ -152,7 +131,7 @@ def unary_length_set(nfa):
                 pairs.append((length, 0))
             else:
                 pairs.append((length, cycle))
-    return ProgressionSet(pairs)
+    return pairs
 
 
 def lengths_to_xy(progressions, ps_len, u_len, qt_len, v_len):
@@ -187,15 +166,19 @@ def lengths_to_xy(progressions, ps_len, u_len, qt_len, v_len):
 def word_pair_power_solutions(p, u, s, q, v, t):
     """Lines for {(x, y) : p u^x s = q v^y t as words}.
 
-    The full pipeline: loop automata, product, unary projection, length
-    progressions, division back to exponents.  For a given accepted
+    The full pipeline: loop automata, their lockstep product on equal
+    letters, length progressions, division back to exponents.  For a given accepted
     length both exponents are forced, so acceptance of the intersection
     at that length is exactly word equality.
     """
     a1 = loop_language_nfa(p, u, s)
     a2 = loop_language_nfa(q, v, t)
-    prod = relabel_unary(nfa_product(a1, a2))
-    progressions = unary_length_set(prod)
+
+    def moves(x, y):
+        return ((None, TICK, None),) if x == y else ()
+
+    progressions = unary_length_set(
+        lockstep_product(a1, a2, moves, (None,), (None,)))
     return lengths_to_xy(
         progressions, len(p) + len(s), len(u), len(q) + len(t), len(v)
     )

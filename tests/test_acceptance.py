@@ -244,7 +244,9 @@ def test_criterion_4_automata_layer():
         nfa = Nfa(states, transitions, initials, finals)
         progs = unary_length_set(nfa)
         naive = _naive_accepted_lengths(nfa, 300)
-        got = {length for length in range(301) if progs.contains(length)}
+        got = {length for length in range(301) if any(
+            length == b if c == 0 else length >= b and (length - b) % c == 0
+            for b, c in progs)}
         assert got == naive
 
     # word pipeline vs brute force on [0,15]^2

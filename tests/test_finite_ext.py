@@ -134,16 +134,29 @@ def test_word_problem_against_independent_evaluation():
             assert backend.word_problem(w) == truth(w), w
 
 
-def test_norm_raises_without_element_form():
-    """A finite extension has no element form, so it has no norm either.
+Z4_A = {"type": "CyclicGroup", "order": 4, "generator": "a"}
+Z4_B = {"type": "CyclicGroup", "order": 4, "generator": "b"}
 
-    The length of a word is no bound on its element's geodesic length
-    (t t' is the identity), so norm raises as GroupBackend's does.
+
+@pytest.mark.parametrize("desc, word", [
+    (None, ("t", "t'")),
+    ({"type": "Hnn", "base": Z4_A, "stable_letter": "t",
+      "A": [[], ["a", "a"]], "B": [[], ["a", "a"]]}, ("a", "a'", "a'", "t")),
+    ({"type": "Amalgam", "left": Z4_A, "right": Z4_B, "phi1": [["a", "a"]],
+      "phi2": [["b", "b"]], "stable_letter": "t"}, ("a",)),
+], ids=["finite-ext", "hnn", "amalgam"])
+def test_norm_raises_without_element_form(desc, word):
+    """A group without an element form has no norm either.
+
+    The length of a word, reduced or not, is no bound on its element's
+    geodesic length: t t' is the identity in Z, and over Hnn(Z4, A = B =
+    {1, a^2}, identity) a t and a a' a' t a a are one element.  So norm
+    raises as GroupBackend's does.
     """
-    backend = z_in_z()
+    backend = z_in_z() if desc is None else build_backend(desc)
     assert backend.identity_elem is None
     with pytest.raises(NotImplementedError):
-        backend.norm(("t", "t'"))
+        backend.norm(word)
 
 
 # -- coset orbits ------------------------------------------------------------

@@ -176,17 +176,16 @@ def test_base_constants_never_split():
     search = HnnReductionSearch(backend, {}, 4, 4, SEARCH_STATES_CAP)
     item = ("C", backend.parse(("b", "b")))
     assert item[1].is_base()
-    assert list(search.unary_moves(item, True)) == []
-    assert list(search.unary_moves(item, False)) == []
+    assert list(search.unary_moves(item)) == []
     # a constant with the stable letter still splits
     item = ("C", backend.parse(("b", "t", "b")))
-    assert any(split for _out, _recs, split in search.unary_moves(item, True))
+    assert any(split for _out, _recs, split in search.unary_moves(item))
 
 
 class MergeBackSearch(ReductionSearchBase):
     """A toy search: "ab" splits into "a" and "b", which merge back."""
 
-    def unary_moves(self, item, splits):
+    def unary_moves(self, item):
         if item[1] == "ab":
             yield (("C", "a"), ("C", "b")), (), True
 

@@ -9,9 +9,8 @@ from knapsolve.unary_automata import (
     TICK,
     Nfa,
     lengths_to_xy,
+    lockstep_product,
     loop_language_nfa,
-    nfa_product,
-    relabel_unary,
     unary_length_set,
     word_pair_power_solutions,
 )
@@ -25,6 +24,18 @@ def accepts(nfa, word):
         if not subset:
             return False
     return bool(subset & nfa.finals)
+
+
+def in_progressions(pairs, length):
+    """Whether length lies in one of the progressions {b + c z : z >= 0}."""
+    return any(
+        length == b if c == 0 else length >= b and (length - b) % c == 0
+        for b, c in pairs
+    )
+
+
+def equal_letters(x, y):
+    return ((None, TICK, None),) if x == y else ()
 
 
 def test_loop_language_basic():
@@ -54,7 +65,8 @@ def test_loop_language_random_membership():
 
 def test_unary_length_set_examples():
     loop = loop_language_nfa((), ("a",), ())
-    assert list(unary_length_set(relabel_unary(loop))) == [(0, 1)]
+    unary = lockstep_product(loop, loop, equal_letters, (None,), (None,))
+    assert unary_length_set(unary) == [(0, 1)]
     only3 = loop_language_nfa(("a", "a", "a"), ("a",), ())
     # accepts a^3 a^* ; restrict to exactly 3 with a 4-chain automaton
     chain = Nfa(
@@ -87,7 +99,8 @@ def test_unary_length_set_against_naive():
         subset = nfa.eps_closure(nfa.initials)
         for length in range(200):
             accepted = bool(subset & nfa.finals)
-            assert progs.contains(length) == accepted, (transitions, length)
+            assert in_progressions(progs, length) == accepted, (
+                transitions, length)
             subset = nfa.eps_closure(nfa.step(subset, TICK))
 
 
@@ -131,7 +144,17 @@ def test_word_pair_pipeline_against_brute_force():
         assert got == expected, (p, u, s, q, v, t)
 
 
-def test_product_requires_eps_free():
-    nfa = Nfa([0], [(0, None, 0)], [0], [0])
-    with pytest.raises(InputError):
-        nfa_product(nfa, nfa)
+def test_lockstep_product_tracks_a_register():
+    # a^x against (a a)^y, the register counting ticks mod 3
+    top = loop_language_nfa((), ("a",), ())
+    bottom = loop_language_nfa((), ("a", "a"), ())
+
+    def mod3(x, y):
+        return [(r, TICK, (r + 1) % 3) for r in range(3)] if x == y else []
+
+    for end in range(3):
+        unary = lockstep_product(top, bottom, mod3, (0,), (end,))
+        pairs = unary_length_set(unary)
+        # accepted lengths are even (bottom) and end mod 3 (register)
+        assert [n for n in range(30) if in_progressions(pairs, n)] == [
+            n for n in range(30) if n % 2 == 0 and n % 3 == end]
