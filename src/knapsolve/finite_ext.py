@@ -17,10 +17,22 @@ the shift (0, j).  At each leaf whose coset is 1, one solve_local call
 answers the remaining powers in G (the word problem does, when none is
 left), affine_substitute maps that set back through the shifts, and a
 variable without a power in G gets the linear set off + k N, a point
-when k = 0.  The union over the leaves is the solution set.
+when k = 0.  The leaves' components make up one set, the solution set.
+
+A repeated variable is renamed apart (knapsackify) into copies, and the
+answer is the walk's set cut down to the diagonal of the copies.  solve
+hands the walk the copy classes, so a leaf where two copies of one
+variable carry shifts with disjoint progressions (shifts_meet) is cut
+before its subgroup solve: none of its points lies on the diagonal.
+All the Diophantine systems of a solve, in the leaves and the diagonal,
+share the solve's one DiophSolver (reduction.Limits).
 """
 
+import itertools
+import math
+
 from .errors import InputError
+from .expr import knapsackify
 from .groups import GroupBackend, backend_of, solve_exponent
 from .reduction import SEARCH_STATES_CAP, direct_sum_all, solve_local
 from .semilinear import LinearSet, SemilinearSet
@@ -138,15 +150,38 @@ class FiniteExtBackend(GroupBackend):
                 rest, d, entries + (("e", g_enter),) + power + (("e", g_res),),
                 {**shifts, var: (k, l + r)})
 
+    def solve(self, e, limits):
+        """Solution set of e = 1; a repeated variable's copies are walked
+        as one class, so that leaves whose copies cannot agree are cut."""
+        if len(e.variables) == len(e.factors):
+            return self.solve_knapsack(e, limits)
+        e_prime, K = knapsackify(e)
+        copies = {}
+        for (_u, var, _v), (_u2, copy, _v2) in zip(e.factors, e_prime.factors):
+            copies.setdefault(var, []).append(copy)
+        sols = self._walk(e_prime, limits,
+                          [names for names in copies.values() if len(names) > 1])
+        with limits.dioph() as solver:
+            return sols.on_diagonal(K, solver).restrict(e.variables)
+
     def solve_knapsack(self, e, limits):
         """Walk the guesses and solve each in the subgroup (module docstring)."""
+        return self._walk(e, limits, ())
+
+    def _walk(self, e, limits, classes):
+        """The union over the leaves; classes lists the copies of each
+        repeated variable, and a leaf is cut when two copies of one class
+        carry shifts that cannot meet."""
         limits.open("branches", "pruned")
         names = e.variables
-        total = SemilinearSet.empty(names)
+        comps = []
         for coset, entries, shifts in self._guesses(
                 e.factors, IDENTITY_COSET, (), {}):
             limits.count("branches")
-            if coset == IDENTITY_COSET and any(x[0] == "p" for x in entries):
+            if not all(shifts_meet(shifts[a], shifts[b]) for copies in classes
+                       for a, b in itertools.combinations(copies, 2)):
+                sols = SemilinearSet.empty(())
+            elif coset == IDENTITY_COSET and any(x[0] == "p" for x in entries):
                 sols = solve_local(self.subgroup, entries, limits)
             elif coset == IDENTITY_COSET and self.subgroup.word_problem(
                     sum((x[1] for x in entries), ())):
@@ -163,8 +198,26 @@ class FiniteExtBackend(GroupBackend):
                 {v: shifts[v][1] for v in sols.vars})]
             pieces += [SemilinearSet((v,), [LinearSet((off,), [(k,)])])
                        for v, (k, off) in shifts.items() if v not in sols.vars]
-            total = total.union(direct_sum_all(pieces, names))
-        return total
+            comps += direct_sum_all(pieces, names).components
+        # SemilinearSet keeps the first of equal components, so the order
+        # is that of a union taken leaf by leaf
+        return SemilinearSet(names, comps)
+
+
+def shifts_meet(a, b):
+    """Whether two shifts (k, off), each the set off + k N, share a point.
+
+    k = 0 is the point off.  A point meets a progression when it is at
+    least the offset and congruent to it; two progressions meet when
+    their offsets are congruent modulo the gcd of their ks (CRT), so a
+    class of shifts shares a point exactly when each pair does.
+    """
+    (k1, off1), (k2, off2) = sorted((a, b))
+    if k2 == 0:
+        return off1 == off2
+    if k1 == 0:
+        return off1 >= off2 and (off1 - off2) % k2 == 0
+    return (off1 - off2) % math.gcd(k1, k2) == 0
 
 
 def solve_exponent_finite_ext(desc, e, splits_budget=None,

@@ -9,8 +9,9 @@ solve renames repeated variables apart (knapsackify), calls the leaf
 hook solve_knapsack, for an expression in which every variable occurs
 once, and keeps the points on the diagonal (SemilinearSet.on_diagonal);
 graph products, HNN-extensions and amalgams override solve with the
-reduction search.  solve_exponent() is the one solve entry for every
-group and builds the Limits; nested solves call solve.
+reduction search, and finite extensions with a guess walk that knows
+which variables are copies of one.  solve_exponent() is the one solve
+entry for every group and builds the Limits; nested solves call solve.
 
 Base backends: the infinite cyclic group (one generator, exponent sums)
 and finite groups given by a Cayley table.  Composite backends (graph

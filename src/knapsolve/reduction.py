@@ -60,6 +60,9 @@ class Limits:
     splits_budget caps the splits of each reduction search (None: the
     scheme's ceiling), states_budget the states of all of them together.
     report, the caller's diagnostics dict, is written only through here.
+    solver is the one DiophSolver of the solve: every Diophantine system
+    it meets, in nested solves too, shares its memo, which dies with
+    this object.
     """
 
     def __init__(self, splits_budget, states_budget, report):
@@ -67,6 +70,7 @@ class Limits:
         self.states_budget = states_budget
         self.report = {} if report is None else report
         self.states = 0
+        self.solver = DiophSolver()
 
     def open(self, *keys):
         """Show keys in the report unless set: counters 0, complete true."""
@@ -91,12 +95,13 @@ class Limits:
 
     @contextlib.contextmanager
     def dioph(self):
-        """A fresh DiophSolver whose nodes count, also when its cap ends it."""
-        solver = DiophSolver()
+        """The solve's DiophSolver; the nodes it explores in the block
+        count, also when its cap ends a search."""
+        before = self.solver.nodes
         try:
-            yield solver
+            yield self.solver
         finally:
-            self.count("dioph_nodes", solver.nodes)
+            self.count("dioph_nodes", self.solver.nodes - before)
 
 
 class Prepared:
@@ -236,7 +241,9 @@ def solve_by_reduction(scheme, e, limits):
 
     constrained = [name for name in prep.occ_vars if name not in prep.free_occs]
     assert constrained, "every power contributes a constrained occurrence"
-    total = SemilinearSet.empty(tuple(constrained))
+    # the components of every branch and outcome, made into one set at
+    # the end, which keeps the first of equal ones as union would
+    comps = []
 
     for n1_bits in itertools.product((False, True), repeat=len(atomic)):
         n1 = {atomic[k] for k in range(len(atomic)) if n1_bits[k]}
@@ -259,7 +266,7 @@ def solve_by_reduction(scheme, e, limits):
             if not prep.tails[i].is_identity():
                 items.append(("C", prep.tails[i]))
         if not items:
-            total = total.union(direct_sum_all(n1_sets, constrained))
+            comps += direct_sum_all(n1_sets, constrained).components
             continue
 
         m = len(items)
@@ -279,8 +286,9 @@ def solve_by_reduction(scheme, e, limits):
                 scheme, wb, var_of, records, orders, n1_sets, limits
             )
             if sets is not None:
-                total = total.union(direct_sum_all(sets, constrained))
+                comps += direct_sum_all(sets, constrained).components
 
+    total = SemilinearSet(tuple(constrained), comps)
     for name in prep.free_occs:
         total = total.direct_sum(SemilinearSet.universe((name,)))
     with limits.dioph() as solver:

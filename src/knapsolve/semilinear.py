@@ -9,7 +9,7 @@ substitution) have to be exact, not approximate.
 Intersection reduces to solving A.x = c over the nonnegative integers:
 the solution set of such a system is itself semilinear, with the minimal
 solutions as bases and the Hilbert basis of A.x = 0 as shared periods.
-A DiophSolver finds both for the systems of one call: a per-row gcd test
+A DiophSolver finds both for the systems of one solve: a per-row gcd test
 first, then per block of independent unknowns one Contejean/Devie search
 for the Hilbert basis, memoised, and one for the minimal solutions of
 each right-hand side, pruned by it, under an explicit node cap.
@@ -48,7 +48,7 @@ class DiophSystem:
 
 
 class DiophSolver:
-    """Minimal nonnegative solutions of the systems of one call.
+    """Minimal nonnegative solutions of the systems of one solve.
 
     solve(matrix, rhs, n) first rejects a system with a row whose gcd
     does not divide its right-hand side.  It then splits the n unknowns
@@ -56,14 +56,17 @@ class DiophSolver:
     shared row, and answers each block with two searches (_search): the
     Hilbert basis of its homogeneous part, then the minimal solutions of
     its inhomogeneous part, pruned by that basis.  Both are memoised,
-    by the block's submatrix and by that and its right-hand side, so
-    the many systems of one intersection, which share a few homogeneous
-    parts, search each part once.  The memo lives as long as the
-    solver; make one per call.
+    by the block's submatrix and by that and its right-hand side, and
+    whole systems are memoised too.  A solve makes one solver
+    (reduction.Limits) and hands it to every intersection and diagonal
+    it computes, nested solves included, so the many systems of a
+    solve, which share a few homogeneous parts, search each part once.
+    The memo lives as long as the solver and so dies with its solve.
 
-    nodes counts every node explored.  A system whose blocks explore
-    more than cap nodes between them, counted as if searched afresh,
-    raises BudgetExceededError.
+    nodes counts the nodes actually explored; a memo hit adds none.
+    Each solve call charges its blocks against cap as if they were
+    searched afresh: a system whose blocks explore more than cap nodes
+    between them raises BudgetExceededError each time it is met.
     """
 
     def __init__(self, cap=DIOPH_DEFAULT_CAP):

@@ -19,6 +19,12 @@ The pairs of ROADMAP item 2 are strict xfails.  Each first solves a
 pinned expression that it answers wrongly today, flagged incomplete, and
 holds that answer to brute force whatever its flag says, so the pair
 cannot pass by luck.
+
+Repeated-variable draws over two index-2 extensions of Z check the
+finite-extension walk's cut of leaves whose copies of one variable
+cannot agree: each answer must equal, component for component, the
+uncut walk over the renamed expression cut down to its diagonal, and
+brute force in a box.
 """
 
 import itertools
@@ -28,9 +34,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from knapsolve.errors import BudgetExceededError
-from knapsolve.expr import ExponentExpression, parse_expr
+from knapsolve.expr import ExponentExpression, knapsackify, parse_expr
 from knapsolve.groups import build_backend, solve_exponent
-from knapsolve.oracle import brute_force_solutions
+from knapsolve.oracle import brute_force_solutions, compare
+from knapsolve.reduction import SEARCH_STATES_CAP, Limits
 
 #: states budget of each solve; a draw that spends it is skipped
 STATES_BUDGET = 3000
@@ -85,6 +92,19 @@ Z2_Z2_OVER_Z = {
     ],
 }
 Z2_Z2_FREE = {"type": "FreeProduct", "children": [cyclic(2, "a"), cyclic(2, "b")]}
+
+#: Z = <t> as the index-2 extension of its subgroup <s> = 2Z
+Z_IN_Z = {
+    "type": "FiniteExt",
+    "subgroup": integers("s"),
+    "cosets": ["1", "t"],
+    "rules": [
+        ["1", "s", ["s"], "1"], ["1", "s'", ["s'"], "1"],
+        ["1", "t", [], "t"], ["1", "t'", ["s'"], "t"],
+        ["t", "s", ["s"], "t"], ["t", "s'", ["s'"], "t"],
+        ["t", "t", ["s"], "1"], ["t", "t'", [], "1"],
+    ],
+}
 
 Z2, Z3 = cyclic(2, "a"), cyclic(3, "b")
 NESTED_FREE = {"type": "FreeProduct", "children": [
@@ -253,3 +273,45 @@ def test_presentations_agree(name):
     "result lie in A and B"))
 def test_hnn_and_amalgam_presentations_agree(name):
     check_pair(XFAIL_PAIRS[name]())
+
+
+@st.composite
+def repeated_expressions(draw, alphabet):
+    """3-4 factors over one variable fewer, so some variable repeats;
+    periods of 1-2 letters, tails of 0-1, as in the solve-repeated
+    benchmark."""
+    def word(lo, hi):
+        return tuple(draw(st.lists(st.sampled_from(alphabet),
+                                   min_size=lo, max_size=hi)))
+
+    n = draw(st.integers(3, 4))
+    names = draw(st.lists(st.sampled_from("xyz"[:n - 1]),
+                          min_size=n, max_size=n))
+    return ExponentExpression([(word(1, 2), var, word(0, 1)) for var in names])
+
+
+@pytest.mark.parametrize("desc, letters", [
+    (Z_IN_Z, "st"), (Z2_Z2_OVER_Z, "sa")], ids=["z-in-z", "z2-z2-over-z"])
+def test_repeated_variable_cut_matches_uncut_walk(desc, letters):
+    backend = build_backend(desc)
+    alphabet = sorted(x for a in letters for x in (a, a + "'"))
+    answered = []
+
+    @seed(DRAW_SEED)
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(repeated_expressions(alphabet))
+    def draw_and_check(e):
+        e_prime, K = knapsackify(e)
+        limits = Limits(None, SEARCH_STATES_CAP, None)
+        try:
+            uncut = backend.solve_knapsack(e_prime, limits).on_diagonal(K)
+        except BudgetExceededError:
+            return
+        sols = solve_exponent(backend, e)
+        assert sols.components == uncut.restrict(e.variables).components
+        report = compare(backend, e, sols, BOX[len(e.variables)])
+        assert report["ok"], report["mismatches"][:5]
+        answered.append(e)
+
+    draw_and_check()
+    assert len(answered) >= 27, len(answered)

@@ -1,11 +1,14 @@
 """Finite extensions: coset pushing, orbits, and the exponent solver."""
 
+import itertools
 import random
 
 import pytest
 
 from knapsolve.expr import ExponentExpression, parse_expr
-from knapsolve.finite_ext import FiniteExtBackend, solve_exponent_finite_ext
+from knapsolve.finite_ext import (
+    FiniteExtBackend, shifts_meet, solve_exponent_finite_ext,
+)
 from knapsolve.groups import (
     IntegerGroup, build_backend, cyclic_group, solve_exponent,
 )
@@ -268,6 +271,28 @@ def test_solver_repeated_variable():
     S = solve_exponent_finite_ext(backend, e)
     rep = compare(backend, e, S, 8)
     assert rep["ok"], rep["mismatches"][:5]
+
+
+def test_shifts_meet_matches_enumeration():
+    """shifts_meet against the values up to 60 of both progressions."""
+    def values(k, off):
+        return {off} if k == 0 else set(range(off, 61, k))
+
+    shifts = [(k, off) for k in range(5) for off in range(7)]
+    for a, b in itertools.product(shifts, repeat=2):
+        assert shifts_meet(a, b) == bool(values(*a) & values(*b)), (a, b)
+
+
+def test_dioph_memo_dies_with_its_solve():
+    """The solve's DiophSolver memo answers the leaves' repeated systems,
+    and a second solve of the same expression searches them again."""
+    backend = z_in_z()
+    e = parse_expr("(t)^x (s t)^x t (t)^x s' (s' t')^y (t)^z s'")
+    reports = [{}, {}]
+    answers = [solve_exponent(backend, e, diagnostics=r) for r in reports]
+    assert answers[0].components == answers[1].components
+    assert reports[0] == reports[1]
+    assert reports[0]["dioph_nodes"] > 0
 
 
 def test_backend_description_round_trip():

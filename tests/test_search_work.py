@@ -175,7 +175,7 @@ CASES = [
          ((2, 2, 3), [(0, 0, 4), (0, 4, 0), (4, 0, 0)]),
      ]),
     ("z-in-z-index-2/d3/1", "(s' t' s')^x (t s t')^y (t)^z s",
-     {"branches": 48, "dioph_nodes": 146, "pruned": 38},
+     {"branches": 48, "dioph_nodes": 71, "pruned": 38},
      [
          ((1, 0, 3), []),
          ((1, 1, 1), []),
