@@ -573,6 +573,9 @@ class GraphProductScheme(Scheme):
         self.backend = backend
         self.monoid = backend.monoid
         self.one = self.monoid.empty_trace()
+        # per (period atoms, factor count): the grid shapes by the tuple
+        # of their forms' alphabets; a scheme lasts one solve
+        self._shapes_by_alph = {}
 
     def preprocess(self, e):
         prep, K = super().preprocess(e)
@@ -638,15 +641,17 @@ class GraphProductScheme(Scheme):
         alph = {fid: assign[1] for fid, assign in assigns.items()}
         for fid_l, _il, alph_l, fid_r, _ir, alph_r in pairs:
             alph[fid_l], alph[fid_r] = alph_l, alph_r
-        return [
-            (c_total, forms)
-            for c_total, forms in simplify_power_factorization(u, len(fids))
-            if all(
-                alph[fid] == (u.alph_gamma() if form[0] == "power"
-                              else form[1].alph_gamma())
-                for fid, form in zip(fids, forms)
-            )
-        ]
+        key = (u.atoms, len(fids))
+        index = self._shapes_by_alph.get(key)
+        if index is None:
+            index = self._shapes_by_alph[key] = {}
+            for shape in simplify_power_factorization(u, len(fids)):
+                index.setdefault(tuple(
+                    u.alph_gamma() if form[0] == "power"
+                    else form[1].alph_gamma()
+                    for form in shape[1]
+                ), []).append(shape)
+        return index.get(tuple(alph[fid] for fid in fids), [])
 
     def match_value(self, u, form, value):
         if form[0] == "concrete":

@@ -28,10 +28,11 @@ def compare(backend, e, sols, box):
     if tuple(sols.vars) != names:
         sols = sols._aligned_to(names)
     expected = brute_force_solutions(backend, e, box)
+    computed = sols.points_in_box(box)
     mismatches = []
     for values in itertools.product(range(box + 1), repeat=len(names)):
         want = values in expected
-        got = sols.membership(values)
+        got = values in computed
         if want != got:
             mismatches.append(
                 {"point": list(values), "expected": want, "computed": got}

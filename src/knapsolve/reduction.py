@@ -192,35 +192,97 @@ class Scheme:
         """LinearSets over a pair-connected group of powers.
 
         reduced[i] lists power i's options (c, open forms); options with
-        the same open forms share their pair lines, so each pair record
-        is solved once per choice of open forms and the constants c are
-        added afterwards.
+        the same open forms form one group, whose constants c are added
+        at the end.  A depth-first join picks one group per power of
+        order, in the order itertools.product visits them.  It solves
+        each pair record where the later of its two powers is picked,
+        once per pair of forms (the forms are numbered), and cuts the
+        branch at a record without lines; the groups that pass a depth
+        are kept per choice of the earlier forms its records read.  A
+        leaf whose lines and constants repeat an earlier leaf's adds
+        only duplicates, so it is skipped; the components keep their
+        first-occurrence order.
         """
-        grouped = []
-        for i in order:
+        forms = []
+        number = {}
+        groups = []
+        depth_of = {}
+        for depth, i in enumerate(order):
             by_forms = {}
             for c, of in reduced[i]:
                 key = tuple(sorted(of.items()))
                 by_forms.setdefault(key, (of, []))[1].append(c)
-            grouped.append(list(by_forms.values()))
+            groups.append([])
+            for of, cs in by_forms.values():
+                group_ids = {}
+                for fid, form in of.items():
+                    if form not in number:
+                        number[form] = len(forms)
+                        forms.append(form)
+                    group_ids[fid] = number[form]
+                    depth_of[fid] = depth
+                groups[-1].append((group_ids, tuple(cs)))
+        solved_at = [[] for _ in order]
+        for k, pair in enumerate(comp_pairs):
+            solved_at[max(depth_of[pair[0]], depth_of[pair[3]])].append(k)
+        reads = [tuple(dict.fromkeys(
+            fid for k in ks for fid in (comp_pairs[k][0], comp_pairs[k][3])
+            if depth_of[fid] < depth
+        )) for depth, ks in enumerate(solved_at)]
+
+        memo = {}
+        passed = [{} for _ in order]
+        ids = {}  # factor id -> form number, along the current branch
+        lines = [None] * len(comp_pairs)
+        constants = [None] * len(order)
+        leaves = set()
         components = []
-        for combo in itertools.product(*grouped):
-            forms = {}
-            for of, _cs in combo:
-                forms.update(of)
-            pair_lines = []
-            for pair in comp_pairs:
-                fid_l, i_l, _al, fid_r, i_r, _ar = pair
-                lines = self.pair_lines(wb, pair, forms[fid_l], forms[fid_r])
-                if not lines:
-                    break
-                pair_lines.append((i_l, i_r, lines))
-            else:
+
+        def passing(depth):
+            """The groups of depth whose records all have lines, with
+            those lines, given the earlier forms in ids."""
+            out = []
+            for group_ids, cs in groups[depth]:
+                ids.update(group_ids)
+                got = []
+                for k in solved_at[depth]:
+                    pair = comp_pairs[k]
+                    key = (k, ids[pair[0]], ids[pair[3]])
+                    if key not in memo:
+                        memo[key] = tuple(self.pair_lines(
+                            wb, pair, forms[key[1]], forms[key[2]]))
+                    if not memo[key]:
+                        break
+                    got.append(memo[key])
+                else:
+                    out.append((group_ids, cs, got))
+            return out
+
+        def join(depth):
+            if depth == len(order):
+                leaf = (tuple(lines), tuple(constants))
+                if leaf in leaves:
+                    return
+                leaves.add(leaf)
+                pair_lines = [(pair[1], pair[4], got)
+                              for pair, got in zip(comp_pairs, lines)]
                 for base, periods in pair_line_sets(order, pair_lines):
-                    for cs in itertools.product(*(cs for _of, cs in combo)):
+                    for cs in itertools.product(*constants):
                         components.append(LinearSet(
                             tuple(c + b for c, b in zip(cs, base)), periods
                         ))
+                return
+            context = tuple(ids[fid] for fid in reads[depth])
+            if context not in passed[depth]:
+                passed[depth][context] = passing(depth)
+            for group_ids, cs, got in passed[depth][context]:
+                ids.update(group_ids)
+                constants[depth] = cs
+                for k, record_lines in zip(solved_at[depth], got):
+                    lines[k] = record_lines
+                join(depth + 1)
+
+        join(0)
         return components
 
 

@@ -4,7 +4,9 @@ Each case solves one expression of the benchmark's solve corpus and
 compares the whole diagnostics dict and the sorted answer with values
 recorded before the shared search rules were each written once (one
 lockstep automaton product, the splits cap applied by the search, one
-components helper).  A change to the search's work then shows up here
+components helper); path-p3/d3/3 was recorded before matched factor
+pairs were joined power by power, and its answer is also checked by the
+oracle.  A change to the search's work then shows up here
 as a counter change, before it moves an instance that sits near its
 time limit in the benchmark.  The cases cover the nine corpus groups at
 degrees 1-3 and give the same record under every hash seed (CI reruns
@@ -15,6 +17,7 @@ import pytest
 
 from knapsolve.expr import parse_expr
 from knapsolve.groups import build_backend, solve_exponent
+from knapsolve.oracle import compare
 
 
 def _z(order, gen):
@@ -136,6 +139,33 @@ CASES = [
          ((1, 0, 0), [(0, 0, 2), (0, 2, 0)]),
          ((1, 1, 1), [(0, 0, 2), (0, 2, 0)]),
      ]),
+    # the pair join's instance (flagged: FACTOR_CAP refuses a split)
+    ("path-p3/d3/3", "(a' c' b')^x c (c')^y (c a b)^z",
+     {"branches": 2, "complete": False, "dioph_nodes": 263, "grids": 105,
+      "reductions": 772, "states": 560},
+     [
+         ((0, 1, 0), [(0, 2, 0)]),
+         ((1, 1, 1), [(0, 2, 0)]),
+         ((1, 1, 1), [(0, 2, 0), (2, 0, 2)]),
+         ((2, 1, 2), [(0, 2, 0)]),
+         ((2, 1, 2), [(0, 2, 0), (2, 0, 2)]),
+         ((3, 1, 3), [(0, 2, 0)]),
+         ((3, 1, 3), [(0, 2, 0), (2, 0, 2)]),
+         ((4, 1, 4), [(0, 2, 0)]),
+         ((4, 1, 4), [(0, 2, 0), (2, 0, 2)]),
+         ((5, 1, 5), [(0, 2, 0)]),
+         ((5, 1, 5), [(0, 2, 0), (2, 0, 2)]),
+         ((6, 1, 6), [(0, 2, 0)]),
+         ((6, 1, 6), [(0, 2, 0), (2, 0, 2)]),
+         ((7, 1, 7), [(0, 2, 0)]),
+         ((7, 1, 7), [(0, 2, 0), (2, 0, 2)]),
+         ((8, 1, 8), [(0, 2, 0)]),
+         ((8, 1, 8), [(0, 2, 0), (2, 0, 2)]),
+         ((9, 1, 9), [(0, 2, 0), (2, 0, 2)]),
+         ((10, 1, 10), [(0, 2, 0), (2, 0, 2)]),
+         ((11, 1, 11), [(0, 2, 0), (2, 0, 2)]),
+         ((12, 1, 12), [(0, 2, 0), (2, 0, 2)]),
+     ]),
     ("hnn-z2/d1/4", "(a' t t')^x",
      {"branches": 2, "complete": True, "dioph_nodes": 0, "grids": 1,
       "reductions": 1, "states": 1},
@@ -213,6 +243,10 @@ CASES = [
 ]
 
 
+#: cases whose answer is also checked by the oracle, on this box
+ORACLE_BOX = {"path-p3/d3/3": 3}
+
+
 @pytest.mark.parametrize("key, text, diagnostics, components", CASES,
                          ids=[case[0] for case in CASES])
 def test_search_work_is_pinned(key, text, diagnostics, components):
@@ -224,3 +258,5 @@ def test_search_work_is_pinned(key, text, diagnostics, components):
     assert sols.vars == e.variables
     assert sorted((c.base, list(c.periods)) for c in sols.components) == [
         (base, periods) for base, periods in components]
+    if key in ORACLE_BOX:
+        assert compare(backend, e, sols, ORACLE_BOX[key])["ok"]

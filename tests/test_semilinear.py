@@ -200,6 +200,25 @@ def test_points_in_box_matches_membership():
             assert (v in pts) == S.membership(v)
 
 
+@st.composite
+def linear_sets_and_bounds(draw):
+    d = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, 4)] * d)
+    return (LinearSet(draw(vector), draw(st.lists(vector, max_size=4))),
+            draw(st.integers(0, 6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(linear_sets_and_bounds())
+def test_linear_points_in_box_are_the_box_points_it_contains(case):
+    # oracle.compare reads an answer's box points through points_in_box
+    L, bound = case
+    assert L.points_in_box(bound) == {
+        v for v in itertools.product(range(bound + 1), repeat=L.dim)
+        if L.contains(v)
+    }
+
+
 def test_union_commutative_associative():
     rng = random.Random(5)
     names = ("x", "y")
