@@ -156,7 +156,12 @@ def parse_expr(text):
             if m.group("expvar"):
                 items.append(("p", m.group("expvar"), word))
             else:
-                items.append(("e", word * int(m.group("expnum"))))
+                try:
+                    items.append(("e", word * int(m.group("expnum"))))
+                except (ValueError, OverflowError, MemoryError):
+                    # more digits than int() reads, or a word too long
+                    raise InputError(
+                        f"exponent too large at position {m.start()}") from None
     if pending_group is not None:
         raise InputError("unterminated '('")
     return expr_from_entries(items)

@@ -33,8 +33,8 @@ import math
 
 from .errors import InputError
 from .expr import knapsackify
-from .groups import GroupBackend, backend_of, solve_exponent
-from .reduction import SEARCH_STATES_CAP, direct_sum_all, solve_local
+from .groups import GroupBackend, solve_exponent
+from .reduction import direct_sum_all, solve_local
 from .semilinear import LinearSet, SemilinearSet
 from .words import invert_letter
 
@@ -172,7 +172,6 @@ class FiniteExtBackend(GroupBackend):
         """The union over the leaves; classes lists the copies of each
         repeated variable, and a leaf is cut when two copies of one class
         carry shifts that cannot meet."""
-        limits.open("branches", "pruned")
         names = e.variables
         comps = []
         for coset, entries, shifts in self._guesses(
@@ -220,9 +219,6 @@ def shifts_meet(a, b):
     return (off1 - off2) % math.gcd(k1, k2) == 0
 
 
-def solve_exponent_finite_ext(desc, e, splits_budget=None,
-                              states_budget=SEARCH_STATES_CAP,
-                              diagnostics=None):
-    """Solution set of e = 1 over the finite extension described by desc."""
-    return solve_exponent(backend_of(desc, FiniteExtBackend), e,
-                          splits_budget, states_budget, diagnostics)
+#: the old per-constructor name, kept while perfbench/worker.py
+#: dispatches on it (ROADMAP item 10)
+solve_exponent_finite_ext = solve_exponent

@@ -11,7 +11,8 @@ once, and keeps the points on the diagonal (SemilinearSet.on_diagonal);
 graph products, HNN-extensions and amalgams override solve with the
 reduction search, and finite extensions with a guess walk that knows
 which variables are copies of one.  solve_exponent() is the one solve
-entry for every group and builds the Limits; nested solves call solve.
+entry for every group, given as a backend or its description, and
+builds the Limits; nested solves call solve.
 
 Base backends: the infinite cyclic group (one generator, exponent sums)
 and finite groups given by a Cayley table.  Composite backends (graph
@@ -94,14 +95,6 @@ class GroupBackend:
                 raise InputError(f"letter {a!r} not in group alphabet")
 
 
-def backend_of(desc, cls):
-    """desc if it is a cls backend, else the cls backend it describes."""
-    backend = desc if isinstance(desc, GroupBackend) else build_backend(desc)
-    if not isinstance(backend, cls):
-        raise InputError(f"expected a {cls.__name__} or its description")
-    return backend
-
-
 def require_elements(backend, where):
     """backend, or an InputError if it has no canonical element form."""
     if backend.identity_elem is None:
@@ -112,15 +105,16 @@ def require_elements(backend, where):
     return backend
 
 
-def solve_exponent(backend, e, splits_budget=None,
+def solve_exponent(group, e, splits_budget=None,
                    states_budget=SEARCH_STATES_CAP, diagnostics=None):
-    """Full solution set of e = 1 over the backend's group.
+    """Full solution set of e = 1 over group, a backend or its description.
 
     splits_budget caps the splits of each reduction search the solve
     runs, nested ones included, and states_budget the states of all of
-    them together; diagnostics, a dict, collects the counters and the
-    complete flag.  A spent budget raises BudgetExceededError.
+    them together; diagnostics, a dict, collects the report, whose keys
+    are reduction.REPORT_KEYS.  A spent budget raises BudgetExceededError.
     """
+    backend = group if isinstance(group, GroupBackend) else build_backend(group)
     for period, _var, tail in e.factors:
         backend.check_word(period)
         backend.check_word(tail)
@@ -438,7 +432,6 @@ __all__ = [
     "IntegerGroup",
     "FiniteGroup",
     "cyclic_group",
-    "backend_of",
     "build_backend",
     "require_elements",
     "solve_exponent",

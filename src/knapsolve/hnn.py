@@ -23,13 +23,11 @@ solver is the HNN solver after that substitution.
 """
 
 import itertools
-import math
 
 from .errors import InputError
 from .expr import ExponentExpression
-from .groups import GroupBackend, backend_of, require_elements, solve_exponent
+from .groups import GroupBackend, require_elements, solve_exponent
 from .reduction import (
-    SEARCH_STATES_CAP,
     ReductionSearchBase,
     Scheme,
     restrict_lines,
@@ -420,17 +418,8 @@ def two_dim_hnn_solve(backend, a, u1, u, u2, v1, v, v2, b):
                     yield c, None, c2
 
     progs = unary_length_set(lockstep_product(n1, n2, moves, (a,), (b,)))
-    tu, tv = u.tcount, v.tcount
-    pairs = []
-    for b0, c0 in progs:
-        if c0 and (c0 % tu or c0 % tv):
-            # refine to a step every length class divides
-            step = math.lcm(c0, tu, tv)
-            pairs.extend((b0 + c0 * k, step) for k in range(step // c0))
-        else:
-            pairs.append((b0, c0))
     result = lengths_to_xy(
-        pairs, u1.tcount + u2.tcount, tu, v1.tcount + v2.tcount, tv
+        progs, u1.tcount + u2.tcount, u.tcount, v1.tcount + v2.tcount, v.tcount
     )
     _HNN_TWO_DIM_CACHE[key] = result
     return result
@@ -688,13 +677,6 @@ class HnnScheme(Scheme):
         return restrict_lines(lines, need_x, need_y)
 
 
-def solve_exponent_hnn(desc, e, splits_budget=None,
-                       states_budget=SEARCH_STATES_CAP, diagnostics=None):
-    """Solution set of e = 1 over the HNN-extension described by desc."""
-    return solve_exponent(backend_of(desc, HnnBackend), e,
-                          splits_budget, states_budget, diagnostics)
-
-
 # ---------------------------------------------------------------------------
 # Amalgamated products
 
@@ -755,11 +737,9 @@ def amalgam_embed(backend, word):
     return tuple(out)
 
 
-def solve_exponent_amalgam(desc, e, splits_budget=None,
-                           states_budget=SEARCH_STATES_CAP, diagnostics=None):
-    """Solution set of e = 1 over the amalgamated product described by desc."""
-    return solve_exponent(backend_of(desc, AmalgamBackend), e,
-                          splits_budget, states_budget, diagnostics)
+#: the old per-constructor names, kept while perfbench/worker.py
+#: dispatches on them (ROADMAP item 10)
+solve_exponent_hnn = solve_exponent_amalgam = solve_exponent
 
 
 __all__ = [

@@ -52,6 +52,9 @@ SEARCH_STATES_CAP = 2_000_000
 SPAN_DEPTH_CAP = 250
 #: limit on symbolic factors per power; a split it refuses clears complete
 FACTOR_CAP = 3
+#: the keys of every solve's report: counters start at 0, complete true
+REPORT_KEYS = ("branches", "complete", "dioph_nodes", "grids", "pruned",
+               "reductions", "states")
 
 
 class Limits:
@@ -59,7 +62,8 @@ class Limits:
 
     splits_budget caps the splits of each reduction search (None: the
     scheme's ceiling), states_budget the states of all of them together.
-    report, the caller's diagnostics dict, is written only through here.
+    report, the caller's diagnostics dict, is written only through here
+    and holds every key of REPORT_KEYS from the start.
     solver is the one DiophSolver of the solve: every Diophantine system
     it meets, in nested solves too, shares its memo, which dies with
     this object.
@@ -69,16 +73,13 @@ class Limits:
         self.splits_budget = splits_budget
         self.states_budget = states_budget
         self.report = {} if report is None else report
+        for key in REPORT_KEYS:
+            self.report.setdefault(key, True if key == "complete" else 0)
         self.states = 0
         self.solver = DiophSolver()
 
-    def open(self, *keys):
-        """Show keys in the report unless set: counters 0, complete true."""
-        for key in keys:
-            self.report.setdefault(key, True if key == "complete" else 0)
-
     def count(self, key, n=1):
-        self.report[key] = self.report.get(key, 0) + n
+        self.report[key] += n
 
     def run_search(self, search, items):
         """search.run(items); its states count even when a budget ends it."""
@@ -191,37 +192,34 @@ class Scheme:
     def pair_components(self, wb, order, comp_pairs, reduced):
         """LinearSets over a pair-connected group of powers.
 
-        reduced[i] lists power i's options (c, open forms); options with
-        the same open forms form one group, whose constants c are added
-        at the end.  A depth-first join picks one group per power of
-        order, in the order itertools.product visits them.  It solves
-        each pair record where the later of its two powers is picked,
-        once per pair of forms (the forms are numbered), and cuts the
-        branch at a record without lines; the groups that pass a depth
-        are kept per choice of the earlier forms its records read.  A
-        leaf whose lines and constants repeat an earlier leaf's adds
-        only duplicates, so it is skipped; the components keep their
-        first-occurrence order.
+        reduced[i] lists power i's groups (open forms, constants) in
+        first-occurrence order: the open forms as (factor id, form)
+        pairs, and the distinct constants c of the options with those
+        forms, which are added at the end.  A depth-first join picks one
+        group per power of order, in the order itertools.product visits
+        them.  It solves each pair record where the later of its two
+        powers is picked, once per pair of forms (the forms are
+        numbered), and cuts the branch at a record without lines; the
+        groups that pass a depth are kept per choice of the earlier
+        forms its records read.  A leaf whose lines and constants repeat
+        an earlier leaf's adds only duplicates, so it is skipped; the
+        components keep their first-occurrence order.
         """
         forms = []
         number = {}
         groups = []
         depth_of = {}
         for depth, i in enumerate(order):
-            by_forms = {}
-            for c, of in reduced[i]:
-                key = tuple(sorted(of.items()))
-                by_forms.setdefault(key, (of, []))[1].append(c)
             groups.append([])
-            for of, cs in by_forms.values():
+            for of, cs in reduced[i]:
                 group_ids = {}
-                for fid, form in of.items():
+                for fid, form in of:
                     if form not in number:
                         number[form] = len(forms)
                         forms.append(form)
                     group_ids[fid] = number[form]
                     depth_of[fid] = depth
-                groups[-1].append((group_ids, tuple(cs)))
+                groups[-1].append((group_ids, cs))
         solved_at = [[] for _ in order]
         for k, pair in enumerate(comp_pairs):
             solved_at[max(depth_of[pair[0]], depth_of[pair[3]])].append(k)
@@ -289,7 +287,6 @@ class Scheme:
 def solve_by_reduction(scheme, e, limits):
     """Solution set of e = 1 over the group of scheme."""
     prep, K = scheme.preprocess(e)
-    limits.open("branches", "reductions", "states", "complete")
     if not prep.powers:
         # every period is the identity, so e = 1 for all exponents or none
         return (SemilinearSet.universe(e.variables)
@@ -319,7 +316,7 @@ def solve_by_reduction(scheme, e, limits):
         if len(n1_sets) < len(n1):
             continue
 
-        items = [] if prep.tails[0].is_identity() else [("C", prep.tails[0])]
+        items = []
         for i in period:
             if i in wb:
                 items.append(("W", i))
@@ -405,17 +402,18 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
         if not shapes[i]:
             return None
 
-    # resolve assigned factors per power, leaving only paired ones open
+    # resolve assigned factors per power, leaving only paired ones open,
+    # and group each power's options by their open forms, once for the
+    # pair resolution below
     paired_fids = set()
     for fid_l, _il, _xl, fid_r, _ir, _xr in pairs:
         paired_fids.add(fid_l)
         paired_fids.add(fid_r)
     reduced = {}
     for i, fids in active.items():
-        opts = []
-        seen = set()
+        groups = {}
         for c, forms in shapes[i]:
-            open_forms = {}
+            open_forms = []
             for fid, form in zip(fids, forms):
                 if fid in assigns:
                     x = scheme.match_value(wb[i], form, assigns[fid][-1])
@@ -424,15 +422,12 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
                     c += x
                 else:
                     assert fid in paired_fids, "every factor id is consumed"
-                    open_forms[fid] = form
+                    open_forms.append((fid, form))
             else:
-                sig = (c, tuple(sorted(open_forms.items())))
-                if sig not in seen:
-                    seen.add(sig)
-                    opts.append((c, open_forms))
-        if not opts:
+                groups.setdefault(tuple(open_forms), {})[c] = None
+        if not groups:
             return None
-        reduced[i] = opts
+        reduced[i] = [(of, tuple(cs)) for of, cs in groups.items()]
     limits.count("grids")
 
     # pair records couple at most two powers at a time; solve the pair

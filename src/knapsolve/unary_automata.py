@@ -11,6 +11,8 @@ it is eventually periodic, with the tail giving singletons and the
 cycle giving progressions.
 """
 
+import math
+
 from .errors import BudgetExceededError, InputError
 
 #: the single letter of unary automata
@@ -137,15 +139,24 @@ def unary_length_set(nfa):
 def lengths_to_xy(progressions, ps_len, u_len, qt_len, v_len):
     """Convert accepted lengths to (x, y)-lines.
 
-    A length ell determines x = (ell - |ps|)/|u| and y = (ell - |qt|)/|v|;
-    progressions failing the sign or divisibility filters contain no
-    valid lengths and are dropped.  Returns lines (a, b, c, d) denoting
+    A length ell determines x = (ell - |ps|)/|u| and y = (ell - |qt|)/|v|.
+    A progression whose step is not divisible by both |u| and |v| is
+    first refined to the step lcm(c0, |u|, |v|); progressions failing
+    the sign or divisibility filters then contain no valid lengths and
+    are dropped.  Returns lines (a, b, c, d) denoting
     {(a + b z, c + d z) : z >= 0}.
     """
     if u_len < 1 or v_len < 1:
         raise InputError("lengths_to_xy needs nonempty loop words")
-    lines = set()
+    refined = []
     for b0, c0 in progressions:
+        if c0 and (c0 % u_len or c0 % v_len):
+            step = math.lcm(c0, u_len, v_len)
+            refined.extend((b0 + c0 * k, step) for k in range(step // c0))
+        else:
+            refined.append((b0, c0))
+    lines = set()
+    for b0, c0 in refined:
         if b0 < ps_len or b0 < qt_len:
             continue
         if (b0 - ps_len) % u_len or (b0 - qt_len) % v_len:

@@ -237,3 +237,13 @@ def test_negative_verify_box_is_an_input_error(z_group, tmp_path, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: --box")
+
+
+def test_huge_numeric_exponent_is_an_input_error(z_group):
+    # the repetition count fits no machine index, so the parser fails
+    # before it allocates anything
+    proc = _run_cli("solve", "--group", z_group,
+                    "--expr", "t^1000000000000000000000000000000 (t)^x")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

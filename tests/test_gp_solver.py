@@ -416,7 +416,7 @@ def test_split_diagnostics_carry_every_key():
     # no search runs; the intersection of the two factors' sets does
     assert diag == {
         "branches": 0, "reductions": 0, "states": 0, "grids": 0,
-        "complete": True, "dioph_nodes": 12,
+        "complete": True, "dioph_nodes": 12, "pruned": 0,
     }
 
 

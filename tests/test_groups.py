@@ -7,7 +7,8 @@ import pytest
 
 from knapsolve.errors import InputError
 from knapsolve.expr import parse_expr
-from knapsolve.gp_solver import GraphProductBackend
+from knapsolve.finite_ext import solve_exponent_finite_ext
+from knapsolve.gp_solver import GraphProductBackend, solve_exponent_graph_product
 from knapsolve.groups import (
     FiniteGroup,
     IntegerGroup,
@@ -15,7 +16,7 @@ from knapsolve.groups import (
     cyclic_group,
     solve_exponent,
 )
-from knapsolve.hnn import HnnBackend
+from knapsolve.hnn import HnnBackend, solve_exponent_amalgam, solve_exponent_hnn
 from knapsolve.words import invert_word
 
 
@@ -169,3 +170,26 @@ def test_solve_knapsack_finite_magnitude_bound():
         for v in itertools.product(range(12), repeat=2):
             expected = G.word_problem(e.evaluate(dict(zip(("x", "y"), v))))
             assert S.membership(v) == expected
+
+
+def test_per_constructor_names_are_the_solve_entry():
+    for name in (solve_exponent_graph_product, solve_exponent_hnn,
+                 solve_exponent_amalgam, solve_exponent_finite_ext):
+        assert name is solve_exponent
+
+
+@pytest.mark.parametrize("desc, text", [
+    ({"type": "FreeProduct", "children": [
+        {"type": "CyclicGroup", "order": 2, "generator": "a"},
+        {"type": "CyclicGroup", "order": 3, "generator": "b"}]},
+     "(a b)^x (b' a)^y"),
+    ({"type": "Hnn", "base": {"type": "CyclicGroup", "order": 2},
+      "A": [[], ["a"]], "B": [[], ["a"]]}, "(a t)^x t' a"),
+    ({"type": "IntegerGroup"}, "t^x t'^3"),
+])
+def test_description_gets_the_answer_of_its_backend(desc, text):
+    e = parse_expr(text)
+    by_desc, by_backend = {}, {}
+    assert solve_exponent(desc, e, diagnostics=by_desc) == solve_exponent(
+        build_backend(desc), e, diagnostics=by_backend)
+    assert by_desc == by_backend

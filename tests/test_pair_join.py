@@ -49,15 +49,8 @@ def _product_loop(scheme, wb, order, comp_pairs, reduced):
             memo[key] = scheme.pair_lines(wb, pair, form_l, form_r)
         return memo[key]
 
-    grouped = []
-    for i in order:
-        by_forms = {}
-        for c, of in reduced[i]:
-            key = tuple(sorted(of.items()))
-            by_forms.setdefault(key, (of, []))[1].append(c)
-        grouped.append(list(by_forms.values()))
     components = []
-    for combo in itertools.product(*grouped):
+    for combo in itertools.product(*(reduced[i] for i in order)):
         forms = {}
         for of, _cs in combo:
             forms.update(of)
@@ -122,7 +115,7 @@ def test_join_solves_each_record_once_per_pair_of_forms(monkeypatch,
         assert all(n == 1 for n in asked.values()), asked.most_common(1)
         combos = 1
         for i in order:
-            combos *= len({tuple(sorted(of.items())) for _c, of in reduced[i]})
+            combos *= len(reduced[i])
         repeats_saved += combos * len(comp_pairs) - len(asked)
     # the product loop would have asked the hook again on most records
     assert repeats_saved > 1000

@@ -59,10 +59,7 @@ def _record(monkeypatch, cases):
     shared = Scheme.pair_components
 
     def recording(self, wb, order, comp_pairs, reduced):
-        choices = [
-            {tuple(sorted(of.items())): of for _c, of in reduced[i]}.values()
-            for i in order
-        ]
+        choices = [[of for of, _cs in reduced[i]] for i in order]
         for combo in itertools.product(*choices):
             forms = {}
             for of in combo:

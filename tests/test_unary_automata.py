@@ -110,6 +110,9 @@ def test_lengths_to_xy():
     assert lengths_to_xy([(1, 2)], 2, 1, 0, 1) == []
     # 2x = 3y
     assert lengths_to_xy([(0, 6)], 0, 2, 0, 3) == [(0, 3, 0, 2)]
+    # a step of 2 over |u| = 3 refines to 6: of 0, 2, 4 + 6z only the
+    # lengths 0 + 6z give an integer x
+    assert lengths_to_xy([(0, 2)], 0, 3, 0, 1) == [(0, 2, 0, 6)]
 
 
 def test_word_pair_pipeline_against_brute_force():
