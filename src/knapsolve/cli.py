@@ -37,6 +37,8 @@ def _load_group(path):
         raise InputError(f"cannot read group file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"group file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"group file nests too deeply: {exc}") from exc
     return build_backend(desc)
 
 
@@ -73,7 +75,7 @@ def cmd_verify(args):
     try:
         with open(args.result, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read result file: {exc}") from exc
     sols = SemilinearSet.from_json_dict(data)
     if set(sols.vars) != set(e.variables):

@@ -19,11 +19,12 @@ left), affine_substitute maps that set back through the shifts, and a
 variable without a power in G gets the linear set off + k N, a point
 when k = 0.  The leaves' components make up one set, the solution set.
 
-A repeated variable is renamed apart (knapsackify) into copies, and the
-answer is the walk's set cut down to the diagonal of the copies.  solve
-hands the walk the copy classes, so a leaf where two copies of one
-variable carry shifts with disjoint progressions (shifts_meet) is cut
-before its subgroup solve: none of its points lies on the diagonal.
+The walk is the leaf hook solve_knapsack of GroupBackend.solve, which
+renames a repeated variable apart (knapsackify) into copies and cuts the
+walk's set down to the diagonal of the copies.  It hands the hook the
+copy classes, so a leaf where two copies of one variable carry shifts
+with disjoint progressions (shifts_meet) is cut before its subgroup
+solve: none of its points lies on the diagonal.
 All the Diophantine systems of a solve, in the leaves and the diagonal,
 share the solve's one DiophSolver (reduction.Limits).
 """
@@ -32,7 +33,6 @@ import itertools
 import math
 
 from .errors import InputError
-from .expr import knapsackify
 from .groups import GroupBackend, solve_exponent
 from .reduction import direct_sum_all, solve_local
 from .semilinear import LinearSet, SemilinearSet
@@ -150,28 +150,10 @@ class FiniteExtBackend(GroupBackend):
                 rest, d, entries + (("e", g_enter),) + power + (("e", g_res),),
                 {**shifts, var: (k, l + r)})
 
-    def solve(self, e, limits):
-        """Solution set of e = 1; a repeated variable's copies are walked
-        as one class, so that leaves whose copies cannot agree are cut."""
-        if len(e.variables) == len(e.factors):
-            return self.solve_knapsack(e, limits)
-        e_prime, K = knapsackify(e)
-        copies = {}
-        for (_u, var, _v), (_u2, copy, _v2) in zip(e.factors, e_prime.factors):
-            copies.setdefault(var, []).append(copy)
-        sols = self._walk(e_prime, limits,
-                          [names for names in copies.values() if len(names) > 1])
-        with limits.dioph() as solver:
-            return sols.on_diagonal(K, solver).restrict(e.variables)
-
-    def solve_knapsack(self, e, limits):
-        """Walk the guesses and solve each in the subgroup (module docstring)."""
-        return self._walk(e, limits, ())
-
-    def _walk(self, e, limits, classes):
-        """The union over the leaves; classes lists the copies of each
-        repeated variable, and a leaf is cut when two copies of one class
-        carry shifts that cannot meet."""
+    def solve_knapsack(self, e, limits, classes):
+        """The union over the leaves of the guess walk (module docstring);
+        a leaf is cut when two copies of one class carry shifts that
+        cannot meet."""
         names = e.variables
         comps = []
         for coset, entries, shifts in self._guesses(

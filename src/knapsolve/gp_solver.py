@@ -36,7 +36,6 @@ between them in the dependence order of the tuple.
 import itertools
 
 from .errors import InputError
-from .expr import expr_from_entries
 from .groups import GroupBackend, require_elements, solve_exponent
 from .reduction import (
     ReductionSearchBase,
@@ -723,7 +722,7 @@ def _solve_over_join(backend, e, limits):
             if not factor.word_problem(sum((w for _e, w in entries), ())):
                 return SemilinearSet.empty(names)
             continue
-        sols = factor.solve(expr_from_entries(entries), limits)
+        sols = solve_local(factor, entries, limits)
         free = tuple(v for v in names if v not in sols.vars)
         if free:
             sols = sols.direct_sum(SemilinearSet.universe(free))

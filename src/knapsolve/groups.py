@@ -4,15 +4,16 @@ A backend wraps a concretely described group and exposes three things:
 the generator alphabet (closed under formal inverses), the word problem
 (w =? 1), and solve(e, limits), which answers any expression with a
 SemilinearSet under the solve's reduction.Limits, its budgets and
-report, and hands that object on to every nested solve.  The default
-solve renames repeated variables apart (knapsackify), calls the leaf
-hook solve_knapsack, for an expression in which every variable occurs
-once, and keeps the points on the diagonal (SemilinearSet.on_diagonal);
-graph products, HNN-extensions and amalgams override solve with the
-reduction search, and finite extensions with a guess walk that knows
-which variables are copies of one.  solve_exponent() is the one solve
-entry for every group, given as a backend or its description, and
-builds the Limits; nested solves call solve.
+report, and hands that object on to every nested solve.  Leaf groups
+(Z, finite groups, finite extensions) share one solve: it renames
+repeated variables apart (knapsackify), calls the leaf hook
+solve_knapsack on an expression in which every variable occurs once,
+with the classes of copies of each repeated variable, and keeps the
+points on their diagonal (SemilinearSet.on_diagonal).  Graph products,
+HNN-extensions and amalgams override solve with the reduction search.
+solve_exponent() is the one solve entry for every group, given as a
+backend or its description, and builds the Limits; nested solves call
+solve.
 
 Base backends: the infinite cyclic group (one generator, exponent sums)
 and finite groups given by a Cayley table.  Composite backends (graph
@@ -25,9 +26,7 @@ import itertools
 from .errors import InputError
 from .expr import knapsackify
 from .reduction import SEARCH_STATES_CAP, Limits
-from .semilinear import (
-    DiophSystem, LinearSet, SemilinearSet, solve_dioph_nonneg,
-)
+from .semilinear import LinearSet, SemilinearSet, solve_dioph_nonneg
 from .words import invert_letter
 
 
@@ -79,14 +78,25 @@ class GroupBackend:
     def solve(self, e, limits):
         """Solution set of e = 1; variables may repeat."""
         if len(e.variables) == len(e.factors):
-            return self.solve_knapsack(e, limits)
+            return self.solve_knapsack(e, limits, ())
         e_prime, K = knapsackify(e)
-        sols = self.solve_knapsack(e_prime, limits)
+        copies = {}
+        for (_u, var, _v), (_u2, copy, _v2) in zip(e.factors, e_prime.factors):
+            copies.setdefault(var, []).append(copy)
+        sols = self.solve_knapsack(
+            e_prime, limits,
+            [names for names in copies.values() if len(names) > 1])
         with limits.dioph() as solver:
             return sols.on_diagonal(K, solver).restrict(e.variables)
 
-    def solve_knapsack(self, e, limits):
-        """Solution set of e = 1; every variable of e occurs exactly once."""
+    def solve_knapsack(self, e, limits, classes):
+        """Solution set of e = 1; every variable of e occurs exactly once.
+
+        classes lists the copies of each repeated variable that solve
+        renamed apart, and solve keeps only the points on their diagonal.
+        A hook may use the classes to skip work whose points all lie off
+        that diagonal, never to drop a point on it.
+        """
         raise NotImplementedError
 
     def check_word(self, word):
@@ -156,12 +166,12 @@ class IntegerGroup(GroupBackend):
     def elem_sort_key(self, a):
         return (abs(a), a)
 
-    def solve_knapsack(self, e, limits):
-        coeffs = [self.elem_from_word(p) for p, _v, _t in e.factors]
+    def solve_knapsack(self, e, limits, _classes):
+        coeffs = tuple(self.elem_from_word(p) for p, _v, _t in e.factors)
         const = sum(self.elem_from_word(t) for _p, _v, t in e.factors)
-        sys = DiophSystem([tuple(coeffs)], (-const,))
         with limits.dioph() as solver:
-            return solve_dioph_nonneg(sys, e.variables, solver)
+            return solve_dioph_nonneg((coeffs,), (-const,), e.variables,
+                                      solver)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +285,7 @@ class FiniteGroup(GroupBackend):
             k += 1
         return k
 
-    def solve_knapsack(self, e, limits):
+    def solve_knapsack(self, e, limits, _classes):
         """Enumerate residue tuples modulo element orders."""
         gs = [self.elem_from_word(p) for p, _v, _t in e.factors]
         tails = [self.elem_from_word(t) for _p, _v, t in e.factors]
@@ -308,12 +318,19 @@ def cyclic_group(n, letter="a"):
 # GroupDesc JSON
 
 
+#: the deepest nesting of group descriptions build_backend takes; building
+#: and solving recurse once per level or more, and a tree this deep
+#: stays well inside Python's default recursion limit of 1,000 frames
+MAX_NESTING = 64
+
+
 def build_backend(desc):
     """Build a backend from a constructor-tagged description tree.
 
     The tree is validated in the same walk: a malformed node ends in an
     InputError whose message starts with the path to it, such as
-    $.children[1].order.
+    $.children[1].order, and so does a node nested below MAX_NESTING
+    levels.
     """
     return _build(desc, "$")
 
@@ -355,6 +372,10 @@ def _build(desc, path):
     from .gp_solver import GraphProductBackend
     from .hnn import AmalgamBackend, HnnBackend
 
+    # each level adds one ".key" to the path
+    if path.count(".") >= MAX_NESTING:
+        raise InputError(
+            f"{path}: group descriptions nest deeper than {MAX_NESTING} levels")
     if not isinstance(desc, dict) or "type" not in desc:
         raise InputError(f"{path}: group description must be an object with a 'type'")
     kind = desc["type"]

@@ -446,9 +446,9 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
 def solve_local(group, entries, limits, target=()):
     """Solutions of a product of entries equal to target inside group.
 
-    group is a vertex, base or finite-extension subgroup; entries are
-    ("e", word) constants and ("p", var, word) powers word^var, every
-    var once and at least one power among them; target is a word.  The
+    group is a vertex, base, join factor or finite-extension subgroup;
+    entries are ("e", word) constants and ("p", var, word) powers
+    word^var, at least one power among them; target is a word.  The
     group's own solve answers the knapsack expression of the product
     under the caller's Limits, so its counters add to the caller's.
     """

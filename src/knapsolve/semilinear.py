@@ -31,22 +31,6 @@ def _vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-class DiophSystem:
-    """A.x = rhs with integer entries (possibly negative), x over N^d."""
-
-    def __init__(self, matrix, rhs):
-        matrix = tuple(tuple(int(a) for a in row) for row in matrix)
-        rhs = tuple(int(c) for c in rhs)
-        if len(matrix) != len(rhs):
-            raise InputError("DiophSystem: row count does not match rhs length")
-        width = {len(row) for row in matrix}
-        if len(width) > 1:
-            raise InputError("DiophSystem: ragged matrix")
-        self.matrix = matrix
-        self.rhs = rhs
-        self.num_vars = width.pop() if width else 0
-
-
 class DiophSolver:
     """Minimal nonnegative solutions of the systems of one solve.
 
@@ -292,21 +276,19 @@ def _embed(n, columns, v):
     return tuple(out)
 
 
-def solve_dioph_nonneg(sys, var_names=None, solver=None):
-    """Solution set of sys over N, as a SemilinearSet.
+def solve_dioph_nonneg(matrix, rhs, var_names=None, solver=None):
+    """Solution set of matrix.x = rhs over N, as a SemilinearSet.
 
-    Its bases are the minimal solutions and its shared periods the
-    Hilbert basis of the homogeneous system (DiophSolver.solve).
-    solver, by default a fresh DiophSolver under DIOPH_DEFAULT_CAP,
-    counts the nodes explored.
+    matrix is a tuple of integer row tuples and rhs a tuple of integers;
+    var_names default to x0, x1, ....  The bases are the minimal
+    solutions and the shared periods the Hilbert basis of the
+    homogeneous system (DiophSolver.solve).  solver, by default a fresh
+    DiophSolver under DIOPH_DEFAULT_CAP, counts the nodes explored.
     """
-    d = sys.num_vars
     if var_names is None:
-        var_names = tuple(f"x{i}" for i in range(d))
-    if len(var_names) != d:
-        raise InputError("solve_dioph_nonneg: wrong number of variable names")
+        var_names = tuple(f"x{i}" for i in range(len(matrix[0])))
     solver = solver if solver is not None else DiophSolver()
-    bases, periods = solver.solve(sys.matrix, sys.rhs, d)
+    bases, periods = solver.solve(matrix, rhs, len(var_names))
     return SemilinearSet(var_names,
                          [LinearSet._unchecked(b, periods) for b in bases])
 

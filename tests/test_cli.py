@@ -247,3 +247,32 @@ def test_huge_numeric_exponent_is_an_input_error(z_group):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+#: a trivial finite extension of Z, opened around its subgroup
+_FINITE_EXT_LEVEL = (
+    '{"type": "FiniteExt", "cosets": ["1"], "rules": '
+    '[["1", "t", ["t"], "1"], ["1", "t\'", ["t\'"], "1"]], "subgroup": ')
+
+
+@pytest.mark.parametrize("command, depth", [
+    ("solve", 3000), ("solve", 400), ("verify", 3000),
+], ids=["group-past-json", "group-past-build", "result-past-json"])
+def test_deep_nesting_is_an_input_error(z_group, tmp_path, command, depth):
+    # 3,000 levels overflow the JSON decoder, 400 the description walk
+    deep = tmp_path / "deep.json"
+    if command == "solve":
+        group = str(deep)
+        deep.write_text(_FINITE_EXT_LEVEL * depth
+                        + '{"type": "IntegerGroup", "generator": "t"}'
+                        + "}" * depth)
+        extra = ()
+    else:
+        group = z_group
+        deep.write_text('{"vars": ["x"], "components": [{"base": [4], '
+                        '"periods": ' + "[" * depth + "]" * depth + "}]}")
+        extra = ("--result", str(deep))
+    proc = _run_cli(command, "--group", group, "--expr", "t^x t'^4", *extra)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

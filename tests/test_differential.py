@@ -304,7 +304,7 @@ def test_repeated_variable_cut_matches_uncut_walk(desc, letters):
         e_prime, K = knapsackify(e)
         limits = Limits(None, SEARCH_STATES_CAP, None)
         try:
-            uncut = backend.solve_knapsack(e_prime, limits).on_diagonal(K)
+            uncut = backend.solve_knapsack(e_prime, limits, ()).on_diagonal(K)
         except BudgetExceededError:
             return
         sols = solve_exponent(backend, e)

@@ -10,6 +10,7 @@ from knapsolve.expr import parse_expr
 from knapsolve.finite_ext import solve_exponent_finite_ext
 from knapsolve.gp_solver import GraphProductBackend, solve_exponent_graph_product
 from knapsolve.groups import (
+    MAX_NESTING,
     FiniteGroup,
     IntegerGroup,
     build_backend,
@@ -17,6 +18,7 @@ from knapsolve.groups import (
     solve_exponent,
 )
 from knapsolve.hnn import HnnBackend, solve_exponent_amalgam, solve_exponent_hnn
+from knapsolve.semilinear import LinearSet, SemilinearSet
 from knapsolve.words import invert_word
 
 
@@ -193,3 +195,35 @@ def test_description_gets_the_answer_of_its_backend(desc, text):
     assert solve_exponent(desc, e, diagnostics=by_desc) == solve_exponent(
         build_backend(desc), e, diagnostics=by_backend)
     assert by_desc == by_backend
+
+
+def _finite_ext_chain(levels):
+    """Trivial finite extensions of Z, nested levels deep in all."""
+    desc = {"type": "IntegerGroup", "generator": "s"}
+    for _ in range(levels - 1):
+        desc = {"type": "FiniteExt", "subgroup": desc, "cosets": ["1"],
+                "rules": [["1", "s", ["s"], "1"], ["1", "s'", ["s'"], "1"]]}
+    return desc
+
+
+def _free_product_chain(levels):
+    """Z2 * (Z2 * (... * Z2)), nested levels deep in all, with a0 at the
+    bottom."""
+    desc = {"type": "CyclicGroup", "order": 2, "generator": "a0"}
+    for k in range(1, levels):
+        desc = {"type": "FreeProduct", "children": [
+            {"type": "CyclicGroup", "order": 2, "generator": f"a{k}"}, desc]}
+    return desc
+
+
+@pytest.mark.parametrize("chain, text, base, periods", [
+    (_finite_ext_chain, "(s)^x s'", (1,), []),
+    (_free_product_chain, "(a0)^x a0", (1,), [(2,)]),
+], ids=["finite-ext", "free-product"])
+def test_nesting_limit_builds_and_solves_at_the_limit(chain, text, base,
+                                                      periods):
+    e = parse_expr(text)
+    sols = solve_exponent(build_backend(chain(MAX_NESTING)), e)
+    assert sols == SemilinearSet(("x",), [LinearSet(base, periods)])
+    with pytest.raises(InputError, match=f"nest deeper than {MAX_NESTING}"):
+        build_backend(chain(MAX_NESTING + 1))

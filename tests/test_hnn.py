@@ -9,7 +9,7 @@ import pytest
 from knapsolve.errors import BudgetExceededError
 from knapsolve.expr import ExponentExpression, parse_expr
 from knapsolve.gp_solver import solve_exponent_graph_product
-from knapsolve.groups import build_backend, cyclic_group
+from knapsolve.groups import build_backend, cyclic_group, solve_exponent
 from knapsolve.hnn import (
     AmalgamBackend,
     HnnBackend,
@@ -532,3 +532,35 @@ def test_trivial_subgroup_inverse_powers(kind, text):
         })
         sols = solve_exponent_amalgam(backend, parse_expr(text))
     assert {(k, k) for k in range(5)} <= sols.points_in_box(4)
+
+
+def _hnn(base, subgroup):
+    return {"type": "Hnn", "base": base, "stable_letter": "t",
+            "A": subgroup, "B": subgroup}
+
+
+#: Hnn(Z6, A = B = <a^3>)
+_Z6_CUBE = _hnn({"type": "CyclicGroup", "order": 6, "generator": "a"},
+                [[], ["a", "a", "a"]])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: generalized cancellation assumes its middle and its "
+    "result lie in A and B"))
+@pytest.mark.parametrize("desc, text, missed", [
+    (_Z6_CUBE, "(t' a' a')^x (a a t)^y", [(1, 1), (2, 2)]),
+    (_Z6_CUBE, "(t' a')^x a' a' (t a')^y a' a'", [(1, 1)]),
+    # Z4 *_{Z2} Z6 with a^2 = b^3
+    ({"type": "Amalgam", "left": {"type": "CyclicGroup", "order": 4},
+      "right": {"type": "CyclicGroup", "order": 6, "generator": "b"},
+      "phi1": [["a", "a"]], "phi2": [["b", "b", "b"]]},
+     "(b)^x a (a' b')^y b", [(0, 1), (6, 1)]),
+    # Hnn(Z4, 1, 1)
+    (_hnn({"type": "CyclicGroup", "order": 4, "generator": "a"}, [[]]),
+     "(t a')^x a t' (a t')^y", [(2, 1), (3, 2)]),
+], ids=["z6-cube", "z6-cube-tails", "z4-z2-z6", "z4-trivial"])
+def test_boundary_base_letters_keep_solutions(desc, text, missed):
+    # each missed point is a solution by the word problem; the answer is
+    # flagged incomplete and leaves it out
+    sols = solve_exponent(desc, parse_expr(text))
+    assert all(sols.membership(point) for point in missed)

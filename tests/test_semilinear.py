@@ -10,7 +10,6 @@ from knapsolve.errors import BudgetExceededError, InputError
 from knapsolve.expr import Renaming
 from knapsolve.semilinear import (
     DiophSolver,
-    DiophSystem,
     LinearSet,
     SemilinearSet,
     solve_dioph_nonneg,
@@ -51,19 +50,19 @@ def test_membership_dimension_mismatch():
 
 def test_solve_dioph_single_solution():
     # 2x + 3y = 7
-    S = solve_dioph_nonneg(DiophSystem([(2, 3)], (7,)))
+    S = solve_dioph_nonneg(((2, 3),), (7,))
     assert box_points(S, 10) == {(2, 1)}
 
 
 def test_solve_dioph_homogeneous():
     # 2x - 3y = 0
-    S = solve_dioph_nonneg(DiophSystem([(2, -3)], (0,)))
+    S = solve_dioph_nonneg(((2, -3),), (0,))
     expected = {(3 * k, 2 * k) for k in range(8)}
     assert box_points(S, 21) == {v for v in expected if max(v) <= 21}
 
 
 def test_solve_dioph_unsatisfiable():
-    S = solve_dioph_nonneg(DiophSystem([(0,)], (1,)))
+    S = solve_dioph_nonneg(((0,),), (1,))
     assert S.is_empty_representation()
 
 
@@ -76,8 +75,7 @@ def test_solve_dioph_against_enumeration():
             tuple(rng.randrange(-3, 4) for _ in range(d)) for _ in range(rows)
         ]
         rhs = tuple(rng.randrange(-4, 8) for _ in range(rows))
-        sys = DiophSystem(matrix, rhs)
-        S = solve_dioph_nonneg(sys)
+        S = solve_dioph_nonneg(tuple(matrix), rhs)
         for v in itertools.product(range(9), repeat=d):
             assert S.membership(v) == (apply(matrix, v) == rhs), (matrix, rhs, v)
 
@@ -383,7 +381,7 @@ def test_independent_blocks_stay_under_the_cap():
         matrix[i][3 - i], matrix[i][7 - i] = 7, -5
     rhs = (-3, -4, -2, -2)
     solver = DiophSolver()
-    S = solve_dioph_nonneg(DiophSystem(matrix, rhs), solver=solver)
+    S = solve_dioph_nonneg(tuple(map(tuple, matrix)), rhs, solver=solver)
     assert solver.nodes < 100
     (comp,) = S.components
     assert apply(matrix, comp.base) == rhs
