@@ -124,6 +124,7 @@ def expr_from_entries(entries):
 def parse_expr(text):
     """Parse the textual expression syntax into an ExponentExpression."""
     items = []  # ("word", letters) | ("p", var, letters) | ("e", repeated letters)
+    text = text.rstrip()
     pos = 0
     pending_group = None
     while pos < len(text):

@@ -6,31 +6,28 @@ c a = w d in H, where w is a word over G's generators and d in C.  Any
 prefix of a word over H's generators then normalizes to (G-word, coset),
 which decides the word problem whenever G's is decidable.
 
-Exponent equations reduce to G: the coset sequence under powers of a
-period u follows the orbit of the map f(c) = "coset of c u", which is
-eventually periodic with entry and period at most l = |C|.  So every
-exponent x is either a concrete j < l or l + r + k x' with k the cycle
-length and r < k.  One recursive walk over e's factors guesses this
-for each factor in turn and carries (coset, subgroup entries, shifts),
-where shifts[x] = (k, off) means x = k x' + off and a concrete guess is
-the shift (0, j).  At each leaf whose coset is 1, one solve_local call
-answers the remaining powers in G (the word problem does, when none is
-left), affine_substitute maps that set back through the shifts, and a
-variable without a power in G gets the linear set off + k N, a point
-when k = 0.  The leaves' components make up one set, the solution set.
+Exponent equations reduce to G: right multiplication by a period u
+permutes the right cosets of G, so the coset sequence of u^x from any
+coset d runs around a cycle of the map f(c) = "coset of c u" through d,
+of some length k <= l = |C|.  So every exponent x is r + k x' with
+r < k, and d u^(r + k x') = g^x' (d u^r) with d u^k = g d.  One
+recursive walk over e's factors guesses r for each factor in turn and
+carries (coset, subgroup entries, shifts), where shifts[x] = (k, r)
+means x = k x' + r.  At each leaf whose coset is 1, one solve_local
+call answers the remaining powers in G (the word problem does, when
+none is left), affine_substitute maps that set back through the shifts,
+and a variable without a power in G gets the linear set r + k N.  The
+leaves' components make up one set, the solution set.
 
 The walk is the leaf hook solve_knapsack of GroupBackend.solve, which
 renames a repeated variable apart (knapsackify) into copies and cuts the
-walk's set down to the diagonal of the copies.  It hands the hook the
-copy classes, so a leaf where two copies of one variable carry shifts
-with disjoint progressions (shifts_meet) is cut before its subgroup
-solve: none of its points lies on the diagonal.
+walk's set down to the diagonal of the copies.  FiniteExtBackend checks
+when it is built that its table describes a group over G, which the
+walk takes for granted: every letter's move on the cosets is undone by
+its inverse's, and G's letters stand for themselves at coset 1.
 All the Diophantine systems of a solve, in the leaves and the diagonal,
 share the solve's one DiophSolver (reduction.Limits).
 """
-
-import itertools
-import math
 
 from .errors import InputError
 from .groups import GroupBackend, solve_exponent
@@ -83,14 +80,22 @@ class FiniteExtBackend(GroupBackend):
             if (c, a) in self.rules:
                 raise InputError(f"duplicate rule for {(c, a)!r}")
             self.rules[(c, a)] = (w, d)
-        for c in self.cosets:
-            for a in sorted(self.alphabet):
-                if (c, a) not in self.rules:
-                    raise InputError(f"rewriting table misses {(c, a)!r}")
-        for a in subgroup.alphabet:
-            _w, d = self.rules[(IDENTITY_COSET, a)]
-            if d != IDENTITY_COSET:
-                raise InputError("subgroup letters must fix the identity coset")
+        pairs = [(c, a) for c in self.cosets for a in sorted(self.alphabet)]
+        for c, a in pairs:
+            if (c, a) not in self.rules:
+                raise InputError(f"rewriting table misses {(c, a)!r}")
+        # the table of a group over G: a a' is 1 from every coset, so each
+        # letter permutes the cosets (the walk's cycles), and a letter of G
+        # stands for itself at coset 1
+        for c, a in pairs:
+            g, d = self.push(c, (a, invert_letter(a)))
+            if d != c or not subgroup.word_problem(g):
+                raise InputError(f"{a} {invert_letter(a)} is not 1 at {c!r}")
+        for a in sorted(subgroup.alphabet):
+            g, d = self.push(IDENTITY_COSET, (a,))
+            if d != IDENTITY_COSET or not subgroup.word_problem(
+                    g + (invert_letter(a),)):
+                raise InputError(f"subgroup letter {a!r} is not itself at 1")
 
     def push(self, coset, word):
         """(g, d) with coset * word = g * d in H and g over G's generators."""
@@ -106,63 +111,48 @@ class FiniteExtBackend(GroupBackend):
         g, coset = self.push(IDENTITY_COSET, word)
         return coset == IDENTITY_COSET and self.subgroup.word_problem(g)
 
-    def _orbit(self, d, u):
-        """(entry, k) of the orbit of d under f(c) = coset of c u.
+    def _cycle(self, d, u):
+        """The least k >= 1 with f^k(d) = d for f(c) = coset of c u.
 
-        The orbit enters its cycle within l = |C| steps, so entry = f^l(d)
-        lies on the cycle, and k is the cycle's length.
+        f is a permutation of the cosets (the table's check), so d lies
+        on a cycle of f, of length at most l = |C|.
         """
-        for _ in self.cosets:
-            _g, d = self.push(d, u)
-        entry = d
-        d, k = self.push(d, u)[1], 1
-        while d != entry:
-            d, k = self.push(d, u)[1], k + 1
-        return entry, k
+        c = d
+        for k in range(1, len(self.cosets) + 1):
+            c = self.push(c, u)[1]
+            if c == d:
+                return k
+        raise AssertionError(f"coset {d!r} lies on no cycle of {u!r}")
 
     def _guesses(self, factors, coset, entries, shifts):
         """Yield (coset, entries, shifts) for every guess on the factors.
 
         entries spell the equation so far in the subgroup, as solve_local
-        takes them; shifts[var] = (k, off) stands for var = k var' + off,
-        with k = 0 for a concrete exponent off.
+        takes them; shifts[var] = (k, r) stands for var = k var' + r.
         """
         if not factors:
             yield coset, entries, shifts
             return
         (period, var, tail), rest = factors[0], factors[1:]
-        l = len(self.cosets)
-        for j in range(l):
-            g, d = self.push(coset, period * j + tail)
-            yield from self._guesses(rest, d, entries + (("e", g),),
-                                     {**shifts, var: (0, j)})
-        entry, k = self._orbit(coset, period)
-        g_enter, c_enter = self.push(coset, period * l)
-        assert c_enter == entry, "orbit entry certification failed"
-        g_cycle, c_cycle = self.push(entry, period * k)
-        assert c_cycle == entry, "orbit cycle certification failed"
+        k = self._cycle(coset, period)
+        g_cycle = self.push(coset, period * k)[0]
         # a cycle word that is syntactically empty puts no subgroup
         # constraint on var: its shift alone describes it
         power = (("p", var, g_cycle),) if g_cycle else ()
         for r in range(k):
-            g_res, d = self.push(entry, period * r + tail)
+            g_res, d = self.push(coset, period * r + tail)
             yield from self._guesses(
-                rest, d, entries + (("e", g_enter),) + power + (("e", g_res),),
-                {**shifts, var: (k, l + r)})
+                rest, d, entries + power + (("e", g_res),),
+                {**shifts, var: (k, r)})
 
-    def solve_knapsack(self, e, limits, classes):
-        """The union over the leaves of the guess walk (module docstring);
-        a leaf is cut when two copies of one class carry shifts that
-        cannot meet."""
+    def solve_knapsack(self, e, limits):
+        """The union over the leaves of the guess walk (module docstring)."""
         names = e.variables
         comps = []
         for coset, entries, shifts in self._guesses(
                 e.factors, IDENTITY_COSET, (), {}):
             limits.count("branches")
-            if not all(shifts_meet(shifts[a], shifts[b]) for copies in classes
-                       for a, b in itertools.combinations(copies, 2)):
-                sols = SemilinearSet.empty(())
-            elif coset == IDENTITY_COSET and any(x[0] == "p" for x in entries):
+            if coset == IDENTITY_COSET and any(x[0] == "p" for x in entries):
                 sols = solve_local(self.subgroup, entries, limits)
             elif coset == IDENTITY_COSET and self.subgroup.word_problem(
                     sum((x[1] for x in entries), ())):
@@ -177,28 +167,12 @@ class FiniteExtBackend(GroupBackend):
             pieces = [sols.affine_substitute(
                 {v: shifts[v][0] for v in sols.vars},
                 {v: shifts[v][1] for v in sols.vars})]
-            pieces += [SemilinearSet((v,), [LinearSet((off,), [(k,)])])
-                       for v, (k, off) in shifts.items() if v not in sols.vars]
+            pieces += [SemilinearSet((v,), [LinearSet((r,), [(k,)])])
+                       for v, (k, r) in shifts.items() if v not in sols.vars]
             comps += direct_sum_all(pieces, names).components
         # SemilinearSet keeps the first of equal components, so the order
         # is that of a union taken leaf by leaf
         return SemilinearSet(names, comps)
-
-
-def shifts_meet(a, b):
-    """Whether two shifts (k, off), each the set off + k N, share a point.
-
-    k = 0 is the point off.  A point meets a progression when it is at
-    least the offset and congruent to it; two progressions meet when
-    their offsets are congruent modulo the gcd of their ks (CRT), so a
-    class of shifts shares a point exactly when each pair does.
-    """
-    (k1, off1), (k2, off2) = sorted((a, b))
-    if k2 == 0:
-        return off1 == off2
-    if k1 == 0:
-        return off1 >= off2 and (off1 - off2) % k2 == 0
-    return (off1 - off2) % math.gcd(k1, k2) == 0
 
 
 #: the old per-constructor name, kept while perfbench/worker.py

@@ -8,8 +8,8 @@ report, and hands that object on to every nested solve.  Leaf groups
 (Z, finite groups, finite extensions) share one solve: it renames
 repeated variables apart (knapsackify), calls the leaf hook
 solve_knapsack on an expression in which every variable occurs once,
-with the classes of copies of each repeated variable, and keeps the
-points on their diagonal (SemilinearSet.on_diagonal).  Graph products,
+and keeps the points on the diagonal of the copies of each repeated
+variable (SemilinearSet.on_diagonal).  Graph products,
 HNN-extensions and amalgams override solve with the reduction search.
 solve_exponent() is the one solve entry for every group, given as a
 backend or its description, and builds the Limits; nested solves call
@@ -78,25 +78,14 @@ class GroupBackend:
     def solve(self, e, limits):
         """Solution set of e = 1; variables may repeat."""
         if len(e.variables) == len(e.factors):
-            return self.solve_knapsack(e, limits, ())
+            return self.solve_knapsack(e, limits)
         e_prime, K = knapsackify(e)
-        copies = {}
-        for (_u, var, _v), (_u2, copy, _v2) in zip(e.factors, e_prime.factors):
-            copies.setdefault(var, []).append(copy)
-        sols = self.solve_knapsack(
-            e_prime, limits,
-            [names for names in copies.values() if len(names) > 1])
+        sols = self.solve_knapsack(e_prime, limits)
         with limits.dioph() as solver:
             return sols.on_diagonal(K, solver).restrict(e.variables)
 
-    def solve_knapsack(self, e, limits, classes):
-        """Solution set of e = 1; every variable of e occurs exactly once.
-
-        classes lists the copies of each repeated variable that solve
-        renamed apart, and solve keeps only the points on their diagonal.
-        A hook may use the classes to skip work whose points all lie off
-        that diagonal, never to drop a point on it.
-        """
+    def solve_knapsack(self, e, limits):
+        """Solution set of e = 1; every variable of e occurs exactly once."""
         raise NotImplementedError
 
     def check_word(self, word):
@@ -166,7 +155,7 @@ class IntegerGroup(GroupBackend):
     def elem_sort_key(self, a):
         return (abs(a), a)
 
-    def solve_knapsack(self, e, limits, _classes):
+    def solve_knapsack(self, e, limits):
         coeffs = tuple(self.elem_from_word(p) for p, _v, _t in e.factors)
         const = sum(self.elem_from_word(t) for _p, _v, t in e.factors)
         with limits.dioph() as solver:
@@ -285,7 +274,7 @@ class FiniteGroup(GroupBackend):
             k += 1
         return k
 
-    def solve_knapsack(self, e, limits, _classes):
+    def solve_knapsack(self, e, limits):
         """Enumerate residue tuples modulo element orders."""
         gs = [self.elem_from_word(p) for p, _v, _t in e.factors]
         tails = [self.elem_from_word(t) for _p, _v, t in e.factors]

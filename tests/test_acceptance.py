@@ -453,23 +453,21 @@ def test_criterion_6_finite_extensions():
             report = compare(backend, e, S, 12)
             assert report["ok"], (name, e.factors, report["mismatches"][:5])
 
-    # affine round trip: reconstruct the orbit branch of t^x t'^6 by
+    # affine round trip: reconstruct the cycle branch of t^x t'^6 by
     # hand and map the raw subgroup solutions through the substitution
     backend = z_in_z
     sub = backend.subgroup
-    l = len(backend.cosets)
-    entry, k = backend._orbit("1", ("t",))
-    assert (l, k) == (2, 2)
-    g_enter, c_enter = backend.push("1", ("t",) * l)
-    g_cycle, c_cycle = backend.push(entry, ("t",) * k)
-    assert c_enter == entry and c_cycle == entry
+    k = backend._cycle("1", ("t",))
+    assert k == 2
+    g_cycle, c_cycle = backend.push("1", ("t",) * k)
+    assert c_cycle == "1"
     # residue 0 keeps the final coset at 1
-    g_tail, c_tail = backend.push(entry, ("t'",) * 6)
+    g_tail, c_tail = backend.push("1", ("t'",) * 6)
     assert c_tail == "1"
     raw = solve_exponent(
-        sub, ExponentExpression([(g_cycle, "x", g_enter + g_tail)])
+        sub, ExponentExpression([(g_cycle, "x", g_tail)])
     )
-    assert raw.points_in_box(12) == {(2,)}
-    substituted = raw.affine_substitute({"x": k}, {"x": l + 0})
+    assert raw.points_in_box(12) == {(3,)}
+    substituted = raw.affine_substitute({"x": k}, {"x": 0})
     direct = solve_exponent(backend, parse_expr("t^x t'^6"))
     assert substituted.points_in_box(12) == direct.points_in_box(12) == {(6,)}

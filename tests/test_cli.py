@@ -54,6 +54,12 @@ def test_solve_output_sorted(free_group, capsys):
     assert comps == sorted(comps, key=lambda c: (c["base"], c["periods"]))
 
 
+def test_expression_with_trailing_whitespace_solves(free_group, capsys):
+    code = main(["solve", "--group", free_group, "--expr", "(a)^x "])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["vars"] == ["x"]
+
+
 def test_malformed_expression_exit_code(z_group, capsys):
     code = main(["solve", "--group", z_group, "--expr", "t^x )("])
     assert code == 1

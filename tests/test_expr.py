@@ -42,6 +42,16 @@ def test_parse_errors():
         parse_expr("(a)^x $")
 
 
+@pytest.mark.parametrize("text", ["(a)^x ", "(a)^x\n", " \t(a)^x \n "])
+def test_parse_ignores_surrounding_whitespace(text):
+    assert parse_expr(text) == parse_expr("(a)^x")
+
+
+def test_parse_error_position_counts_from_the_left():
+    with pytest.raises(InputError, match="position 6"):
+        parse_expr("(a)^x $ \n")
+
+
 def test_length_degree():
     assert parse_expr("t^x").length() == 1
     assert parse_expr("t^x").degree() == 1

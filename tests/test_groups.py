@@ -18,6 +18,7 @@ from knapsolve.groups import (
     solve_exponent,
 )
 from knapsolve.hnn import HnnBackend, solve_exponent_amalgam, solve_exponent_hnn
+from knapsolve.oracle import compare
 from knapsolve.semilinear import LinearSet, SemilinearSet
 from knapsolve.words import invert_word
 
@@ -125,6 +126,13 @@ Z_IN_Z = {
 }
 
 
+
+def _with_rows(desc, *rows):
+    """desc with its rule for each row's coset and letter replaced by it."""
+    new = {tuple(row[:2]): row for row in rows}
+    return {**desc, "rules": [new.get(tuple(r[:2]), r) for r in desc["rules"]]}
+
+
 @pytest.mark.parametrize("desc, path", [
     # malformed fields
     ({"type": "Hnn", "A": [], "B": []}, "$.base"),
@@ -148,6 +156,12 @@ Z_IN_Z = {
     ({"type": "Hnn", "base": Z_IN_Z, "A": [[]], "B": [[]]}, "$.base"),
     ({"type": "Amalgam", "left": Z, "right": AMALGAM, "phi1": [[]],
       "phi2": [[]], "stable_letter": "r"}, "$.right"),
+    # coset tables that describe no group over their subgroup: u' u moves
+    # coset 1, s stands for s^2 at coset 1, and s and s' swap there
+    (_with_rows(Z_IN_Z, ["1", "u'", [], "1"]), "$"),
+    (_with_rows(Z_IN_Z, ["1", "s", ["s", "s"], "1"]), "$"),
+    (_with_rows(Z_IN_Z, ["1", "s", ["s'"], "1"], ["1", "s'", ["s"], "1"]),
+     "$"),
 ])
 def test_malformed_description_names_its_path(desc, path):
     with pytest.raises(InputError) as info:
@@ -214,6 +228,17 @@ def _free_product_chain(levels):
         desc = {"type": "FreeProduct", "children": [
             {"type": "CyclicGroup", "order": 2, "generator": f"a{k}"}, desc]}
     return desc
+
+
+@pytest.mark.parametrize("text", ["(s)^x (s)^y (s')^z", "(s)^x (s')^y s"])
+def test_nested_index_one_extensions_answer_one_component(text):
+    """Each level of the chain is Z again, and its walk guesses once."""
+    backend = build_backend(_finite_ext_chain(MAX_NESTING))
+    e = parse_expr(text)
+    sols = solve_exponent(backend, e)
+    assert len(sols.components) == 1
+    report = compare(backend, e, sols, 5)
+    assert report["ok"], report["mismatches"][:5]
 
 
 @pytest.mark.parametrize("chain, text, base, periods", [

@@ -7,8 +7,10 @@ lockstep automaton product, the splits cap applied by the search, one
 components helper); path-p3/d3/3 was recorded before matched factor
 pairs were joined power by power, and its answer is also checked by the
 oracle.  Three inputs of the repeated-variable corpus were recorded
-before every leaf group's knapsack flow was written once.  A change to
-the search's work then shows up here
+before every leaf group's knapsack flow was written once.  The three
+finite-extension cases were recorded when its walk came to guess each
+exponent on its coset's cycle alone, and their answers are also checked
+by the oracle.  A change to the search's work then shows up here
 as a counter change, before it moves an instance that sits near its
 time limit in the benchmark.  The cases cover the nine corpus groups at
 degrees 1-3 and give the same record under every hash seed (CI reruns
@@ -212,13 +214,25 @@ CASES = [
          ((2, 2, 3), [(0, 0, 4), (0, 4, 0), (4, 0, 0)]),
      ]),
     ("z-in-z-index-2/d3/1", "(s' t' s')^x (t s t')^y (t)^z s",
-     {"branches": 48, "dioph_nodes": 71, "pruned": 38, "complete": True,
+     {"branches": 4, "dioph_nodes": 42, "pruned": 2, "complete": True,
       "grids": 0, "reductions": 0, "states": 0},
      [
-         ((1, 0, 3), []),
-         ((1, 1, 1), []),
-         ((2, 0, 8), [(2, 0, 10)]),
-         ((2, 1, 6), [(2, 0, 10)]),
+         ((1, 0, 3), [
+             (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
+             (2, 5, 0),
+         ]),
+         ((1, 1, 1), [
+             (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
+             (2, 5, 0),
+         ]),
+         ((2, 0, 8), [
+             (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
+             (2, 5, 0),
+         ]),
+         ((2, 1, 6), [
+             (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
+             (2, 5, 0),
+         ]),
          ((2, 2, 4), [
              (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
              (2, 5, 0),
@@ -227,31 +241,15 @@ CASES = [
              (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
              (2, 5, 0),
          ]),
-         ((2, 4, 0), [(2, 5, 0)]),
-         ((3, 0, 13), [(2, 0, 10)]),
-         ((3, 1, 11), [(2, 0, 10)]),
-         ((3, 2, 9), [
+         ((2, 4, 0), [
              (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
              (2, 5, 0),
          ]),
-         ((3, 3, 7), [
-             (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
-             (2, 5, 0),
-         ]),
-         ((3, 4, 5), [
-             (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
-             (2, 5, 0),
-         ]),
-         ((3, 5, 3), [
-             (2, 0, 10), (2, 1, 8), (2, 2, 6), (2, 3, 4), (2, 4, 2),
-             (2, 5, 0),
-         ]),
-         ((3, 6, 1), [(2, 5, 0)]),
      ]),
 ]
 
 #: repeated-variable inputs of the benchmark's solve-repeated corpus:
-#: they pin the knapsackify flow, the copy classes and the diagonal
+#: they pin the knapsackify flow and the diagonal
 REPEATED_CASES = [
     ("integers/rep/1", "(t t')^z t' (t)^x (t')^y (t)^x t'",
      {"branches": 0, "complete": True, "dioph_nodes": 20, "grids": 0,
@@ -261,43 +259,27 @@ REPEATED_CASES = [
          ((0, 2, 2), [(0, 1, 2), (1, 0, 0)]),
      ]),
     ("z-in-z-index-2/rep/1", "(t t')^y t (s')^z (t)^x (s' t)^y",
-     {"branches": 144, "complete": True, "dioph_nodes": 41, "grids": 0,
-      "pruned": 132, "reductions": 0, "states": 0},
+     {"branches": 4, "complete": True, "dioph_nodes": 17, "grids": 0,
+      "pruned": 2, "reductions": 0, "states": 0},
      [
-         ((0, 1, 1), []),
-         ((0, 2, 3), [(0, 1, 2)]),
-         ((1, 0, 0), []),
-         ((1, 1, 2), []),
-         ((1, 2, 4), [(0, 1, 2)]),
-         ((2, 0, 1), []),
-         ((2, 1, 3), [(2, 0, 2)]),
-         ((2, 2, 5), [(0, 1, 2), (2, 0, 2)]),
-         ((3, 0, 2), [(2, 0, 2)]),
-         ((3, 1, 4), [(2, 0, 2)]),
-         ((3, 2, 6), [(0, 1, 2), (2, 0, 2)]),
-         ((4, 0, 3), [(2, 0, 2)]),
+         ((0, 1, 1), [(0, 1, 2), (2, 0, 2)]),
+         ((1, 0, 0), [(0, 1, 2), (2, 0, 2)]),
+         ((2, 0, 1), [(0, 1, 2), (2, 0, 2)]),
      ]),
     ("z-in-z-index-2/rep/2", "(t' t)^z (t)^y (s s)^y s' (s)^z t (t')^x",
-     {"branches": 432, "complete": True, "dioph_nodes": 76, "grids": 0,
-      "pruned": 421, "reductions": 0, "states": 0},
+     {"branches": 4, "complete": True, "dioph_nodes": 30, "grids": 0,
+      "pruned": 2, "reductions": 0, "states": 0},
      [
-         ((0, 1, 4), []),
-         ((0, 2, 9), [(0, 2, 10)]),
-         ((0, 3, 14), [(0, 2, 10)]),
-         ((1, 0, 1), []),
-         ((1, 1, 6), []),
-         ((1, 2, 11), [(0, 2, 10)]),
-         ((1, 3, 16), [(0, 2, 10)]),
-         ((2, 0, 3), [(1, 0, 2)]),
-         ((2, 1, 8), [(1, 0, 2)]),
-         ((2, 2, 13), [(0, 2, 10), (1, 0, 2)]),
-         ((2, 3, 18), [(0, 2, 10), (1, 0, 2)]),
+         ((0, 1, 4), [(0, 2, 10), (1, 0, 2)]),
+         ((0, 2, 9), [(0, 2, 10), (1, 0, 2)]),
+         ((1, 0, 1), [(0, 2, 10), (1, 0, 2)]),
      ]),
 ]
 
 
 #: cases whose answer is also checked by the oracle, on this box
-ORACLE_BOX = {"path-p3/d3/3": 3}
+ORACLE_BOX = {"path-p3/d3/3": 3, "z-in-z-index-2/d3/1": 6,
+              "z-in-z-index-2/rep/1": 6, "z-in-z-index-2/rep/2": 6}
 
 
 @pytest.mark.parametrize("key, text, diagnostics, components",
