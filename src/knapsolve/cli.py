@@ -29,21 +29,21 @@ from .reduction import SEARCH_STATES_CAP
 from .semilinear import SemilinearSet
 
 
-def _load_group(path):
+def _read_json(path, what):
+    """The JSON value in the file at path; what names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            desc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise InputError(f"cannot read group file: {exc}") from exc
+        raise InputError(f"cannot read {what} file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"group file is not valid JSON: {exc}") from exc
+        raise InputError(f"{what} file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise InputError(f"group file nests too deeply: {exc}") from exc
-    return build_backend(desc)
+        raise InputError(f"{what} file nests too deeply: {exc}") from exc
 
 
 def cmd_solve(args):
-    backend = _load_group(args.group)
+    backend = build_backend(_read_json(args.group, "group"))
     e = parse_expr(args.expr)
     diagnostics = {}
     try:
@@ -70,14 +70,9 @@ def cmd_solve(args):
 
 
 def cmd_verify(args):
-    backend = _load_group(args.group)
+    backend = build_backend(_read_json(args.group, "group"))
     e = parse_expr(args.expr)
-    try:
-        with open(args.result, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"cannot read result file: {exc}") from exc
-    sols = SemilinearSet.from_json_dict(data)
+    sols = SemilinearSet.from_json_dict(_read_json(args.result, "result"))
     if set(sols.vars) != set(e.variables):
         raise InputError(
             f"result variables {list(sols.vars)} do not match "

@@ -228,20 +228,15 @@ class ReductionSearch(ReductionSearchBase):
         return tuple(out)
 
     def interaction_pairs(self, items):
-        """Index pairs that commutation can make adjacent (left, right)."""
+        """Index pairs that commutation can make adjacent (left, right).
+
+        i < j is blocked when i lies in below[r] for some r in below[j].
+        """
         n = len(items)
         below = self._below(items)
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                blocked = any(
-                    i in below[r] and r in below[j]
-                    for r in range(n)
-                    if r != i and r != j
-                )
-                if not blocked:
-                    pairs.append((i, j))
-        return pairs
+        blocked = [set().union(*(below[r] for r in b)) for b in below]
+        return [(i, j) for i in range(n) for j in range(i + 1, n)
+                if i not in blocked[j]]
 
     def atom_entries(self, item):
         if item[0] == "A":
@@ -282,15 +277,15 @@ class ReductionSearch(ReductionSearchBase):
                     yield (("C", value),), (rec,), False
             # split into two alphabet-tagged factors
             sub = sorted(alph)
-            for r1 in range(1, len(sub) + 1):
-                for a1 in itertools.combinations(sub, r1):
-                    s1 = frozenset(a1)
-                    need = alph - s1
-                    for r2 in range(1, len(sub) + 1):
-                        for a2 in itertools.combinations(sub, r2):
-                            s2 = frozenset(a2)
-                            if need <= s2:
-                                yield (("F", i, None, s1), ("F", i, None, s2)), (), True
+            subsets = [
+                frozenset(a) for k in range(1, len(sub) + 1)
+                for a in itertools.combinations(sub, k)
+            ]
+            for s1 in subsets:
+                need = alph - s1
+                for s2 in subsets:
+                    if need <= s2:
+                        yield (("F", i, None, s1), ("F", i, None, s2)), (), True
 
     def binary_moves(self, left, right):
         if left[0] == "C" and right[0] == "C":
@@ -321,7 +316,8 @@ class ReductionSearch(ReductionSearchBase):
                 for entry in entries:
                     prod = child.elem_mul(prod, entry[1])
                 if prod == child.identity_elem:
-                    yield (), (), None  # cancellation
+                    # only two single-atom constants have no power entry,
+                    # and the C/C test above already cancelled them
                     return
                 merged = ("C", monoid.canon([Atom(vertex, prod)]))
             else:

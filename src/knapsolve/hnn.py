@@ -198,6 +198,16 @@ class HnnBackend(GroupBackend):
                 gs[-1].append(letter)
         return BrittonWord([self.base_canon(g) for g in gs], deltas)
 
+    def cuts(self, w):
+        """(prefix, suffix) of w's letters cut at 1, ..., len - 1, parsed.
+
+        The one letter cut of the HNN hooks: the splits of a constant in
+        the search and the factor shapes of a power.
+        """
+        letters = w.letters(self.stable)
+        return [(self.parse(letters[:j]), self.parse(letters[j:]))
+                for j in range(1, len(letters))]
+
     def identity_bw(self):
         return BrittonWord([()], ())
 
@@ -292,19 +302,14 @@ def hnn_power_presentation(backend, u):
     if k == 0:
         return one, u, one
     # largest cancellation depth between a copy of u and the next one
-    best_m, best_c = 0, ()
+    best = 0, (), one, one
     for m in range(1, k // 2 + 1):
         z = BrittonWord(((),) + u.gs[k - m + 1 :], u.deltas[k - m :])
         x = BrittonWord(u.gs[:m] + ((),), u.deltas[:m])
         zx = britton_reduce(backend, backend.concat(z, x))
         if zx.tcount == 0 and zx.gs[0] in backend.ab:
-            best_m, best_c = m, zx.gs[0]
-    m, c = best_m, best_c
-    if m:
-        z = BrittonWord(((),) + u.gs[k - m + 1 :], u.deltas[k - m :])
-        x = BrittonWord(u.gs[:m] + ((),), u.deltas[:m])
-    else:
-        z = x = one
+            best = m, zx.gs[0], z, x
+    m, c, z, x = best
     y = BrittonWord(u.gs[m : k - m + 1], u.deltas[m : k - m])
     yc = BrittonWord(y.gs[:-1] + (backend.base_mul(y.gs[-1], c),), y.deltas)
     if yc.tcount == 0:
@@ -480,18 +485,9 @@ class HnnReductionSearch(ReductionSearchBase):
             # grouping and a base run is used up only by a merge, a val
             # record or a cancellation middle, so whatever uses the pieces
             # the unsplit constant reaches too, at lower cost
-            backend = self.backend
-            letters = item[1].letters(backend.stable)
-            seen_cuts = set()
-            for j in range(1, len(letters)):
-                left = backend.parse(letters[:j])
-                right = backend.parse(letters[j:])
-                if left.is_identity() or right.is_identity():
-                    continue
-                if (left, right) in seen_cuts:
-                    continue
-                seen_cuts.add((left, right))
-                yield (("C", left), ("C", right)), (), True
+            for left, right in dict.fromkeys(self.backend.cuts(item[1])):
+                if not (left.is_identity() or right.is_identity()):
+                    yield (("C", left), ("C", right)), (), True
 
     def binary_moves(self, left, right):
         el = self._base_entries(left)
@@ -620,23 +616,17 @@ class HnnScheme(Scheme):
         ], limits, a)
 
     def factor_shapes(self, u, fids, assigns, pairs):
-        """Cuts of u^x at letter positions into forms (sfx, pfx).
+        """Cuts of u^x (HnnBackend.cuts) into forms (sfx, pfx).
 
         The factor of id fids[k] is sfx u^{x_k} pfx; c counts the cuts
         that fall inside a copy of u.
         """
-        backend = self.backend
-        uletters = u.letters(backend.stable)
-        suffixes = {0: backend.identity_bw()}
-        prefixes = {0: backend.identity_bw()}
-        for o in range(1, len(uletters)):
-            suffixes[o] = backend.parse(uletters[o:])
-            prefixes[o] = backend.parse(uletters[:o])
+        splits = [(self.one, self.one)] + self.backend.cuts(u)
         shapes = []
-        for cuts in itertools.product(range(len(uletters)), repeat=len(fids) - 1):
+        for cuts in itertools.product(range(len(splits)), repeat=len(fids) - 1):
             bounds = (0,) + cuts + (0,)
             forms = tuple(
-                (suffixes[bounds[k]], prefixes[bounds[k + 1]])
+                (splits[bounds[k]][1], splits[bounds[k + 1]][0])
                 for k in range(len(fids))
             )
             shapes.append((sum(1 for o in cuts if o > 0), forms))

@@ -23,6 +23,7 @@ import itertools
 import math
 
 from .errors import BudgetExceededError, InputError
+from .words import components
 
 DIOPH_DEFAULT_CAP = 10_000
 
@@ -226,33 +227,21 @@ def _split(matrix, n):
     """(row gcds, zero columns, blocks) of matrix over n unknowns.
 
     A block is (columns, rows, submatrix, Gram matrix of its columns)
-    for a class of unknowns linked by nonzero entries in shared rows;
-    blocks come in the order of their first column.
+    for a class of unknowns linked by nonzero entries in shared rows
+    (words.components); blocks come in the order of their first column,
+    each with its columns and rows ascending.
     """
-    root = list(range(n))
-
-    def find(j):
-        while root[j] != j:
-            root[j] = root[root[j]]
-            j = root[j]
-        return j
-
     supports = [[j for j, a in enumerate(row) if a] for row in matrix]
-    for support in supports:
-        for j in support[1:]:
-            root[find(j)] = find(support[0])
     used = set().union(*supports)
-    members = {}
-    for j in range(n):
-        if j in used:
-            members.setdefault(find(j), []).append(j)
-    rows_of = {}
+    classes = components(sorted(used),
+                         [(s[0], j) for s in supports for j in s[1:]])
+    block_of = {j: b for b, columns in enumerate(classes) for j in columns}
+    rows_of = [[] for _ in classes]
     for i, support in enumerate(supports):
         if support:
-            rows_of.setdefault(find(support[0]), []).append(i)
+            rows_of[block_of[support[0]]].append(i)
     blocks = []
-    for label, columns in members.items():
-        rows = rows_of[label]
+    for columns, rows in zip(classes, rows_of):
         sub = tuple(tuple(matrix[i][j] for j in columns) for i in rows)
         cols = list(zip(*sub))
         gram = tuple(tuple(_dot(u, v) for v in cols) for u in cols)

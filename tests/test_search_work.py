@@ -10,7 +10,9 @@ oracle.  Three inputs of the repeated-variable corpus were recorded
 before every leaf group's knapsack flow was written once.  The three
 finite-extension cases were recorded when its walk came to guess each
 exponent on its coset's cycle alone, and their answers are also checked
-by the oracle.  A change to the search's work then shows up here
+by the oracle.  Two solves over the path P4, which no corpus group
+reaches, pin the depth-first search; they were recorded before
+interaction_pairs was derived from below in one pass.  A change to the search's work then shows up here
 as a counter change, before it moves an instance that sits near its
 time limit in the benchmark.  The cases cover the nine corpus groups at
 degrees 1-3 and give the same record under every hash seed (CI reruns
@@ -47,6 +49,12 @@ GROUPS = {
         "type": "GraphProduct",
         "vertices": [_z(2, "a"), _z(2, "b"), _z(2, "c")],
         "edges": [[0, 1], [1, 2]],
+    },
+    # not a join, so its solves run the depth-first search
+    "path-p4": {
+        "type": "GraphProduct",
+        "vertices": [_z(2, "a"), _z(2, "b"), _z(2, "c"), _z(2, "d")],
+        "edges": [[0, 1], [1, 2], [2, 3]],
     },
     "hnn-z2": {
         "type": "Hnn",
@@ -276,15 +284,28 @@ REPEATED_CASES = [
      ]),
 ]
 
+#: depth-first search solves, keyed "path-p4/dfs/index"
+DFS_CASES = [
+    ("path-p4/dfs/0", "(a c)^x c a",
+     {"branches": 1, "complete": False, "dioph_nodes": 0, "grids": 4,
+      "pruned": 0, "reductions": 12, "states": 401},
+     [((1,), [])]),
+    ("path-p4/dfs/1", "a^x (b c)^y c b a",
+     {"branches": 8, "complete": True, "dioph_nodes": 3, "grids": 1,
+      "pruned": 0, "reductions": 1, "states": 84},
+     [((1, 1), [(0, 2), (2, 0)])]),
+]
 
 #: cases whose answer is also checked by the oracle, on this box
 ORACLE_BOX = {"path-p3/d3/3": 3, "z-in-z-index-2/d3/1": 6,
-              "z-in-z-index-2/rep/1": 6, "z-in-z-index-2/rep/2": 6}
+              "z-in-z-index-2/rep/1": 6, "z-in-z-index-2/rep/2": 6,
+              "path-p4/dfs/0": 8}
+
+PINNED = CASES + REPEATED_CASES + DFS_CASES
 
 
-@pytest.mark.parametrize("key, text, diagnostics, components",
-                         CASES + REPEATED_CASES,
-                         ids=[case[0] for case in CASES + REPEATED_CASES])
+@pytest.mark.parametrize("key, text, diagnostics, components", PINNED,
+                         ids=[case[0] for case in PINNED])
 def test_search_work_is_pinned(key, text, diagnostics, components):
     e = parse_expr(text)
     backend = build_backend(GROUPS[key.split("/")[0]])
