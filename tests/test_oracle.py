@@ -1,10 +1,25 @@
-"""Brute-force oracle: enumeration and mismatch reporting."""
+"""Brute-force oracle: enumeration and mismatch reporting.
+
+brute_force_solutions meets in the middle on backends with the element
+protocol and checks point by point on the others.  Seeded draws over
+element backends (Z, a cyclic group, path-P3, a join, a free product
+and a nested free product) check that both paths return the same set,
+and a counting test checks that graph products take the element path,
+with no word problem and about (box+1)^ceil(deg/2) products.  compare
+lists the first 20 points of the symmetric difference in lexicographic
+order, as the per-point scan it replaced did.
+"""
 
 import itertools
+import random
 
+import pytest
+
+from knapsolve.errors import InputError
 from knapsolve.expr import parse_expr
-from knapsolve.groups import IntegerGroup, cyclic_group
-from knapsolve.oracle import brute_force_solutions, compare
+from knapsolve.groups import IntegerGroup, build_backend, cyclic_group
+from knapsolve.oracle import (_solutions_by_elements, _solutions_by_point,
+                              brute_force_solutions, compare)
 from knapsolve.semilinear import LinearSet, SemilinearSet
 
 
@@ -87,3 +102,134 @@ def test_compare_report_of_a_wrong_set_keeps_its_order_and_cap():
     report = compare(backend, e, wrong, 6)
     assert len(report["mismatches"]) == 20
     assert report == _compare_by_membership(backend, e, wrong, 6)
+
+
+def _z(order, gen):
+    return {"type": "CyclicGroup", "order": order, "generator": gen}
+
+
+#: name -> (description, generator letters without inverses)
+ELEMENT_GROUPS = {
+    "integers": ({"type": "IntegerGroup", "generator": "t"}, "t"),
+    "cyclic-3": (_z(3, "b"), "b"),
+    "path-p3": ({
+        "type": "GraphProduct",
+        "vertices": [_z(2, "a"), _z(2, "b"), _z(2, "c")],
+        "edges": [[0, 1], [1, 2]],
+    }, "abc"),
+    "join-z-z3": ({
+        "type": "GraphProduct",
+        "vertices": [{"type": "IntegerGroup", "generator": "t"}, _z(3, "b")],
+        "edges": [[0, 1]],
+    }, "tb"),
+    "free-z2-z3": ({
+        "type": "FreeProduct", "children": [_z(2, "a"), _z(3, "b")],
+    }, "ab"),
+    "nested-free": ({
+        "type": "FreeProduct", "children": [
+            {"type": "FreeProduct", "children": [_z(2, "a"), _z(3, "b")]},
+            _z(5, "c")],
+    }, "abc"),
+}
+
+#: expressions with a variable on both sides of the split at deg // 2
+SHARED = {
+    "integers": ["(t)^x (t t)^y t' (t')^x", "(t)^x t (t')^y (t)^z (t')^x t'"],
+    "cyclic-3": ["(b)^x (b)^y (b)^x", "(b)^x b (b b)^y (b)^y (b)^x"],
+    "path-p3": ["(a)^x (b)^y (a)^x", "(a b)^x c (c)^y (b' a)^y (c)^x"],
+    "join-z-z3": ["(t)^x (b)^y (t')^x b'", "(t b)^x (b)^y t' (b')^x (t)^z"],
+    "free-z2-z3": ["(a)^x (b)^y (a)^x", "(a b)^x (b' a)^y (a)^y (a b')^x"],
+    "nested-free": ["(a c)^x (b)^y (c' a)^x", "(a)^x (c)^y c' (c)^y (a b)^x"],
+}
+
+
+def _letters(gens):
+    return [x for a in gens for x in (a, a + "'")]
+
+
+def _draw(rng, letters, degree):
+    """degree powers over x, y, z (so variables repeat), tails of 0-2."""
+    parts = []
+    for _ in range(degree):
+        period = [rng.choice(letters) for _ in range(rng.randrange(1, 3))]
+        parts.append("(" + " ".join(period) + ")^" + rng.choice("xyz"))
+        parts.extend(rng.choice(letters) for _ in range(rng.randrange(0, 3)))
+    return " ".join(parts)
+
+
+def _splits_a_variable(e):
+    cut = len(e.factors) // 2
+    left = {var for _p, var, _t in e.factors[:cut]}
+    return bool(left & {var for _p, var, _t in e.factors[cut:]})
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_GROUPS))
+def test_element_path_agrees_with_the_per_point_path(name):
+    desc, gens = ELEMENT_GROUPS[name]
+    backend = build_backend(desc)
+    rng = random.Random(f"oracle-{name}")
+    texts = list(SHARED[name])
+    texts += [_draw(rng, _letters(gens), degree)
+              for degree in (1, 2, 3, 4) for _ in range(2)]
+    exprs = [parse_expr(text) for text in texts]
+    assert any(_splits_a_variable(e) for e in exprs)
+    solved = 0
+    for e in exprs:
+        for box in (0, 1, 6):
+            want = _solutions_by_point(backend, e, box)
+            assert _solutions_by_elements(backend, e, box) == want, (e, box)
+            assert brute_force_solutions(backend, e, box) == want
+            solved += bool(want)
+    # the comparison is not only between empty sets
+    assert solved >= 8
+
+
+def test_a_shared_variable_keeps_one_value():
+    # t^x t^-y t^-x = 1 iff y = 0; a left x = 1 and a right x = 0 would
+    # also make (1, 1) a solution
+    e = parse_expr("(t)^x (t')^y (t')^x")
+    assert _splits_a_variable(e)
+    assert brute_force_solutions(IntegerGroup("t"), e, 3) == {
+        (x, 0) for x in range(4)}
+    backend = build_backend(ELEMENT_GROUPS["free-z2-z3"][0])
+    e = parse_expr("(a)^x (b)^y (a)^x")
+    assert _splits_a_variable(e)
+    # a^x b^y a^x = 1 iff y = 0 mod 3, whatever x
+    assert brute_force_solutions(backend, e, 3) == {
+        (x, y) for x in range(4) for y in (0, 3)}
+    e = parse_expr("(a)^x (b)^y (a)^x (a)^z")
+    assert brute_force_solutions(backend, e, 2) == {
+        (x, y, z) for x in range(3) for y in (0,) for z in (0, 2)}
+
+
+@pytest.mark.parametrize("oracle", [_solutions_by_point, _solutions_by_elements])
+def test_a_letter_outside_the_alphabet_is_an_input_error(oracle):
+    backend = build_backend(ELEMENT_GROUPS["path-p3"][0])
+    with pytest.raises(InputError):
+        oracle(backend, parse_expr("(a)^x d (b)^y"), 1)
+    with pytest.raises(InputError):
+        oracle(backend, parse_expr("(a d)^x"), 1)
+
+
+def test_graph_products_meet_in_the_middle():
+    backend = build_backend(ELEMENT_GROUPS["path-p3"][0])
+    box = 6
+    cases = [parse_expr("(a b)^x c (b)^y (c a)^z"),
+             parse_expr("(a)^w (b c)^x a (c)^y b (a b)^z c")]
+    wants = [_solutions_by_point(backend, e, box) for e in cases]
+    calls = {"elem_mul": 0}
+
+    def no_word_problem(word):
+        raise AssertionError("the element path solved a word problem")
+
+    def counting_mul(a, b, mul=backend.elem_mul):
+        calls["elem_mul"] += 1
+        return mul(a, b)
+
+    backend.word_problem = no_word_problem
+    backend.elem_mul = counting_mul
+    for e, want in zip(cases, wants):
+        calls["elem_mul"] = 0
+        assert brute_force_solutions(backend, e, box) == want
+        half = -(-len(e.factors) // 2)
+        assert calls["elem_mul"] <= 4 * (box + 1) ** half
