@@ -13,21 +13,25 @@ of some length k <= l = |C|.  So every exponent x is r + k x' with
 r < k, and d u^(r + k x') = g^x' (d u^r) with d u^k = g d.  One
 recursive walk over e's factors guesses r for each factor in turn and
 carries (coset, subgroup entries, shifts), where shifts[x] = (k, r)
-means x = k x' + r.  At each leaf whose coset is 1, one solve_local
-call answers the remaining powers in G (the word problem does, when
-none is left), affine_substitute maps that set back through the shifts,
-and a variable without a power in G gets the linear set r + k N.  The
+means x = k x' + r.  A variable that occurs again is still one
+exponent: if its new cycle has length k and it is already shifted to
+(k0, r0), the walk guesses x modulo L = lcm(k0, k), as R = r0 + k0 q
+for q < L / k0, and rewrites each earlier power g^x' as
+(g^(L/k0))^x'' g^q, which is exact as powers of one element commute.
+At each leaf whose coset is 1, one solve_local call answers the
+remaining powers in G (the word problem does, when none is left),
+affine_substitute maps that set back through the shifts, and a
+variable without a power in G gets the linear set r + k N.  The
 leaves' components make up one set, the solution set.
 
-The walk is the leaf hook solve_knapsack of GroupBackend.solve, which
-renames a repeated variable apart (knapsackify) into copies and cuts the
-walk's set down to the diagonal of the copies.  FiniteExtBackend checks
-when it is built that its table describes a group over G, which the
-walk takes for granted: every letter's move on the cosets is undone by
-its inverse's, and G's letters stand for themselves at coset 1.
-All the Diophantine systems of a solve, in the leaves and the diagonal,
-share the solve's one DiophSolver (reduction.Limits).
+FiniteExtBackend checks when it is built that its table describes a
+group over G, which the walk takes for granted: every letter's move on
+the cosets is undone by its inverse's, and G's letters stand for
+themselves at coset 1.  All the Diophantine systems of a solve share
+the solve's one DiophSolver (reduction.Limits).
 """
+
+import math
 
 from .errors import InputError
 from .groups import GroupBackend, solve_exponent
@@ -128,24 +132,28 @@ class FiniteExtBackend(GroupBackend):
         """Yield (coset, entries, shifts) for every guess on the factors.
 
         entries spell the equation so far in the subgroup, as solve_local
-        takes them; shifts[var] = (k, r) stands for var = k var' + r.
+        takes them; shifts[var] = (k, r) stands for var = k var' + r.  A
+        repeated var refines its shift to the lcm of its cycles.
         """
         if not factors:
             yield coset, entries, shifts
             return
         (period, var, tail), rest = factors[0], factors[1:]
-        k = self._cycle(coset, period)
+        k0, r0 = shifts.get(var, (1, 0))
+        k = math.lcm(k0, self._cycle(coset, period))
         g_cycle = self.push(coset, period * k)[0]
         # a cycle word that is syntactically empty puts no subgroup
         # constraint on var: its shift alone describes it
         power = (("p", var, g_cycle),) if g_cycle else ()
-        for r in range(k):
+        for r in range(r0, k, k0):
             g_res, d = self.push(coset, period * r + tail)
+            known = (_refined(entries, var, k // k0, (r - r0) // k0)
+                     if var in shifts and k > k0 else entries)
             yield from self._guesses(
-                rest, d, entries + power + (("e", g_res),),
+                rest, d, known + power + (("e", g_res),),
                 {**shifts, var: (k, r)})
 
-    def solve_knapsack(self, e, limits):
+    def solve(self, e, limits):
         """The union over the leaves of the guess walk (module docstring)."""
         names = e.variables
         comps = []
@@ -173,6 +181,20 @@ class FiniteExtBackend(GroupBackend):
         # SemilinearSet keeps the first of equal components, so the order
         # is that of a union taken leaf by leaf
         return SemilinearSet(names, comps)
+
+
+def _refined(entries, var, m, q):
+    """entries under var' = m var'' + q: each power g^var' becomes
+    (g^m)^var'' g^q."""
+    out = []
+    for x in entries:
+        if x[0] == "p" and x[1] == var:
+            out.append(("p", var, x[2] * m))
+            if q:
+                out.append(("e", x[2] * q))
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 #: the old per-constructor name, kept while perfbench/worker.py

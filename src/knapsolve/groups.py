@@ -4,13 +4,14 @@ A backend wraps a concretely described group and exposes three things:
 the generator alphabet (closed under formal inverses), the word problem
 (w =? 1), and solve(e, limits), which answers any expression with a
 SemilinearSet under the solve's reduction.Limits, its budgets and
-report, and hands that object on to every nested solve.  Leaf groups
-(Z, finite groups, finite extensions) share one solve: it renames
-repeated variables apart (knapsackify), calls the leaf hook
-solve_knapsack on an expression in which every variable occurs once,
-and keeps the points on the diagonal of the copies of each repeated
-variable (SemilinearSet.on_diagonal).  Graph products,
-HNN-extensions and amalgams override solve with the reduction search.
+report, and hands that object on to every nested solve.  Every
+backend answers repeated variables itself: over Z a variable's
+coefficient sums the exponents of its periods, a finite group guesses
+one residue per variable modulo the lcm of its periods' orders, and a
+finite extension refines a variable's coset-cycle residue to the lcm
+of the cycles of its occurrences.  Graph products, HNN-extensions and
+amalgams solve by the reduction search, which ties a variable's copies
+together on their diagonal.
 solve_exponent() is the one solve entry for every group, given as a
 backend or its description, and builds the Limits; nested solves call
 solve.
@@ -22,9 +23,9 @@ live in their own modules and are wired up here by build_backend().
 """
 
 import itertools
+import math
 
 from .errors import InputError
-from .expr import knapsackify
 from .reduction import SEARCH_STATES_CAP, Limits
 from .semilinear import LinearSet, SemilinearSet, solve_dioph_nonneg
 from .words import invert_letter
@@ -76,16 +77,7 @@ class GroupBackend:
         return self.elem_norm(self.elem_from_word(word))
 
     def solve(self, e, limits):
-        """Solution set of e = 1; variables may repeat."""
-        if len(e.variables) == len(e.factors):
-            return self.solve_knapsack(e, limits)
-        e_prime, K = knapsackify(e)
-        sols = self.solve_knapsack(e_prime, limits)
-        with limits.dioph() as solver:
-            return sols.on_diagonal(K, solver).restrict(e.variables)
-
-    def solve_knapsack(self, e, limits):
-        """Solution set of e = 1; every variable of e occurs exactly once."""
+        """Solution set of e = 1 over e.variables; variables may repeat."""
         raise NotImplementedError
 
     def check_word(self, word):
@@ -155,12 +147,16 @@ class IntegerGroup(GroupBackend):
     def elem_sort_key(self, a):
         return (abs(a), a)
 
-    def solve_knapsack(self, e, limits):
-        coeffs = tuple(self.elem_from_word(p) for p, _v, _t in e.factors)
+    def solve(self, e, limits):
+        """One Diophantine row; Z is abelian, so a variable's coefficient
+        sums the exponents of its periods."""
+        coeffs = dict.fromkeys(e.variables, 0)
+        for p, var, _t in e.factors:
+            coeffs[var] += self.elem_from_word(p)
         const = sum(self.elem_from_word(t) for _p, _v, t in e.factors)
         with limits.dioph() as solver:
-            return solve_dioph_nonneg((coeffs,), (-const,), e.variables,
-                                      solver)
+            return solve_dioph_nonneg((tuple(coeffs.values()),), (-const,),
+                                      e.variables, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -274,21 +270,25 @@ class FiniteGroup(GroupBackend):
             k += 1
         return k
 
-    def solve_knapsack(self, e, limits):
-        """Enumerate residue tuples modulo element orders."""
+    def solve(self, e, limits):
+        """Enumerate one residue per variable, modulo the lcm of the
+        orders of its periods."""
         gs = [self.elem_from_word(p) for p, _v, _t in e.factors]
         tails = [self.elem_from_word(t) for _p, _v, t in e.factors]
-        orders = [self.order_of(g) for g in gs]
         var_names = e.variables
+        cols = [var_names.index(var) for _p, var, _t in e.factors]
+        mods = [1] * len(var_names)
+        for g, i in zip(gs, cols):
+            mods[i] = math.lcm(mods[i], self.order_of(g))
         comps = []
         diag = [
-            tuple(orders[i] if j == i else 0 for j in range(len(orders)))
-            for i in range(len(orders))
+            tuple(mods[i] if j == i else 0 for j in range(len(mods)))
+            for i in range(len(mods))
         ]
-        for residues in itertools.product(*[range(o) for o in orders]):
+        for residues in itertools.product(*[range(m) for m in mods]):
             x = self.identity_elem
-            for g, r, tail in zip(gs, residues, tails):
-                for _ in range(r):
+            for g, i, tail in zip(gs, cols, tails):
+                for _ in range(residues[i]):
                     x = self.table[x][g]
                 x = self.table[x][tail]
             if x == self.identity_elem:

@@ -20,9 +20,11 @@ pinned expression that it answers wrongly today, flagged incomplete, and
 holds that answer to brute force whatever its flag says, so the pair
 cannot pass by luck.
 
-Repeated-variable draws over two index-2 extensions of Z check the
-finite-extension walk over the renamed expression, cut down to the
-diagonal of each variable's copies, against brute force in a box.
+Repeated-variable draws over two index-2 extensions of Z, and over S3 as
+an index-3 extension of Z2, check the finite-extension walk against
+brute force in a box.  A repeated variable is guessed modulo the lcm of
+the coset cycles of its occurrences; over S3 cycles of lengths 2 and 3
+meet.
 """
 
 import itertools
@@ -102,6 +104,37 @@ Z_IN_Z = {
         ["t", "t", ["s"], "1"], ["t", "t'", [], "1"],
     ],
 }
+
+
+def s3_over_flip():
+    """S3 as the index-3 extension of its subgroup <f>, f = (1 2).
+
+    The cosets are 1, r and q = r r, with r = (0 1 2); the coset names
+    are letters too, so q stands for r r.  f moves the cosets on cycles
+    of lengths 1 and 2, r on one of length 3, so a variable over both
+    periods has its residue modulo 6.
+    """
+    def mul(p, q):
+        return tuple(q[p[i]] for i in range(3))
+
+    one, f, r = (0, 1, 2), (0, 2, 1), (1, 2, 0)
+    inverse = {p: q for p in itertools.permutations(range(3))
+               for q in itertools.permutations(range(3)) if mul(p, q) == one}
+    cosets = {"1": one, "r": r, "q": mul(r, r)}
+    letters = {"f": f, "r": r, "q": cosets["q"]}
+    letters.update({a + "'": inverse[p] for a, p in list(letters.items())})
+    rules = []
+    for c, x in cosets.items():
+        for a, y in letters.items():
+            for d, z in cosets.items():
+                g = mul(mul(x, y), inverse[z])
+                if g in (one, f):
+                    rules.append([c, a, [] if g == one else ["f"], d])
+    return {"type": "FiniteExt", "subgroup": cyclic(2, "f"),
+            "cosets": list(cosets), "rules": rules}
+
+
+S3_OVER_FLIP = s3_over_flip()
 
 Z2, Z3 = cyclic(2, "a"), cyclic(3, "b")
 NESTED_FREE = {"type": "FreeProduct", "children": [
@@ -287,9 +320,10 @@ def repeated_expressions(draw, alphabet):
     return ExponentExpression([(word(1, 2), var, word(0, 1)) for var in names])
 
 
-@pytest.mark.parametrize("desc, letters", [
-    (Z_IN_Z, "st"), (Z2_Z2_OVER_Z, "sa")], ids=["z-in-z", "z2-z2-over-z"])
-def test_repeated_variable_draws_match_brute_force(desc, letters):
+@pytest.mark.parametrize("desc, letters, minimum", [
+    (Z_IN_Z, "st", 27), (Z2_Z2_OVER_Z, "sa", 27), (S3_OVER_FLIP, "fr", 30),
+], ids=["z-in-z", "z2-z2-over-z", "s3-over-flip"])
+def test_repeated_variable_draws_match_brute_force(desc, letters, minimum):
     backend = build_backend(desc)
     alphabet = sorted(x for a in letters for x in (a, a + "'"))
     answered = []
@@ -307,4 +341,4 @@ def test_repeated_variable_draws_match_brute_force(desc, letters):
         answered.append(e)
 
     draw_and_check()
-    assert len(answered) >= 27, len(answered)
+    assert len(answered) >= minimum, len(answered)

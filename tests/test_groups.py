@@ -46,6 +46,21 @@ def test_integer_repeated_variable():
     Z = IntegerGroup()
     S = solve_exponent(Z, parse_expr("t^x t^x t'^6"))
     assert S.points_in_box(10) == {(3,)}
+    # one row over the distinct variables: x's coefficients sum to 0
+    e = parse_expr("(t t)^x (t')^y (t' t')^x t")
+    S = solve_exponent(Z, e)
+    assert S.points_in_box(6) == {(x, 1) for x in range(7)}
+
+
+def test_finite_repeated_variable_takes_the_lcm_of_orders():
+    Z6 = cyclic_group(6, "a")
+    e = parse_expr("(a a)^x (a a a)^x a (a a a)^y")
+    S = solve_exponent(Z6, e)
+    assert S.points_in_box(12) == {
+        (x, y) for x in range(13) for y in range(13)
+        if (5 * x + 1 + 3 * y) % 6 == 0
+    }
+    assert {p for c in S.components for p in c.periods} == {(6, 0), (0, 2)}
 
 
 def test_cyclic_group_word_problem():

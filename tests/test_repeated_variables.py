@@ -1,11 +1,11 @@
-"""Repeated variables: instances whose diagonal used to exhaust a budget.
+"""Repeated variables: instances that used to exhaust a budget.
 
-Each expression repeats a variable, so its knapsack form is cut down to
-the diagonal of the renamed copies.  Intersecting with that diagonal as
-a general semilinear set ran the Diophantine search into its node cap
-or for about a second, and the last three searched one system at a time
-for 3 s, a minute, or into the cap after 21 s; each now answers well
-inside the time bound and agrees with brute force.
+Each expression repeats a variable.  Tied together on the diagonal of
+renamed copies, these ran the Diophantine search into its node cap or
+for seconds to a minute.  Z now sums a variable's coefficients, and the
+finite-extension walk guesses a variable once, modulo the lcm of its
+coset cycles; each instance answers well inside the time bound and
+agrees with brute force.
 """
 
 import time
@@ -50,6 +50,8 @@ TIME_BOUND = 5.0
     (Z_IN_Z, "(s)^z s (t' s)^x (t')^y (s' s')^y (s t)^z s"),
     (Z_IN_Z, "(s t)^z (t s)^y (s t)^y (s' t)^x t' (s' s')^z"),
     (Z_IN_Z, "(t)^x (s t)^x t (t)^x s' (s' t')^y (t)^z s'"),
+    # the diagonal of x's four copies ran into the Diophantine cap
+    (Z_IN_Z, "(s t)^y (s')^x t (t' s')^x t' t' (s)^x (s t t')^x"),
 ])
 def test_repeated_variable_instance_matches_oracle(desc, text):
     backend = build_backend(desc)
