@@ -18,9 +18,9 @@ Both solvers answer e = 1 with one scheme:
      is used up; as no tuple reaches itself, it solves every tuple once,
      in a plain memo.  Where they commute (graph products with edges
      that are not joins; a join is split into its direct factors
-     before, see gp_solver) it is a depth-first search over states that
-     drops a state only when an earlier one with the same items had no
-     more splits and, at every key, no more creations;
+     before, see gp_solver) it is a depth-first search over states of
+     items, factor counts and records, which drops a state reached
+     again at no lower cost, judged as the span solver judges bundles;
   4. cut the factors of every well-behaved power into shapes, resolve
      the factors the search assigned a concrete value, solve matched
      factor pairs (the group's pair_lines gives the lines of one pair;
@@ -548,10 +548,9 @@ class ReductionSearchBase:
     refuses is noted only when the path to it stays within the other
     caps, and states counts the tuples solved.  The moves must never
     lead a tuple back to itself.  Where items commute (use_dfs), run() is
-    a depth-first search over states (items, orders, records, splits,
-    creations) that skips a state when one with the same items, orders
-    and records was seen with no more splits and, on every key, no more
-    creations, and states counts the states expanded.
+    a depth-first search over states (items, counts, records), counts
+    being the factor counts per opened power as in the bundle keys, and
+    states counts the states expanded.
     """
 
     use_dfs = False
@@ -578,16 +577,16 @@ class ReductionSearchBase:
 
     def run(self, items):
         items = tuple(items)
-        opened = [i for i in sorted(self.powers) if ("W", i) in items]
-        if self.use_dfs:
-            orders = {i: () for i in opened}
-            self._moves = {}
-            try:
-                self._dfs(self.canon_items(items), orders, frozenset(), 0, {})
-            finally:
-                self._moves = None
-        else:
-            self._span_run(items, opened)
+        self._opened = [i for i in sorted(self.powers) if ("W", i) in items]
+        self._moves = {}
+        try:
+            if self.use_dfs:
+                self._dfs(self.canon_items(items), (), frozenset(), (0, ()))
+            else:
+                self._span_run(items)
+        finally:
+            # the moves of every item and pair met; free them with the search
+            self._moves = None
         return self.results
 
     def _zero_or_open(self, item):
@@ -596,82 +595,63 @@ class ReductionSearchBase:
         yield (), (("zero", i),), False
         yield (self.factor(i, None),), (), False
 
-    def _created(self, creations, key):
-        """creations with one more atom created at key, or None at the cap."""
-        if creations.get(key, 0) >= self.creation_cap:
-            return None
-        new_creations = dict(creations)
-        new_creations[key] = new_creations.get(key, 0) + 1
-        return new_creations
-
     # -- depth-first search over commuting items ---------------------------
 
-    def canon_fids(self, items, orders, records):
-        """Renumber factor ids by position so isomorphic states collapse."""
-        mapping = {}
-        for i in sorted(orders):
-            for fid in orders[i]:
-                mapping[fid] = len(mapping)
-        if all(old == new for old, new in mapping.items()):
-            return items, orders, records
-        new_items = tuple(
-            it[:2] + (mapping[it[2]],) + it[3:] if it[0] == "F" else it
-            for it in items
-        )
-        new_orders = {
-            i: tuple(mapping[f] for f in fids) for i, fids in orders.items()
-        }
-        return new_items, new_orders, _renumber(records, mapping.__getitem__)
+    def _dfs(self, items, counts, records, cost):
+        """Expand the state (items, counts, records) reached at cost.
 
-    def _recurse(self, items, orders, records, splits, creations):
-        items, orders, records = self.canon_fids(
-            self.canon_items(items), orders, records
-        )
-        self._dfs(items, orders, records, splits, creations)
-
-    def _dfs(self, items, orders, records, splits, creations):
-        key = (items, tuple(sorted(orders.items())), records)
-        prior = self.seen.setdefault(key, [])
-        for old_splits, old_creations in prior:
-            if old_splits <= splits and all(
-                n <= creations.get(k, 0) for k, n in old_creations.items()
-            ):
+        Factor ids are canonical from the move that makes them, by power
+        and then from left to right, before canon_items sorts the items,
+        so each state has one key, and the counts give the orders.  cost
+        is (splits, creations), the creations a sorted (key, count)
+        tuple; the state is skipped when an earlier cost was no higher,
+        as _no_more judges bundle costs.
+        """
+        prior = self.seen.setdefault((items, counts, records), [])
+        for old in prior:
+            if _no_more(old, cost):
                 return
-        prior.append((splits, creations))
+        prior.append(cost)
         self.states += 1
         if self.states > self.states_cap:
             raise BudgetExceededError("reduction search states", self.states_cap)
         if not items:
             if records not in self.results:
-                self.results[records] = dict(orders)
+                self.results[records] = _orders(self._opened, counts)
             return
-        self._expand(items, orders, records, splits, creations)
+        self._expand(items, counts, records, cost)
 
-    def _expand(self, items, orders, records, splits, creations):
+    def _expand(self, items, counts, records, cost):
         """Recurse into every state one move away.
 
         The moves of an item or a pair do not depend on the state, so
         each search lists them once.
         """
+        splits, creations = cost
         for pos, item in enumerate(items):
             unary = self._moves.get(item)
             if unary is None:
                 unary = self._moves[item] = list(self.unary_moves(item))
             for out, recs, split in unary:
-                new_splits = splits
+                new_cost = cost
                 if split:
                     if splits >= self.splits_cap:
                         self.splits_cap_bound = True
                         break
-                    if item[0] == "F" and len(orders[item[1]]) >= FACTOR_CAP:
+                    if item[0] == "F" and dict(counts)[item[1]] >= FACTOR_CAP:
                         self.refused_split = True
                         break
-                    new_splits += 1
-                out, new_orders = self._number_factors(item, out, orders)
-                self._recurse(
-                    items[:pos] + out + items[pos + 1:],
-                    new_orders, records.union(recs), new_splits, creations,
-                )
+                    new_cost = (splits + 1, creations)
+                if out and out[0][0] == "F":
+                    # a unary move makes factors only by opening a power
+                    # or splitting a factor, and they carry no id yet
+                    new_items, new_counts, new_records = _with_new_factors(
+                        item, out, pos, items, counts, records)
+                else:
+                    new_items = items[:pos] + out + items[pos + 1:]
+                    new_counts, new_records = counts, records
+                self._dfs(self.canon_items(new_items), new_counts,
+                          new_records.union(recs), new_cost)
         for i, j in self.interaction_pairs(items):
             pair = (items[i], items[j])
             binary = self._moves.get(pair)
@@ -681,15 +661,13 @@ class ReductionSearchBase:
                 continue
             rest = items[:i] + items[i + 1:j] + items[j + 1:]
             for out, recs, key in binary:
-                new_creations = creations
+                new_cost = cost
                 if key is not None:
-                    new_creations = self._created(creations, key)
-                    if new_creations is None:
+                    if dict(creations).get(key, 0) >= self.creation_cap:
                         continue
-                self._recurse(
-                    rest[:i] + out + rest[i:],
-                    orders, records.union(recs), splits, new_creations,
-                )
+                    new_cost = (splits, _add_counts(creations, ((key, 1),)))
+                self._dfs(self.canon_items(rest[:i] + out + rest[i:]),
+                          counts, records.union(recs), new_cost)
         if self.ternary_moves is None:
             return
         for pos in range(len(items) - 2):
@@ -697,46 +675,19 @@ class ReductionSearchBase:
             if not self.starts_ternary(x, middle):
                 continue
             for out, recs in self.ternary_moves(x, middle, y):
-                self._recurse(
-                    items[:pos] + out + items[pos + 3:],
-                    orders, records.union(recs), splits, creations,
-                )
-
-    @staticmethod
-    def _number_factors(item, out, orders):
-        """out with ids for its new factors, and the orders that follow.
-
-        The new factors of an opened power make up its order; those of a
-        split factor take its place in the order.
-        """
-        if item[0] != "W" and item[0] != "F":
-            return out, orders
-        new = [pos for pos, it in enumerate(out) if it[0] == "F" and it[2] is None]
-        if not new:
-            return out, orders
-        top = max((fid for fids in orders.values() for fid in fids), default=-1)
-        fids = tuple(range(top + 1, top + 1 + len(new)))
-        out = list(out)
-        for pos, fid in zip(new, fids):
-            out[pos] = out[pos][:2] + (fid,) + out[pos][3:]
-        new_orders = dict(orders)
-        seq = orders[item[1]]
-        if item[0] == "F":
-            at = seq.index(item[2])
-            fids = seq[:at] + fids + seq[at + 1:]
-        new_orders[item[1]] = fids
-        return tuple(out), new_orders
+                self._dfs(self.canon_items(items[:pos] + out + items[pos + 3:]),
+                          counts, records.union(recs), cost)
 
     # -- span solver over items that do not commute --------------------
 
-    def _span_run(self, items, opened):
-        self._memo, self._moves, self._shared, self._rank = {}, {}, {}, {}
+    def _span_run(self, items):
+        self._memo, self._shared, self._rank = {}, {}, {}
         self._depth = 0
         try:
             bundles = self._entry(_SOLVE, items, ())
         finally:
             # the memo holds every solved tuple; free it with the search
-            self._memo = self._moves = self._shared = self._rank = None
+            self._memo = self._shared = self._rank = None
         for key in bundles:
             if key == _OVER_SPLITS:
                 self.splits_cap_bound = True
@@ -744,13 +695,9 @@ class ReductionSearchBase:
                 self.refused_split = True
             else:
                 records, counts = key
-                counts = dict(counts)
-                offsets, orders, top = {}, {}, 0
-                for i in opened:
-                    offsets[i] = top
-                    orders[i] = tuple(range(top, top + counts.get(i, 0)))
-                    top += counts.get(i, 0)
-                records = _renumber(records, None, offsets)
+                orders = _orders(self._opened, counts)
+                records = _renumber(records, None, {
+                    i: fids[0] for i, fids in orders.items() if fids})
                 self.results.setdefault(records, orders)
 
     def _entry(self, kind, seq, used):
@@ -1042,6 +989,36 @@ def _renumber(records, rename=None, shift=None):
             r = (r[0], left) + r[2:4] + (right,) + r[5:]
         out.append(r)
     return frozenset(out)
+
+
+def _orders(opened, counts):
+    """Each opened power's factor ids, given the factor counts: numbered
+    by power, then from left to right."""
+    counts, orders, top = dict(counts), {}, 0
+    for i in opened:
+        orders[i] = tuple(range(top, top + counts.get(i, 0)))
+        top += counts.get(i, 0)
+    return orders
+
+
+def _with_new_factors(item, out, pos, items, counts, records):
+    """The state (items, counts, records) after a unary move turned
+    items[pos] into the new factors out, with canonical ids.
+
+    An opened power's factor takes the power's offset, the factors
+    before it; a split factor's pieces take its id and the next.  Every
+    later id, in the other items and in the records, moves up past them.
+    """
+    i = item[1]
+    first = item[2] if item[0] == "F" else sum(n for j, n in counts if j < i)
+
+    def up(fid):
+        return fid + 1 if fid >= first else fid
+
+    moved = tuple(_named(it, up(it[2])) if it[0] == "F" else it for it in items)
+    out = tuple(_named(it, first + k) for k, it in enumerate(out))
+    return (moved[:pos] + out + moved[pos + 1:],
+            _add_counts(counts, ((i, 1),)), _renumber(records, up))
 
 
 def _add_counts(a, b):

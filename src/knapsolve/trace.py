@@ -87,17 +87,22 @@ class TraceMonoid:
         return out
 
     def alpha(self):
-        """Largest clique size in the independence graph, searched once."""
+        """Largest clique size in the independence graph, searched once.
+
+        Cliques are closed under subsets, so the search stops at the
+        first size that has none.
+        """
         if self._alpha is None:
             n = len(self.vertices)
             self._alpha = 1 if n else 0
             for size in range(2, n + 1):
-                for combo in itertools.combinations(range(n), size):
-                    if all(
-                        self.independent(a, b)
-                        for a, b in itertools.combinations(combo, 2)
-                    ):
-                        self._alpha = size
+                if not any(
+                    all(self.independent(a, b)
+                        for a, b in itertools.combinations(combo, 2))
+                    for combo in itertools.combinations(range(n), size)
+                ):
+                    break
+                self._alpha = size
         return self._alpha
 
     # -- atoms ---------------------------------------------------------

@@ -11,8 +11,9 @@ and are checked against brute force in a box; a draw that spends the
 budget is skipped, and each graph must answer a minimum number of
 draws.  interaction_pairs, which lists the item pairs the search may
 bring together, is checked against the triple loop it replaced on
-seeded item tuples.  The search reads its records in frozenset order,
-so CI reruns this file under eight hash seeds.
+seeded item tuples, and one search pins the states it stores.  The
+search reads its records in frozenset order, so CI reruns this file
+under eight hash seeds.
 """
 
 import random
@@ -124,3 +125,17 @@ def test_interaction_pairs_match_the_triple_loop(name):
                 items.append(("F", 0, fid, frozenset(alph)))
         assert search.interaction_pairs(items) == _triple_loop_pairs(
             search, items)
+
+
+def test_a_state_is_stored_once():
+    """Factor ids are canonical before the items are sorted, so two
+    commuting factors of one power keep one order and each state one
+    key.  Numbered after the sort, this search stored eight states
+    twice (844 states)."""
+    backend = build_backend(GRAPHS["z2xz2-free-z3"][0])
+    e = parse_expr("(a' b' c')^x b (b b)^y b b'")
+    diagnostics = {}
+    sols = solve_exponent(backend, e, diagnostics=diagnostics)
+    assert diagnostics["states"] == 836
+    rep = compare(backend, e, sols, 5)
+    assert rep["ok"], rep["mismatches"][:5]

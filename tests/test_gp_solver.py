@@ -172,9 +172,11 @@ def test_dominance_keeps_states_with_spare_creations():
     )
     b = backend.elem_from_word(("b",))
     items = (("C", b),) * 3
-    for spent in ({0: 1}, {1: 1}):
+    for spent in (((0, 1),), ((1, 1),)):
         search = ReductionSearch(backend.monoid, {}, 0, 1, SEARCH_STATES_CAP)
         assert search.use_dfs
+        # a state is (items, factor counts, records); its cost is (splits,
+        # creations), the creations a sorted (key, count) tuple
         search.seen[(items, (), frozenset())] = [(0, spent)]
         assert frozenset() in search.run(items), spent
         assert search.states > 0

@@ -4,15 +4,22 @@ perfbench/tracer.py wraps layers and swaps caches by module and
 attribute name, and perfbench/worker.py calls the solvers through the
 package namespace.  A rename in knapsolve would break `--trace 1` and
 the search-state counts without any other test failing.  These tests
-only read the harness's source; they run none of it.
+only read the harness's source; they run none of it.  The tracer's
+count_searches reads the states and results of every search it wraps,
+also when a budget ends the search, so both searches are run here to
+a spent budget.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import knapsolve
 import knapsolve.oracle  # noqa: F401 - worker.py reaches it as ks.oracle
+from knapsolve.errors import BudgetExceededError
+from knapsolve.gp_solver import GraphProductScheme
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,3 +76,29 @@ def test_worker_calls_resolve():
     assert "solve_exponent_graph_product" in chains
     missing = sorted(c for c in chains if _resolve(knapsolve, c) is None)
     assert not missing, missing
+
+
+def _z2(gen):
+    return {"type": "CyclicGroup", "order": 2, "generator": gen}
+
+
+@pytest.mark.parametrize("edges, use_dfs", [
+    ([[0, 1], [1, 2], [2, 3]], True),  # path P4: the depth-first search
+    ([], False),  # a free product: the span solver
+])
+def test_a_spent_budget_leaves_what_count_searches_reads(edges, use_dfs):
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    _mod, attr = _module_constant(tree, "LAYERS")["gp_solver.search"]
+    backend = knapsolve.build_backend({
+        "type": "GraphProduct", "vertices": [_z2(g) for g in "abcd"],
+        "edges": edges,
+    })
+    budget = 3
+    search = GraphProductScheme(backend).search({}, 4, 2, budget)
+    assert type(search).__name__ == attr.split(".")[0]
+    assert search.use_dfs is use_dfs
+    t = backend.elem_from_word(tuple("abcdabcd"))
+    with pytest.raises(BudgetExceededError):
+        search.run((("C", t), ("C", t.inv())))
+    assert isinstance(search.states, int) and search.states > budget
+    assert isinstance(search.results, dict)

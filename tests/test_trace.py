@@ -318,6 +318,47 @@ def test_normal_forms_make_linearly_many_independence_checks():
     assert calls == first > 0
 
 
+def reference_alpha(monoid):
+    """Largest clique size, checking every vertex subset of every size."""
+    n = len(monoid.vertices)
+    best = 1 if n else 0
+    for size in range(2, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            if all(monoid.independent(a, b)
+                   for a, b in itertools.combinations(combo, 2)):
+                best = size
+    return best
+
+
+def test_alpha_matches_the_search_over_every_subset():
+    z2 = [cyclic_group(2, g) for g in "abcd"]
+    for monoid, expected in (
+        (TraceMonoid(z2, [(0, 1), (1, 2), (2, 3)]), 2),  # path P4
+        (TraceMonoid(z2[:2] + [cyclic_group(3, "c")], [(0, 1)]), 2),
+        (TraceMonoid(z2, []), 1),  # a free product
+        (TraceMonoid(z2, [(0, 1), (0, 2), (1, 2), (2, 3)]), 3),
+    ):
+        assert monoid.alpha() == reference_alpha(monoid) == expected
+
+
+def test_alpha_stops_at_the_first_size_without_a_clique():
+    """A 40-vertex free product has no clique of size 2; searching every
+    subset would take about 2^40 independence checks."""
+    n = 40
+    M = TraceMonoid([cyclic_group(2, f"a{k}") for k in range(n)], [])
+    calls = 0
+    independent = M.independent
+
+    def counting(v1, v2):
+        nonlocal calls
+        calls += 1
+        return independent(v1, v2)
+
+    M.independent = counting
+    assert M.alpha() == 1
+    assert calls <= n * n
+
+
 def test_cancellativity_samples():
     rng = random.Random(13)
     M = path_p3()
