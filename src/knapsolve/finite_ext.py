@@ -37,7 +37,7 @@ from .errors import InputError
 from .groups import GroupBackend, solve_exponent
 from .reduction import direct_sum_all, solve_local
 from .semilinear import LinearSet, SemilinearSet
-from .words import invert_letter
+from .words import invert_letter, invert_word
 
 #: name of the identity coset representative
 IDENTITY_COSET = "1"
@@ -53,6 +53,7 @@ class FiniteExtBackend(GroupBackend):
 
     def __init__(self, subgroup, cosets, rules):
         self.subgroup = subgroup
+        self.identity_elem = subgroup.identity_elem, IDENTITY_COSET
         self.cosets = tuple(cosets)
         if IDENTITY_COSET not in self.cosets:
             raise InputError('cosets must contain the identity coset "1"')
@@ -100,6 +101,41 @@ class FiniteExtBackend(GroupBackend):
             if d != IDENTITY_COSET or not subgroup.word_problem(
                     g + (invert_letter(a),)):
                 raise InputError(f"subgroup letter {a!r} is not itself at 1")
+        # a word for each coset's representative: a word w that reaches
+        # d from coset 1 pushes to (g, d), so g' w is d; the letter named
+        # d need not be d itself (it may push to (g, d) with g not 1)
+        paths = {IDENTITY_COSET: ()}
+        queue = [IDENTITY_COSET]
+        for c in queue:
+            for a in sorted(self.alphabet):
+                d = self.rules[(c, a)][1]
+                if d not in paths:
+                    paths[d] = paths[c] + (a,)
+                    queue.append(d)
+        self.coset_words = {
+            d: invert_word(self.push(IDENTITY_COSET, w)[0]) + w
+            for d, w in paths.items()}
+
+    # -- group operations: an element g d is the pair (g, d) -----------
+
+    def elem_from_word(self, word):
+        self.check_word(word)
+        g, coset = self.push(IDENTITY_COSET, word)
+        return self.subgroup.elem_from_word(g), coset
+
+    def elem_mul(self, a, b):
+        """(g, c) (h, d) = g (c h d): c pushes a word of (h, d)."""
+        g, coset = self.push(a[1], self.elem_word(b))
+        return (self.subgroup.elem_mul(a[0], self.subgroup.elem_from_word(g)),
+                coset)
+
+    def elem_inv(self, a):
+        return self.elem_from_word(invert_word(self.elem_word(a)))
+
+    def elem_word(self, a):
+        """A word for a, not a geodesic one: g's word, then d's."""
+        g, coset = a
+        return tuple(self.subgroup.elem_word(g)) + self.coset_words[coset]
 
     def push(self, coset, word):
         """(g, d) with coset * word = g * d in H and g over G's generators."""
@@ -108,12 +144,6 @@ class FiniteExtBackend(GroupBackend):
             w, coset = self.rules[(coset, a)]
             out.extend(w)
         return tuple(out), coset
-
-    def word_problem(self, word):
-        """w = 1 in H: the pushed G-word is 1 in G and the final coset is 1."""
-        self.check_word(word)
-        g, coset = self.push(IDENTITY_COSET, word)
-        return coset == IDENTITY_COSET and self.subgroup.word_problem(g)
 
     def _cycle(self, d, u):
         """The least k >= 1 with f^k(d) = d for f(c) = coset of c u.

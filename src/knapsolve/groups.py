@@ -34,18 +34,19 @@ from .words import invert_letter
 class GroupBackend:
     """Interface shared by every group backend.
 
-    A backend with a canonical element form implements the element
-    protocol, identity_elem and the elem_* methods: elements are
-    hashable, equal exactly when equal in the group, and word_problem
-    and norm follow from them.  Other backends leave identity_elem
-    None.  Graph products, HNN-extensions and amalgams take only
-    backends with elements as vertex, base or factor groups, and use
-    only this protocol and solve of them.
+    Every backend has the group operations of the element protocol,
+    identity_elem, elem_from_word, elem_mul, elem_inv and elem_word:
+    elements are hashable and equal exactly when equal in the group.
+    Leaves and graph products add the geodesic part: elem_word is then
+    geodesic, and elem_norm and elem_sort_key are defined, so norm
+    follows.  Graph products, HNN-extensions and amalgams take only
+    backends with the geodesic part as vertex, base or factor groups,
+    and use only the element protocol and solve of them.
     """
 
     #: frozenset of generator letters, closed under invert_letter
     alphabet = frozenset()
-    #: the identity element, None without the element protocol
+    #: the identity element, set by every backend
     identity_elem = None
 
     def elem_from_word(self, word):
@@ -58,7 +59,7 @@ class GroupBackend:
         raise NotImplementedError
 
     def elem_word(self, a):
-        """A geodesic word representing a."""
+        """A word representing a, geodesic with the geodesic part."""
         raise NotImplementedError
 
     def elem_norm(self, a):
@@ -87,11 +88,12 @@ class GroupBackend:
 
 
 def require_elements(backend, where):
-    """backend, or an InputError if it has no canonical element form."""
-    if backend.identity_elem is None:
+    """backend, or an InputError if it lacks the geodesic part of the
+    element protocol."""
+    if type(backend).elem_norm is GroupBackend.elem_norm:
         raise InputError(
-            f"{where}: {type(backend).__name__} has no canonical element "
-            "form, so it cannot be a vertex, base or amalgam factor"
+            f"{where}: {type(backend).__name__} has no geodesic element "
+            "words, so it cannot be a vertex, base or amalgam factor"
         )
     return backend
 

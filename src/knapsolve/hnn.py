@@ -119,6 +119,9 @@ class HnnBackend(GroupBackend):
             invert_letter(stable_letter),
         }
         self._canon_cache = {}
+        # coset representatives, filled as elements meet them
+        self._rep_cache = {}
+        self.identity_elem = self.identity_bw()
         if len(a_words) != len(b_words):
             raise InputError("associated subgroup lists must be parallel")
         a_elems = [self.base_canon(tuple(w)) for w in a_words]
@@ -235,10 +238,61 @@ class HnnBackend(GroupBackend):
     def bw_norm(self, u):
         return u.tcount + sum(self.base.norm(g) for g in u.gs)
 
-    # -- GroupBackend interface ----------------------------------------
+    # -- group operations on canonical Britton words -------------------
+    #
+    # An element is its Britton-reduced word whose segment before each
+    # t^{alpha} is the least element of its coset g sub_set(alpha) under
+    # (length, word); the normal form theorem makes it unique.
 
-    def word_problem(self, word):
-        return britton_reduce(self, self.parse(word)).is_identity()
+    def _coset_rep(self, g, alpha):
+        """(r, c) with g = r c, c in sub_set(alpha), r least in its coset."""
+        key = (g, alpha)
+        hit = self._rep_cache.get(key)
+        if hit is None:
+            r = min((self.base_mul(g, c) for c in self.sub_set(alpha)),
+                    key=lambda w: (len(w), w))
+            hit = self._rep_cache[key] = r, self.base_mul(invert_word(r), g)
+        return hit
+
+    def _canonical(self, gs, deltas, start=0):
+        """The element of a reduced word whose segments before start are
+        already coset representatives: each segment from start on is
+        replaced by its representative and the rest crosses t^{alpha}."""
+        gs = list(gs)
+        for i in range(start, len(deltas)):
+            gs[i], c = self._coset_rep(gs[i], deltas[i])
+            if c:
+                gs[i + 1] = self.base_mul(self.cross(c, deltas[i]), gs[i + 1])
+        return BrittonWord(gs, deltas)
+
+    def elem_from_word(self, word):
+        w = britton_reduce(self, self.parse(word))
+        return self._canonical(w.gs, w.deltas)
+
+    def elem_mul(self, u, v):
+        """Pinches can only meet at the junction: pop them as a stack."""
+        gs, deltas = list(u.gs[:-1]), list(u.deltas)
+        middle = self.base_mul(u.gs[-1], v.gs[0])
+        k = 0
+        while (deltas and k < len(v.deltas) and deltas[-1] == -v.deltas[k]
+               and middle in self.sub_set(v.deltas[k])):
+            middle = self.base_mul(gs.pop(), self.cross(middle, v.deltas[k]),
+                                   v.gs[k + 1])
+            deltas.pop()
+            k += 1
+        start = len(deltas)
+        return self._canonical(gs + [middle] + list(v.gs[k + 1:]),
+                               deltas + list(v.deltas[k:]), start)
+
+    def elem_inv(self, u):
+        w = self.bw_inv(u)
+        return self._canonical(w.gs, w.deltas)
+
+    def elem_word(self, u):
+        """A word for u, not a geodesic one."""
+        return u.letters(self.stable)
+
+    # -- GroupBackend interface ----------------------------------------
 
     def solve(self, e, limits):
         return solve_by_reduction(HnnScheme(self), e, limits)
@@ -701,9 +755,21 @@ class AmalgamBackend(GroupBackend):
         )
         self.stable = stable_letter
         self.alphabet = frozenset(left.alphabet) | frozenset(right.alphabet)
+        self.identity_elem = self.hnn.identity_elem
 
-    def word_problem(self, word):
-        return self.hnn.word_problem(amalgam_embed(self, word))
+    def elem_from_word(self, word):
+        return self.hnn.elem_from_word(amalgam_embed(self, word))
+
+    def elem_mul(self, a, b):
+        return self.hnn.elem_mul(a, b)
+
+    def elem_inv(self, a):
+        return self.hnn.elem_inv(a)
+
+    def elem_word(self, a):
+        """A word for a, not a geodesic one: a's Britton word without its
+        stable letters, which stand only around left-factor segments."""
+        return sum(a.gs, ())
 
     def solve(self, e, limits):
         """The HNN solve of e after the embedding."""

@@ -4,40 +4,21 @@ The solution set of e = 1 on a box [0, N]^deg, and reports that compare
 a computed set with it.  This is `knapsolve verify`, the benchmark's
 oracle gate and the test suite's ground truth.
 
-On a backend with the element protocol (integers, finite groups, graph
-products) brute force meets in the middle: the products of the left
-half of the factors, inverted, are looked up among those of the right
-half, in about 2 (N+1)^ceil(deg/2) group operations and as many stored
-elements.  HNN-extensions, amalgams and finite extensions have no
-element form, so their check solves one word problem per box point.
+Brute force meets in the middle on every backend, through the group
+operations of the element protocol: the products of the left half of
+the factors, inverted, are looked up among those of the right half, in
+about 2 (N+1)^ceil(deg/2) group operations and as many stored
+elements.  It solves no word problem.
 """
-
-import itertools
 
 
 def brute_force_solutions(backend, e, box):
-    """All valuations v in [0, box]^deg with e(v) = 1 in the group."""
-    if backend.identity_elem is None:
-        return _solutions_by_point(backend, e, box)
-    return _solutions_by_elements(backend, e, box)
+    """All valuations v in [0, box]^deg with e(v) = 1 in the group.
 
-
-def _solutions_by_point(backend, e, box):
-    """One word problem on the whole word e(v) per box point v."""
-    names = e.variables
-    out = set()
-    for values in itertools.product(range(box + 1), repeat=len(names)):
-        word = e.evaluate(dict(zip(names, values)))
-        if backend.word_problem(word):
-            out.add(values)
-    return out
-
-
-def _solutions_by_elements(backend, e, box):
-    """Meet in the middle: left product L and right product R with L R = 1.
-
-    The right products are indexed by element and by the values of the
-    variables that occur on both sides, so a hit agrees on those.
+    They meet in the middle, as a left product L and a right product R
+    with L R = 1.  The right products are indexed by element and by the
+    values of the variables that occur on both sides, so a hit agrees
+    on those.
     """
     factors = e.factors
     cut = len(factors) // 2
@@ -64,25 +45,27 @@ def _products(backend, factors, box):
     """The factors' variables, and (values, product) for every valuation.
 
     Built factor by factor, like an odometer: each row of the next
-    level costs one elem_mul by the precomputed period^v tail.
+    level costs one elem_mul by the precomputed period^v tail, and the
+    first factor's rows are those powers themselves.
     """
     mul = backend.elem_mul
     names = ()
     rows = [((), backend.identity_elem)]
     for period, var, tail in factors:
         p = backend.elem_from_word(period)
-        t = backend.elem_from_word(tail)
-        steps, power = [], backend.identity_elem
-        for _ in range(box + 1):
-            steps.append(mul(power, t))
-            power = mul(power, p)
+        steps = [backend.identity_elem]
+        for _ in range(box):
+            steps.append(mul(steps[-1], p))
+        if tail:
+            t = backend.elem_from_word(tail)
+            steps = [mul(step, t) for step in steps]
         if var in names:
             k = names.index(var)
             rows = [(values, mul(prod, steps[values[k]]))
                     for values, prod in rows]
         else:
             names += (var,)
-            rows = [(values + (v,), mul(prod, step))
+            rows = [(values + (v,), mul(prod, step) if values else step)
                     for values, prod in rows
                     for v, step in enumerate(steps)]
     return names, rows

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from knapsolve.errors import InputError
 from knapsolve.expr import ExponentExpression, parse_expr
 from knapsolve.finite_ext import FiniteExtBackend, solve_exponent_finite_ext
+from knapsolve.gp_solver import GraphProductBackend
 from knapsolve.groups import (
     IntegerGroup, build_backend, cyclic_group, solve_exponent,
 )
@@ -139,17 +141,21 @@ Z4_B = {"type": "CyclicGroup", "order": 4, "generator": "b"}
       "phi2": [["b", "b"]], "stable_letter": "t"}, ("a",)),
 ], ids=["finite-ext", "hnn", "amalgam"])
 def test_norm_raises_without_element_form(desc, word):
-    """A group without an element form has no norm either.
+    """A group without the geodesic part of the element protocol has no
+    norm, and may not nest.
 
-    The length of a word, reduced or not, is no bound on its element's
-    geodesic length: t t' is the identity in Z, and over Hnn(Z4, A = B =
-    {1, a^2}, identity) a t and a a' a' t a a are one element.  So norm
-    raises as GroupBackend's does.
+    Its group operations give no geodesic word, and the length of a
+    word, reduced or not, is no bound on its element's geodesic length:
+    t t' is the identity in Z, and over Hnn(Z4, A = B = {1, a^2},
+    identity) a t and a a' a' t a a are one element.  So norm raises as
+    GroupBackend's does, and the constructors that bound sizes by norms
+    refuse it as a vertex, base or factor.
     """
     backend = z_in_z() if desc is None else build_backend(desc)
-    assert backend.identity_elem is None
     with pytest.raises(NotImplementedError):
         backend.norm(word)
+    with pytest.raises(InputError, match="^vertex 0: .* no geodesic"):
+        GraphProductBackend([backend, cyclic_group(5, "c")], [])
 
 
 # -- coset cycles ------------------------------------------------------------

@@ -163,7 +163,7 @@ def _with_rows(desc, *rows):
     ({"type": "Hnn", "base": {"type": "Nonsense"}, "A": [], "B": []},
      "$.base.type"),
     ({"type": "GraphProduct", "vertices": [Z2, Z], "edges": [[0, 5]]}, "$"),
-    # vertices, bases and amalgam factors without a canonical element form
+    # vertices, bases and amalgam factors without geodesic element words
     ({"type": "GraphProduct", "vertices": [HNN, Z]}, "$.vertices[0]"),
     ({"type": "FreeProduct", "children": [Z, Z_IN_Z]}, "$.children[1]"),
     ({"type": "Hnn", "base": HNN, "stable_letter": "r", "A": [[]], "B": [[]]},

@@ -1,4 +1,4 @@
-"""HNN-extensions and amalgams: reduction, equality, powers, full solver."""
+"""HNN-extensions, amalgams: reduction, equality, elements, powers, solver."""
 
 import gc
 import random
@@ -12,6 +12,7 @@ from knapsolve.gp_solver import solve_exponent_graph_product
 from knapsolve.groups import build_backend, cyclic_group, solve_exponent
 from knapsolve.hnn import (
     AmalgamBackend,
+    BrittonWord,
     HnnBackend,
     amalgam_embed,
     HnnReductionSearch,
@@ -127,6 +128,31 @@ def test_reduce_product_cancels_junction():
     assert got == backend.base_bw(("a",))
     u = backend.parse(("a", "t", "a", "t'"))
     assert reduce_product(backend, u, backend.bw_inv(u)).is_identity()
+
+
+# -- group operations --------------------------------------------------------
+
+
+def test_elements_take_the_least_coset_representative():
+    backend = z4_half()
+    elem = backend.elem_from_word
+    # a^2 in A crosses t: its segment's representative is the empty word
+    assert elem(("a", "a", "t")) == elem(("t", "a", "a")) == BrittonWord(
+        [(), ("a", "a")], (1,))
+    assert elem(("a", "a", "a", "t")) == elem(("a", "t", "a", "a"))
+    assert elem(("a", "t")) != elem(("t", "a"))
+    # a pinch around a^2 is reduced away
+    assert elem(("t'", "a", "a", "t")) == elem(("a", "a"))
+    assert elem(("t", "t'")) == backend.identity_elem
+
+
+def test_amalgam_elements_identify_the_amalgamated_squares():
+    backend = z4_amalgam()
+    elem = backend.elem_from_word
+    assert elem(("a", "a")) == elem(("b", "b"))
+    assert elem(("a", "a", "b")) == elem(("b", "a", "a"))
+    assert elem(("a", "a", "b")) == elem(("b", "b", "b"))
+    assert elem(("a", "b")) != elem(("b", "a"))
 
 
 # -- power presentation ------------------------------------------------------
