@@ -115,6 +115,8 @@ class FiniteExtBackend(GroupBackend):
         self.coset_words = {
             d: invert_word(self.push(IDENTITY_COSET, w)[0]) + w
             for d, w in paths.items()}
+        #: (coset, element) -> (subgroup element, coset) it pushes to
+        self._pushed = {}
 
     # -- group operations: an element g d is the pair (g, d) -----------
 
@@ -124,10 +126,15 @@ class FiniteExtBackend(GroupBackend):
         return self.subgroup.elem_from_word(g), coset
 
     def elem_mul(self, a, b):
-        """(g, c) (h, d) = g (c h d): c pushes a word of (h, d)."""
-        g, coset = self.push(a[1], self.elem_word(b))
-        return (self.subgroup.elem_mul(a[0], self.subgroup.elem_from_word(g)),
-                coset)
+        """(g, c) (h, d) = g (c h d): c pushes a word of (h, d), once per
+        pair (c, (h, d)), as brute force multiplies by a few steps many
+        times."""
+        key = a[1], b
+        pushed = self._pushed.get(key)
+        if pushed is None:
+            g, coset = self.push(a[1], self.elem_word(b))
+            pushed = self._pushed[key] = self.subgroup.elem_from_word(g), coset
+        return self.subgroup.elem_mul(a[0], pushed[0]), pushed[1]
 
     def elem_inv(self, a):
         return self.elem_from_word(invert_word(self.elem_word(a)))

@@ -22,11 +22,12 @@ free product G1 * G2 by g -> t^{-1} g t on the first factor, so its
 solver is the HNN solver after that substitution.
 """
 
+import functools
 import itertools
 
 from .errors import InputError
 from .expr import ExponentExpression
-from .groups import GroupBackend, require_elements, solve_exponent
+from .groups import FiniteGroup, GroupBackend, require_elements, solve_exponent
 from .reduction import (
     ReductionSearchBase,
     Scheme,
@@ -41,6 +42,7 @@ from .unary_automata import (
     loop_language_nfa,
     unary_length_set,
 )
+from .virtually_cyclic import CyclicExtension
 from .words import invert_letter, invert_word
 
 
@@ -266,7 +268,8 @@ class HnnBackend(GroupBackend):
         return BrittonWord(gs, deltas)
 
     def elem_from_word(self, word):
-        w = britton_reduce(self, self.parse(word))
+        """The element of a word, or of a BrittonWord."""
+        w = britton_reduce(self, word)
         return self._canonical(w.gs, w.deltas)
 
     def elem_mul(self, u, v):
@@ -294,7 +297,19 @@ class HnnBackend(GroupBackend):
 
     # -- GroupBackend interface ----------------------------------------
 
+    @functools.cached_property
+    def cyclic_extension(self):
+        """The finite extension of Z = <t> (module virtually_cyclic) when
+        A = B = a finite base, else None; built at the first solve."""
+        if (isinstance(self.base, FiniteGroup)
+                and len(self.a_set) == len(self.base.geodesic)):
+            return CyclicExtension(self, (self.stable,))
+        return None
+
     def solve(self, e, limits):
+        """Over Z when virtually cyclic, else by the reduction search."""
+        if self.cyclic_extension is not None:
+            return self.cyclic_extension.solve(e, limits)
         return solve_by_reduction(HnnScheme(self), e, limits)
 
 
@@ -321,18 +336,9 @@ def britton_reduce(backend, w):
 
 
 def hnn_equal(backend, u, v):
-    """u = v in the extension, via the connecting-element chain."""
-    u = britton_reduce(backend, u)
-    v = britton_reduce(backend, v)
-    if u.deltas != v.deltas:
-        return False
-    c = ()
-    for i, d in enumerate(u.deltas):
-        c = backend.base_mul(invert_word(u.gs[i]), c, v.gs[i])
-        if c not in backend.sub_set(d):
-            return False
-        c = backend.cross(c, d)
-    return backend.base_mul(invert_word(u.gs[-1]), c, v.gs[-1]) == ()
+    """u = v in the extension, for words or BrittonWords: their
+    canonical elements are equal."""
+    return backend.elem_from_word(u) == backend.elem_from_word(v)
 
 
 def is_well_behaved_bw(backend, w):
@@ -771,13 +777,38 @@ class AmalgamBackend(GroupBackend):
         stable letters, which stand only around left-factor segments."""
         return sum(a.gs, ())
 
+    @functools.cached_property
+    def cyclic_extension(self):
+        """The finite extension of Z = <a b> (module virtually_cyclic)
+        when both factors are finite and the amalgamated subgroup has
+        index 2 in each, with a and b outside it; else None.  Built at
+        the first solve."""
+        hnn = self.hnn
+        sides = ((self.left, hnn.a_set), (self.right, hnn.b_set))
+        if not all(isinstance(f, FiniteGroup) and len(f.geodesic) == 2 * len(c)
+                   for f, c in sides):
+            return None
+        z_word = ()
+        for f, c in sides:
+            z_word += min((w for w in f.geodesic.values()
+                           if hnn.base_canon(w) not in c),
+                          key=lambda w: (len(w), w))
+        return CyclicExtension(self, z_word)
+
     def solve(self, e, limits):
-        """The HNN solve of e after the embedding."""
-        embedded = ExponentExpression([
-            (amalgam_embed(self, p), var, amalgam_embed(self, t))
-            for p, var, t in e.factors
-        ])
-        return self.hnn.solve(embedded, limits)
+        """Over Z when virtually cyclic, else the HNN solve of e after
+        the embedding."""
+        if self.cyclic_extension is not None:
+            return self.cyclic_extension.solve(e, limits)
+        return self.hnn.solve(amalgam_embed_expr(self, e), limits)
+
+
+def amalgam_embed_expr(backend, e):
+    """e with every period and tail embedded (amalgam_embed)."""
+    return ExponentExpression([
+        (amalgam_embed(backend, p), var, amalgam_embed(backend, t))
+        for p, var, t in e.factors
+    ])
 
 
 def amalgam_embed(backend, word):
@@ -809,5 +840,6 @@ __all__ = [
     "two_dim_hnn_solve",
     "solve_exponent_hnn",
     "amalgam_embed",
+    "amalgam_embed_expr",
     "solve_exponent_amalgam",
 ]

@@ -266,6 +266,16 @@ def test_solver_repeated_variable():
     assert rep["ok"], rep["mismatches"][:5]
 
 
+def test_brute_force_matches_on_a_wide_box():
+    """elem_mul pushes each step of brute force through the table once
+    per coset, so box 48 costs about 49^2 products of O(1), not O(n)
+    pushes of s^n."""
+    backend = z_in_z()
+    e = parse_expr("(t t t)^x (s)^y (t')^z (s')^w")
+    rep = compare(backend, e, solve_exponent(backend, e), 48)
+    assert rep["ok"], rep["mismatches"][:5]
+
+
 def test_dioph_memo_dies_with_its_solve():
     """The solve's DiophSolver memo answers the leaves' repeated systems,
     and a second solve of the same expression searches them again."""

@@ -1,4 +1,10 @@
-"""HNN-extensions, amalgams: reduction, equality, elements, powers, solver."""
+"""HNN-extensions, amalgams: reduction, equality, elements, powers, solver.
+
+Hnn(F, A = B = F) and amalgams of finite factors over a subgroup of
+index 2 in each solve over Z (module virtually_cyclic), so tests of the
+HNN reduction search on such groups call it directly, through
+search_solve.
+"""
 
 import gc
 import random
@@ -17,6 +23,7 @@ from knapsolve.hnn import (
     amalgam_embed,
     HnnReductionSearch,
     HnnScheme,
+    amalgam_embed_expr,
     britton_reduce,
     hnn_equal,
     hnn_power_presentation,
@@ -26,7 +33,18 @@ from knapsolve.hnn import (
     two_dim_hnn_solve,
 )
 from knapsolve.oracle import compare
-from knapsolve.reduction import SEARCH_STATES_CAP
+from knapsolve.reduction import SEARCH_STATES_CAP, Limits, solve_by_reduction
+
+
+def search_solve(backend, e, states_budget=SEARCH_STATES_CAP,
+                 diagnostics=None):
+    """e over an Hnn or Amalgam backend by the HNN reduction search, as
+    solve_exponent solves every such group that is not virtually
+    cyclic; an amalgam is searched on its HNN embedding."""
+    if isinstance(backend, AmalgamBackend):
+        backend, e = backend.hnn, amalgam_embed_expr(backend, e)
+    return solve_by_reduction(HnnScheme(backend), e,
+                              Limits(None, states_budget, diagnostics))
 
 
 def z2_id():
@@ -418,7 +436,7 @@ def test_solver_diagonal():
 def test_solver_diagnostics_reported():
     backend = z2_id()
     diag = {}
-    solve_exponent_hnn(backend, parse_expr("(t a)^x (a t')^y"), diagnostics=diag)
+    search_solve(backend, parse_expr("(t a)^x (a t')^y"), diagnostics=diag)
     assert diag["branches"] >= 1
     assert diag["states"] >= 1
     assert "complete" in diag
@@ -526,7 +544,7 @@ def _z2(gen):
 @pytest.mark.parametrize("text", ["(a b)^x a b", "(a)^x b (b)^y a"])
 def test_free_product_agrees_with_trivial_amalgam(text):
     # Z2 * Z2 through the graph-product side and the HNN side of the
-    # guess-and-reduce driver
+    # guess-and-reduce driver (Z2 *_1 Z2 itself solves over Z)
     free = build_backend({"type": "FreeProduct", "children": [_z2("a"), _z2("b")]})
     amalgam = build_backend({
         "type": "Amalgam", "left": _z2("a"), "right": _z2("b"),
@@ -534,7 +552,7 @@ def test_free_product_agrees_with_trivial_amalgam(text):
     })
     e = parse_expr(text)
     via_gp = solve_exponent_graph_product(free, e)
-    via_hnn = solve_exponent_amalgam(amalgam, e)
+    via_hnn = search_solve(amalgam, e)
     assert via_gp.points_in_box(8) == via_hnn.points_in_box(8)
 
 
@@ -547,7 +565,8 @@ def test_free_product_agrees_with_trivial_amalgam(text):
     ("amalgam", "(a b)^x (b a)^y"),
 ])
 def test_trivial_subgroup_inverse_powers(kind, text):
-    # (t a)(a t') = 1 and (a b)(b a) = 1, so every x = y is a solution
+    # (t a)(a t') = 1 and (a b)(b a) = 1, so every x = y is a solution;
+    # Z2 *_1 Z2 solves over Z, so its case runs the search directly
     if kind == "hnn":
         backend = HnnBackend(cyclic_group(2, "a"), "t", [()], [()])
         sols = solve_exponent_hnn(backend, parse_expr(text))
@@ -556,7 +575,7 @@ def test_trivial_subgroup_inverse_powers(kind, text):
             "type": "Amalgam", "left": _z2("a"), "right": _z2("b"),
             "phi1": [[]], "phi2": [[]],
         })
-        sols = solve_exponent_amalgam(backend, parse_expr(text))
+        sols = search_solve(backend, parse_expr(text))
     assert {(k, k) for k in range(5)} <= sols.points_in_box(4)
 
 

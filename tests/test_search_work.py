@@ -17,7 +17,9 @@ interaction_pairs was derived from below in one pass.  A change to the search's 
 as a counter change, before it moves an instance that sits near its
 time limit in the benchmark.  The cases cover the nine corpus groups at
 degrees 1-3 and give the same record under every hash seed (CI reruns
-the file under eight).
+the file under eight).  hnn-z2 and amalgam-z4-z2-z4 are virtually
+cyclic and solve over Z, with no search; their cases pin the HNN
+reduction search, called directly (test_hnn.search_solve).
 """
 
 import pytest
@@ -27,6 +29,10 @@ from knapsolve.expr import parse_expr
 from knapsolve.groups import build_backend, solve_exponent
 from knapsolve.oracle import compare
 from knapsolve.reduction import REPORT_KEYS
+from test_hnn import search_solve
+
+#: virtually cyclic groups whose pins run the HNN reduction search
+SEARCHED = ("hnn-z2", "amalgam-z4-z2-z4")
 
 
 def _z(order, gen):
@@ -310,9 +316,11 @@ PINNED = CASES + REPEATED_CASES + DFS_CASES
                          ids=[case[0] for case in PINNED])
 def test_search_work_is_pinned(key, text, diagnostics, components):
     e = parse_expr(text)
-    backend = build_backend(GROUPS[key.split("/")[0]])
+    group = key.split("/")[0]
+    backend = build_backend(GROUPS[group])
     report = {}
-    sols = solve_exponent(backend, e, diagnostics=report)
+    solve = search_solve if group in SEARCHED else solve_exponent
+    sols = solve(backend, e, diagnostics=report)
     assert report == diagnostics
     assert sols.vars == e.variables
     assert sorted((c.base, list(c.periods)) for c in sols.components) == [
@@ -342,7 +350,8 @@ def test_every_group_reports_every_key(group, text):
 ])
 def test_a_spent_budget_reports_every_key(group, text):
     report = {}
+    solve = search_solve if group in SEARCHED else solve_exponent
     with pytest.raises(BudgetExceededError):
-        solve_exponent(build_backend(GROUPS[group]), parse_expr(text),
-                       states_budget=5, diagnostics=report)
+        solve(build_backend(GROUPS[group]), parse_expr(text),
+              states_budget=5, diagnostics=report)
     assert sorted(report) == sorted(REPORT_KEYS)
