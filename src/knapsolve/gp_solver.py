@@ -33,10 +33,11 @@ sequences explicitly; two entries interact when nothing lies strictly
 between them in the dependence order of the tuple.
 """
 
+import functools
 import itertools
 
 from .errors import InputError
-from .groups import GroupBackend, require_elements, solve_exponent
+from .groups import FiniteGroup, GroupBackend, require_elements, solve_exponent
 from .reduction import (
     ReductionSearchBase,
     Scheme,
@@ -55,6 +56,7 @@ from .trace import (
     project_pair,
 )
 from .unary_automata import word_pair_power_solutions
+from .virtually_cyclic import CyclicExtension
 from .words import components
 
 
@@ -117,8 +119,26 @@ class GraphProductBackend(GroupBackend):
     def elem_sort_key(self, a):
         return tuple(self.monoid.atom_key(atom) for atom in a.atoms)
 
+    @functools.cached_property
+    def cyclic_extension(self):
+        """The finite extension of Z = <a c> (module virtually_cyclic)
+        when the group is Z2 * Z2, two vertices of order 2 without an
+        edge, with a and c their involutions; else None.  Built at the
+        first solve."""
+        vertices = self.monoid.vertices
+        if self.monoid.edges or len(vertices) != 2 or not all(
+                isinstance(v, FiniteGroup) and len(v.geodesic) == 2
+                for v in vertices):
+            return None
+        # each vertex's geodesic words are () and its involution's
+        z_word = sum((w for v in vertices for w in v.geodesic.values()), ())
+        return CyclicExtension(self, z_word, 2, self.elem_norm)
+
     def solve(self, e, limits):
-        """The reduction search, or over a join the direct-product split."""
+        """Over Z when Z2 * Z2, else the reduction search, or over a join
+        the direct-product split."""
+        if self.cyclic_extension is not None:
+            return self.cyclic_extension.solve(e, limits)
         if not self.direct_factors:
             return solve_by_reduction(GraphProductScheme(self), e, limits)
         return _solve_over_join(self, e, limits)
@@ -155,6 +175,8 @@ class ReductionSearch(ReductionSearchBase):
             for i, u in powers.items()
         }
         self._indep = {}
+        #: the last form canon_items returned, and its below
+        self._canon_below = (None, None)
         self.use_dfs = bool(monoid.edges)
 
     # -- item helpers --------------------------------------------------
@@ -213,19 +235,28 @@ class ReductionSearch(ReductionSearchBase):
         return below
 
     def canon_items(self, items):
-        """Normal form of the tuple modulo commutation of independents."""
+        """Normal form of the tuple modulo commutation of independents.
+
+        The form keeps the dependence order of the tuple, so its below
+        is the tuple's, renumbered; it is kept for interaction_pairs,
+        which the search asks first of the state it enters next.
+        """
         items = list(items)
         below = self._below(items)
         remaining = set(range(len(items)))
-        out = []
+        order = []
         while remaining:
             available = [
                 i for i in remaining if not (below[i] & remaining)
             ]
             pick = min(available, key=lambda i: (self.item_key(items[i]), i))
-            out.append(items[pick])
+            order.append(pick)
             remaining.discard(pick)
-        return tuple(out)
+        out = tuple(items[i] for i in order)
+        position = {i: k for k, i in enumerate(order)}
+        self._canon_below = (out, [{position[i] for i in below[pick]}
+                                   for pick in order])
+        return out
 
     def interaction_pairs(self, items):
         """Index pairs that commutation can make adjacent (left, right).
@@ -233,7 +264,9 @@ class ReductionSearch(ReductionSearchBase):
         i < j is blocked when i lies in below[r] for some r in below[j].
         """
         n = len(items)
-        below = self._below(items)
+        form, below = self._canon_below
+        if form is not items:
+            below = self._below(items)
         blocked = [set().union(*(below[r] for r in b)) for b in below]
         return [(i, j) for i in range(n) for j in range(i + 1, n)
                 if i not in blocked[j]]

@@ -24,6 +24,7 @@ solver is the HNN solver after that substitution.
 
 import functools
 import itertools
+from operator import attrgetter
 
 from .errors import InputError
 from .expr import ExponentExpression
@@ -303,7 +304,8 @@ class HnnBackend(GroupBackend):
         A = B = a finite base, else None; built at the first solve."""
         if (isinstance(self.base, FiniteGroup)
                 and len(self.a_set) == len(self.base.geodesic)):
-            return CyclicExtension(self, (self.stable,))
+            return CyclicExtension(self, (self.stable,), len(self.a_set),
+                                   attrgetter("tcount"))
         return None
 
     def solve(self, e, limits):
@@ -793,7 +795,8 @@ class AmalgamBackend(GroupBackend):
             z_word += min((w for w in f.geodesic.values()
                            if hnn.base_canon(w) not in c),
                           key=lambda w: (len(w), w))
-        return CyclicExtension(self, z_word)
+        return CyclicExtension(self, z_word, 2 * len(hnn.a_set),
+                               attrgetter("tcount"))
 
     def solve(self, e, limits):
         """Over Z when virtually cyclic, else the HNN solve of e after

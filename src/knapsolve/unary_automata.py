@@ -27,10 +27,13 @@ class Nfa:
     def __init__(self, states, transitions, initials, finals):
         self.states = set(states)
         self.transitions = []
+        #: source state -> its (label, destination) pairs
+        self._out = {}
         for src, label, dst in transitions:
             if src not in self.states or dst not in self.states:
                 raise InputError("transition references unknown state")
             self.transitions.append((src, label, dst))
+            self._out.setdefault(src, []).append((label, dst))
         self.initials = set(initials)
         self.finals = set(finals)
         if not self.initials <= self.states or not self.finals <= self.states:
@@ -41,8 +44,8 @@ class Nfa:
         frontier = list(subset)
         while frontier:
             state = frontier.pop()
-            for src, label, dst in self.transitions:
-                if label is None and src == state and dst not in out:
+            for label, dst in self._out.get(state, ()):
+                if label is None and dst not in out:
                     out.add(dst)
                     frontier.append(dst)
         return frozenset(out)
@@ -50,8 +53,9 @@ class Nfa:
     def step(self, subset, label):
         return {
             dst
-            for src, lab, dst in self.transitions
-            if lab == label and src in subset
+            for src in subset
+            for lab, dst in self._out.get(src, ())
+            if lab == label
         }
 
 

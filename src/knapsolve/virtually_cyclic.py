@@ -1,17 +1,23 @@
-"""Virtually cyclic HNN-extensions and amalgams as finite extensions of Z.
+"""Virtually cyclic groups of three kinds as finite extensions of Z.
 
-An HNN-extension of a finite group or an amalgam of two finite groups
-is the fundamental group of a finite graph of finite groups, with Euler
-characteristic chi = sum 1/|G_v| - sum 1/|G_e|, and a free subgroup of
-index n in it has rank 1 - n chi (Karrass, Pietrowski and Solitar, J.
-Austral. Math. Soc. 16, 1973).  Two kinds have chi = 0, so a subgroup
-<z> = Z of finite index:
+An HNN-extension of a finite group, an amalgam of two finite groups or
+a free product of two finite groups is the fundamental group of a
+finite graph of finite groups, with Euler characteristic chi = sum
+1/|G_v| - sum 1/|G_e|, and a free subgroup of index n in it has rank
+1 - n chi (Karrass, Pietrowski and Solitar, J. Austral. Math. Soc. 16,
+1973).  Three kinds have chi = 0, so a subgroup <z> = Z of finite
+index:
 
   - Hnn(F, A = B = F, phi) for a finite F, with chi = 1/|F| - 1/|F|;
     z = t, and the |F| elements of F represent the cosets;
   - F1 *_C F2 with C of index 2 in both finite factors, with chi =
     1/(2|C|) + 1/(2|C|) - 1/|C|; z = a b for a in F1 - C and b in
-    F2 - C, and <z> has index 2 |C|.
+    F2 - C, and <z> has index 2 |C|;
+  - Z2 * Z2, the graph product of two groups of order 2 over a graph
+    without edges, with chi = 1/2 + 1/2 - 1; z = a c for the two
+    involutions a and c, and <z> has index 2.  It is the only such
+    group that a graph product of finite groups leaves once its join
+    split has run.
 
 The paper's closure under finite extensions then solves such a group
 over a Z leaf, with no reduction search.  CyclicExtension builds that
@@ -19,8 +25,10 @@ finite extension from the group operations of the element protocol:
 
   - a breadth-first walk over the letters from 1 finds a representative
     of every right coset <z> g.  An element h lies in <z> exactly when
-    it is z^n for some |n| up to h's stable-letter count, since the
-    reduced word of z^n has at least |n| stable letters;
+    it is z^n for some |n| up to length(h) // length(z), for a length
+    with length(z^n) = |n| length(z): the stable-letter count tcount of
+    an HNN or amalgam element (z^n has |n| or 2|n| stable letters), and
+    the norm of a trace (z^n = (a c)^n has norm 2|n|);
   - the extension's letters are "z" and one letter per coset other
     than 1, which stands for the coset's representative, each with its
     inverse.  The rule (c, l) -> (z^n, d) is read from rep(c) l =
@@ -43,14 +51,18 @@ Z, Z_INV = "z", "z'"
 class CyclicExtension:
     """group as the finite extension of its subgroup <z>, z given as a word.
 
-    group is an Hnn or Amalgam backend whose elements carry tcount, the
-    stable-letter count of their reduced word; <z> must have finite
-    index (module docstring).
+    group is an Hnn, Amalgam or graph-product backend, index the index
+    of <z> in it (module docstring), and length a function on its
+    elements with length(z^n) = |n| length(z) > 0.  A walk that finds
+    more cosets than index stops with an AssertionError, as a length
+    that misses a power of z would make it go on for ever.
     """
 
-    def __init__(self, group, z_word):
+    def __init__(self, group, z_word, index, length):
         self.group = group
         z = group.elem_from_word(z_word)
+        self._length = length
+        self._z_length = length(z)
         self._powers = {0: group.identity_elem, 1: z, -1: group.elem_inv(z)}
         reps = {IDENTITY_COSET: group.identity_elem}
         #: a letter of the group -> the word z^n d of its element
@@ -61,6 +73,7 @@ class CyclicExtension:
                 g = group.elem_mul(reps[c], group.elem_from_word((a,)))
                 n, d = self._locate(g, reps)
                 if d is None:
+                    assert len(reps) < index, "more cosets than the index"
                     d = f"c{len(reps)}"
                     reps[d] = g
                     queue.append(d)
@@ -91,7 +104,8 @@ class CyclicExtension:
         of reps."""
         for d, rep in reps.items():
             h = self.group.elem_mul(g, self.group.elem_inv(rep))
-            for n in range(-h.tcount, h.tcount + 1):
+            bound = self._length(h) // self._z_length
+            for n in range(-bound, bound + 1):
                 if self._power(n) == h:
                     return n, d
         return 0, None

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from knapsolve.errors import BudgetExceededError
-from knapsolve.expr import ExponentExpression, parse_expr
+from knapsolve.expr import ExponentExpression, expr_from_entries, parse_expr
 from knapsolve.gp_solver import (
     GraphProductBackend,
     GraphProductScheme,
@@ -18,7 +18,7 @@ from knapsolve.gp_solver import (
 )
 from knapsolve.groups import IntegerGroup, build_backend, cyclic_group
 from knapsolve.oracle import compare
-from knapsolve.reduction import SEARCH_STATES_CAP
+from knapsolve.reduction import SEARCH_STATES_CAP, Limits, solve_by_reduction
 
 
 def direct_z2_z2():
@@ -38,6 +38,29 @@ def path_p3():
         [cyclic_group(2, "a"), cyclic_group(2, "b"), cyclic_group(2, "c")],
         [(0, 1), (1, 2)],
     )
+
+
+def search_solve(backend, e, states_budget=SEARCH_STATES_CAP,
+                 diagnostics=None):
+    """e over a graph product by the reduction search on the whole
+    group, as solve_exponent solves every graph product that is neither
+    a join nor Z2 * Z2."""
+    return solve_by_reduction(GraphProductScheme(backend), e,
+                              Limits(None, states_budget, diagnostics))
+
+
+def z2_z2_factor(backend, e):
+    """The Z2 * Z2 direct factor of a join, such as {a, c} of path P3,
+    and e's projection onto its letters, as the join split hands them to
+    that factor's solve."""
+    (factor,) = [f for f in backend.direct_factors
+                 if getattr(f, "cyclic_extension", None) is not None]
+    entries = []
+    for period, var, tail in e.factors:
+        entries.append(("p", var, tuple(a for a in period
+                                        if a in factor.alphabet)))
+        entries.append(("e", tuple(a for a in tail if a in factor.alphabet)))
+    return factor, expr_from_entries(entries)
 
 
 def path_p4():
@@ -423,10 +446,16 @@ def test_split_diagnostics_carry_every_key():
 
 
 def test_split_diagnostics_count_states_when_the_budget_ends_the_search():
+    # the path a - b - c over Z2, Z2, Z3 splits into b and Z2 * Z3 = {a,
+    # c}, which the reduction search solves (Z2 * Z2 would solve over Z)
     diag = {}
+    backend = GraphProductBackend(
+        [cyclic_group(2, "a"), cyclic_group(2, "b"), cyclic_group(3, "c")],
+        [(0, 1), (1, 2)],
+    )
     with pytest.raises(BudgetExceededError):
         solve_exponent_graph_product(
-            path_p3(), parse_expr("(a c')^x (c')^y (c')^z c a"),
+            backend, parse_expr("(a c')^x (c')^y (c')^z c a"),
             states_budget=20, diagnostics=diag,
         )
     assert diag["states"] > 0

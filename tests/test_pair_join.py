@@ -4,7 +4,9 @@ The join picks one group of open forms per power and solves each pair
 record once per pair of forms.  These tests record the inputs that real
 graph-product and HNN solves give it (the cases of test_pair_lines, and
 path-p3/d3/3 of the benchmark's solve corpus, where the join saves the
-most) and replay each one:
+most; path-p3 splits into Z2 x (Z2 * Z2), and Z2 * Z2 solves over Z, so
+that instance calls the graph-product search on the Z2 * Z2 factor
+directly) and replay each one:
 
 - its components equal those of the product loop over every power's
   groups that it replaced, kept here as the reference, after the
@@ -27,15 +29,12 @@ from knapsolve.groups import build_backend, solve_exponent
 from knapsolve.reduction import Scheme, pair_line_sets
 from knapsolve.semilinear import LinearSet
 
+from test_gp_solver import path_p3, search_solve, z2_z2_factor
 from test_pair_lines import GP_CASES, HNN_CASES
 
-Z2 = {"type": "CyclicGroup", "order": 2}
-PATH_P3 = {
-    "type": "GraphProduct",
-    "vertices": [dict(Z2, generator=g) for g in "abc"],
-    "edges": [[0, 1], [1, 2]],
-}
-CASES = GP_CASES + HNN_CASES + [(PATH_P3, "(a' c' b')^x c (c')^y (c a b)^z")]
+CASES = GP_CASES + HNN_CASES
+#: path-p3/d3/3, searched on its Z2 * Z2 factor
+PATH_P3_TEXT = "(a' c' b')^x c (c')^y (c a b)^z"
 
 
 def _product_loop(scheme, wb, order, comp_pairs, reduced):
@@ -85,6 +84,7 @@ def recorded():
         mp.setattr(Scheme, "pair_components", recording)
         for desc, text in CASES:
             solve_exponent(build_backend(desc), parse_expr(text))
+        search_solve(*z2_z2_factor(path_p3(), parse_expr(PATH_P3_TEXT)))
     return calls
 
 

@@ -1,21 +1,28 @@
-"""Virtually cyclic HNN-extensions and amalgams solve over Z.
+"""Virtually cyclic groups solve over Z.
 
-Hnn(F, A = B = F, phi) and an amalgam of finite factors over a subgroup
-of index 2 in each have an infinite cyclic subgroup <z> of finite index
-(module virtually_cyclic), and solve as the finite extension of Z given
-by its coset table.  Each of the two corpus groups of that kind has a
-hand-written FiniteExt table here as an isomorphic presentation:
+Hnn(F, A = B = F, phi), an amalgam of finite factors over a subgroup of
+index 2 in each, and the graph product Z2 * Z2 have an infinite cyclic
+subgroup <z> of finite index (module virtually_cyclic), and solve as
+the finite extension of Z given by its coset table.  Each corpus group
+of the three kinds has a hand-written FiniteExt table as an isomorphic
+presentation:
 
   - hnn-z2 = Hnn(Z2, A = B = Z2) = Z2 x Z = <t> with cosets 1 and a;
   - amalgam-z4-z2-z4 = Z4 *_{Z2} Z4 = Z x| Z4, with z = a b, a z a' =
     z', cosets 1, a, q = a a and a^3, where b = z' a^3 names the coset
-    a^3.
+    a^3;
+  - Z2 * Z2 = D_inf = Z x| Z2 with z = a b, a z a = z' and cosets 1 and
+    a, where b = z' a (test_differential.Z2_Z2_OVER_Z, with z named s);
+    path-p3 is (Z2 * Z2) x Z2 once its join split has run.
 
 Seeded draws at degrees 1-4, repeated-variable draws and the corpus
-instance amalgam-z4-z2-z4/d3/2 must come out complete, equal to brute
-force in a box, and equal to the answer over the table.  Draws over a
-non-identity phi and over Z2 *_1 Z2 check the route where no table is
-written by hand.  Groups with chi < 0 keep the reduction search.
+instances amalgam-z4-z2-z4/d3/2 and path-p3/d3/1 and d3/3 must come
+out complete, equal to brute force in a box, and equal to the answer
+over the table.  Draws over a non-identity phi and over Z2 *_1 Z2
+check the route where no table is written by hand, and a free product
+with Z2 * Z2 as a vertex reaches it through a nested solve.  Groups
+with chi < 0, and graph products other than Z2 * Z2, keep the
+reduction search.
 """
 
 import random
@@ -24,7 +31,9 @@ import pytest
 
 from knapsolve.expr import ExponentExpression, parse_expr
 from knapsolve.groups import build_backend, solve_exponent
-from knapsolve.oracle import brute_force_solutions
+from knapsolve.oracle import brute_force_solutions, compare
+from knapsolve.virtually_cyclic import CyclicExtension
+from test_differential import Z2_Z2_FREE, Z2_Z2_OVER_Z
 
 #: brute-force box per number of variables
 BOX = {1: 8, 2: 5, 3: 3, 4: 2}
@@ -42,6 +51,10 @@ def hnn(base, a_words, b_words):
 def amalgam(left, right, phi1, phi2):
     return {"type": "Amalgam", "left": left, "right": right,
             "phi1": [phi1], "phi2": [phi2]}
+
+
+def free_product(*children):
+    return {"type": "FreeProduct", "children": list(children)}
 
 
 HNN_Z2 = hnn(cyclic(2, "a"), [[], ["a"]], [[], ["a"]])
@@ -82,6 +95,14 @@ def z_by_z4():
 
 AMALGAM_Z4_Z2_Z4_TABLE = z_by_z4()
 
+PATH_P3 = {"type": "GraphProduct",
+           "vertices": [cyclic(2, "a"), cyclic(2, "b"), cyclic(2, "c")],
+           "edges": [[0, 1], [1, 2]]}
+
+#: per group, the letters that its table writes as words: Z2_Z2_OVER_Z
+#: has the letters s = a b and a, so b = s' a
+TABLE_WORDS = {"z2-z2": {"b": ("s'", "a"), "b'": ("s'", "a")}}
+
 #: name -> (description, generator letters, its table or None)
 ROUTED = {
     "hnn-z2": (HNN_Z2, "at", HNN_Z2_TABLE),
@@ -91,6 +112,8 @@ ROUTED = {
                              [[], ["b", "b"], ["b"]]), "bt", None),
     "z2-z2-over-1": (amalgam(cyclic(2, "a"), cyclic(2, "b"), [], []),
                      "ab", None),
+    "z2-z2": (Z2_Z2_FREE, "ab", Z2_Z2_OVER_Z),
+    "path-p3": (PATH_P3, "abc", None),
 }
 
 
@@ -120,6 +143,12 @@ def _draws(name, count, repeated=False):
     return out
 
 
+def in_table(name, word):
+    """word over the letters of the table of group name (TABLE_WORDS)."""
+    words = TABLE_WORDS.get(name, {})
+    return tuple(x for a in word for x in words.get(a, (a,)))
+
+
 def routed_points(backend, e):
     """The answer's points in the box, checked complete and equal to
     brute force."""
@@ -133,7 +162,7 @@ def routed_points(backend, e):
     return points
 
 
-@pytest.mark.parametrize("name", ["hnn-z2", "amalgam-z4-z2-z4"])
+@pytest.mark.parametrize("name", ["hnn-z2", "amalgam-z4-z2-z4", "z2-z2"])
 def test_the_table_presents_the_group(name):
     desc, gens, table = ROUTED[name]
     group, ext = build_backend(desc), build_backend(table)
@@ -143,7 +172,8 @@ def test_the_table_presents_the_group(name):
     for _ in range(300):
         u, v = _word(rng, letters, 0, 7), _word(rng, letters, 0, 7)
         same = group.elem_from_word(u) == group.elem_from_word(v)
-        assert same == (ext.elem_from_word(u) == ext.elem_from_word(v)), (u, v)
+        assert same == (ext.elem_from_word(in_table(name, u))
+                        == ext.elem_from_word(in_table(name, v))), (u, v)
         equal += same
     assert equal >= 10
 
@@ -158,7 +188,10 @@ def test_routed_draws_match_brute_force(name, repeated):
     for e in _draws(name, 32, repeated):
         points = routed_points(backend, e)
         if ext is not None:
-            assert points == solve_exponent(ext, e).points_in_box(
+            ext_e = ExponentExpression([
+                (in_table(name, p), var, in_table(name, t))
+                for p, var, t in e.factors])
+            assert points == solve_exponent(ext, ext_e).points_in_box(
                 BOX[len(e.variables)]), e
         nonempty += bool(points)
     # the draws do not all compare empty sets
@@ -200,3 +233,50 @@ def test_a_period_equal_to_one_rewrites_to_one():
     backend = build_backend(hnn(cyclic(1, "a"), [[]], [[]]))
     e = parse_expr("(a)^x (t)^y t'")
     assert routed_points(backend, e) == {(x, 1) for x in range(6)}
+
+
+@pytest.mark.parametrize("text, bases", [
+    ("(a' c' b')^x c (c')^y (c a b)^z", [(0, 1, 0), (1, 1, 1)]),
+    ("(a c')^x (c')^y (c')^z c a", [(1, 0, 0), (1, 1, 1)]),
+], ids=["d3/3", "d3/1"])
+def test_path_p3_corpus_instances_are_answered_exactly(text, bases):
+    # solve-corpus path-p3/d3/3 and d3/1, which the graph-product search
+    # on Z2 * Z2 flags incomplete, with 20 and 2 components
+    backend = build_backend(PATH_P3)
+    e = parse_expr(text)
+    routed_points(backend, e)
+    sols = solve_exponent(backend, e)
+    assert sorted(c.base for c in sols.components) == bases
+
+
+def test_a_nested_z2_z2_vertex_solves_over_z(monkeypatch):
+    # (Z2 * Z2) * Z3: the outer free product runs the search, and its
+    # nested solves over the vertex Z2 * Z2 take the route
+    backend = build_backend(free_product(Z2_Z2_FREE, cyclic(3, "c")))
+    inner = backend.monoid.vertices[0]
+    routed = []
+    shared = CyclicExtension.solve
+
+    def counting(self, e, limits):
+        routed.append(self.group)
+        return shared(self, e, limits)
+
+    monkeypatch.setattr(CyclicExtension, "solve", counting)
+    for text in ("(a b)^x c (b a)^y c' (b a)^z",
+                 "(b a)^x (c)^y (a c' b)^z a c b"):
+        e = parse_expr(text)
+        sols = solve_exponent(backend, e)
+        assert compare(backend, e, sols, 6)["ok"], text
+    assert routed and all(group is inner for group in routed)
+    assert backend.cyclic_extension is None
+
+
+@pytest.mark.parametrize("desc", [
+    free_product(cyclic(2, "a"), cyclic(3, "b")),
+    free_product(cyclic(2, "a"), cyclic(2, "b"), cyclic(2, "c")),
+    free_product(cyclic(2, "a"), cyclic(4, "b")),
+    {"type": "GraphProduct", "vertices": [cyclic(2, "a"), cyclic(2, "b")],
+     "edges": [[0, 1]]},
+], ids=["z2-z3", "z2-z2-z2", "z2-z4", "z2xz2"])
+def test_other_graph_products_keep_the_search(desc):
+    assert build_backend(desc).cyclic_extension is None
