@@ -175,8 +175,6 @@ class ReductionSearch(ReductionSearchBase):
             for i, u in powers.items()
         }
         self._indep = {}
-        #: the last form canon_items returned, and its below
-        self._canon_below = (None, None)
         self.use_dfs = bool(monoid.edges)
 
     # -- item helpers --------------------------------------------------
@@ -235,28 +233,19 @@ class ReductionSearch(ReductionSearchBase):
         return below
 
     def canon_items(self, items):
-        """Normal form of the tuple modulo commutation of independents.
-
-        The form keeps the dependence order of the tuple, so its below
-        is the tuple's, renumbered; it is kept for interaction_pairs,
-        which the search asks first of the state it enters next.
-        """
+        """Normal form of the tuple modulo commutation of independents."""
         items = list(items)
         below = self._below(items)
         remaining = set(range(len(items)))
-        order = []
+        out = []
         while remaining:
             available = [
                 i for i in remaining if not (below[i] & remaining)
             ]
             pick = min(available, key=lambda i: (self.item_key(items[i]), i))
-            order.append(pick)
+            out.append(items[pick])
             remaining.discard(pick)
-        out = tuple(items[i] for i in order)
-        position = {i: k for k, i in enumerate(order)}
-        self._canon_below = (out, [{position[i] for i in below[pick]}
-                                   for pick in order])
-        return out
+        return tuple(out)
 
     def interaction_pairs(self, items):
         """Index pairs that commutation can make adjacent (left, right).
@@ -264,9 +253,7 @@ class ReductionSearch(ReductionSearchBase):
         i < j is blocked when i lies in below[r] for some r in below[j].
         """
         n = len(items)
-        form, below = self._canon_below
-        if form is not items:
-            below = self._below(items)
+        below = self._below(items)
         blocked = [set().union(*(below[r] for r in b)) for b in below]
         return [(i, j) for i in range(n) for j in range(i + 1, n)
                 if i not in blocked[j]]
@@ -734,6 +721,18 @@ _COMPONENT_CACHE = {}
 solve_exponent_graph_product = solve_exponent
 
 
+def factor_entries(factor, e):
+    """e's projection onto a direct factor's letters, as solve_local
+    entries: a power whose period loses every letter is dropped."""
+    entries = []
+    for period, var, tail in e.factors:
+        period = tuple(a for a in period if a in factor.alphabet)
+        if period:
+            entries.append(("p", var, period))
+        entries.append(("e", tuple(a for a in tail if a in factor.alphabet)))
+    return entries
+
+
 def _solve_over_join(backend, e, limits):
     """The intersection of the factors' solution sets of their projections
     of e, each solved under the caller's limits (module docstring).
@@ -741,12 +740,7 @@ def _solve_over_join(backend, e, limits):
     names = e.variables
     result = None
     for factor in backend.direct_factors:
-        entries = []
-        for period, var, tail in e.factors:
-            period = tuple(a for a in period if a in factor.alphabet)
-            if period:
-                entries.append(("p", var, period))
-            entries.append(("e", tuple(a for a in tail if a in factor.alphabet)))
+        entries = factor_entries(factor, e)
         if not any(entry[0] == "p" for entry in entries):
             if not factor.word_problem(sum((w for _e, w in entries), ())):
                 return SemilinearSet.empty(names)

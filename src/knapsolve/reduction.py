@@ -628,8 +628,6 @@ class ReductionSearchBase:
         each search lists them once.
         """
         splits, creations = cost
-        # asked before any move, while items is canon_items' last form
-        pairs = self.interaction_pairs(items)
         for pos, item in enumerate(items):
             unary = self._moves.get(item)
             if unary is None:
@@ -654,7 +652,7 @@ class ReductionSearchBase:
                     new_counts, new_records = counts, records
                 self._dfs(self.canon_items(new_items), new_counts,
                           new_records.union(recs), new_cost)
-        for i, j in pairs:
+        for i, j in self.interaction_pairs(items):
             pair = (items[i], items[j])
             binary = self._moves.get(pair)
             if binary is None:

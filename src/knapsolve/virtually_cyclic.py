@@ -54,8 +54,8 @@ class CyclicExtension:
     group is an Hnn, Amalgam or graph-product backend, index the index
     of <z> in it (module docstring), and length a function on its
     elements with length(z^n) = |n| length(z) > 0.  A walk that finds
-    more cosets than index stops with an AssertionError, as a length
-    that misses a power of z would make it go on for ever.
+    more cosets than index stops with a RuntimeError, as a length that
+    misses a power of z would make it go on for ever.
     """
 
     def __init__(self, group, z_word, index, length):
@@ -73,7 +73,8 @@ class CyclicExtension:
                 g = group.elem_mul(reps[c], group.elem_from_word((a,)))
                 n, d = self._locate(g, reps)
                 if d is None:
-                    assert len(reps) < index, "more cosets than the index"
+                    if len(reps) == index:
+                        raise RuntimeError("more cosets than the index")
                     d = f"c{len(reps)}"
                     reps[d] = g
                     queue.append(d)

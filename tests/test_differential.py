@@ -5,8 +5,10 @@ solvers: a finite extension against its subgroup or against a free
 product, a nested against a flat free product, a graph product over a
 join against a Cayley table, an HNN-extension with A = B = its base,
 which solves as a finite extension of Z, against a direct product, and
-the HNN-extension with trivial A = B and
-the amalgam over 1 that ROADMAP item 2 is about against free products.
+the HNN-extension with trivial A = B and the amalgam over 1 that ROADMAP
+item 2 is about against free products.  solve_exponent solves the free
+product Z2 * Z2 as a finite extension of Z too, so its pair calls the
+graph-product reduction search directly on that side.
 Hypothesis draws small expressions over the left presentation's letters
 (under a fixed seed, so every run sees the same draws); the right side
 gets the same expression with each letter translated.  Both sides solve
@@ -38,6 +40,7 @@ from knapsolve.errors import BudgetExceededError
 from knapsolve.expr import ExponentExpression, parse_expr
 from knapsolve.groups import build_backend, solve_exponent
 from knapsolve.oracle import brute_force_solutions, compare
+from test_gp_solver import search_solve
 
 #: states budget of each solve; a draw that spends it is skipped
 STATES_BUDGET = 3000
@@ -172,11 +175,12 @@ class Pair:
     letters are the left side's generators (inverses are drawn too);
     translate maps a left letter to its word on the right side (default:
     the letter itself); pinned expressions, over the left letters, are
-    solved before the draws and must be answered exactly.
+    solved before the draws and must be answered exactly.  right_solve
+    solves the right side (default: solve_exponent).
     """
 
     def __init__(self, left, right, letters, *, degree, draws, answered,
-                 translate=None, pinned=()):
+                 translate=None, pinned=(), right_solve=solve_exponent):
         self.left = build_backend(left)
         self.right = build_backend(right)
         self.alphabet = sorted(x for a in letters for x in (a, a + "'"))
@@ -185,6 +189,7 @@ class Pair:
         self.answered = answered
         self.translate = translate or {}
         self.pinned = pinned
+        self.right_solve = right_solve
 
     def right_expr(self, e):
         def tr(word):
@@ -194,7 +199,7 @@ class Pair:
             [(tr(p), var, tr(t)) for p, var, t in e.factors])
 
 
-def solve_and_check(backend, e, box, exact=False):
+def solve_and_check(backend, e, box, exact=False, solve=solve_exponent):
     """Points of the answer in the box, or None if not answered exactly.
 
     A spent budget gives None.  A complete answer must equal brute force
@@ -203,8 +208,8 @@ def solve_and_check(backend, e, box, exact=False):
     """
     report = {}
     try:
-        sols = solve_exponent(backend, e, states_budget=STATES_BUDGET,
-                              diagnostics=report)
+        sols = solve(backend, e, states_budget=STATES_BUDGET,
+                     diagnostics=report)
     except BudgetExceededError:
         assert not exact, "budget spent"
         return None
@@ -222,7 +227,8 @@ def agree(pair, e, exact=False):
     """True if both sides answered e exactly (and agree), False if skipped."""
     box = BOX[len(e.variables)]
     left = solve_and_check(pair.left, e, box, exact)
-    right = solve_and_check(pair.right, pair.right_expr(e), box, exact)
+    right = solve_and_check(pair.right, pair.right_expr(e), box, exact,
+                            pair.right_solve)
     if left is None or right is None:
         return False
     assert left == right
@@ -266,7 +272,8 @@ PAIRS = {
     "z2-z2-over-z": lambda: Pair(
         Z2_Z2_OVER_Z, Z2_Z2_FREE, "sa",
         degree=2, draws=40, answered=27,
-        translate={"s": ("a", "b"), "s'": ("b'", "a'")}),
+        translate={"s": ("a", "b"), "s'": ("b'", "a'")},
+        right_solve=search_solve),
     "nested-free-product": lambda: Pair(
         NESTED_FREE, FLAT_FREE, "abz",
         degree=2, draws=30, answered=21),

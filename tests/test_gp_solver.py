@@ -12,6 +12,7 @@ from knapsolve.gp_solver import (
     GraphProductBackend,
     GraphProductScheme,
     ReductionSearch,
+    factor_entries,
     simplify_power_factorization,
     solve_exponent_graph_product,
     two_dim_trace_solve,
@@ -55,12 +56,7 @@ def z2_z2_factor(backend, e):
     that factor's solve."""
     (factor,) = [f for f in backend.direct_factors
                  if getattr(f, "cyclic_extension", None) is not None]
-    entries = []
-    for period, var, tail in e.factors:
-        entries.append(("p", var, tuple(a for a in period
-                                        if a in factor.alphabet)))
-        entries.append(("e", tuple(a for a in tail if a in factor.alphabet)))
-    return factor, expr_from_entries(entries)
+    return factor, expr_from_entries(factor_entries(factor, e))
 
 
 def path_p4():
