@@ -24,6 +24,20 @@ group's, or this one on the induced subgraph) under the caller's
 limits, checks the others by the word problem and intersects the
 factors' solution sets.
 
+An equation that lives in one infinite cyclic subgroup solves over Z,
+with no search, on a graph that is not a join (over a join, the
+elements of such an equation lie in one factor, whose own solve takes
+it after the split): the power presentation of its first
+nontrivial period u must be u = s z s^-1 with one well-behaved part z,
+and each nontrivial period or tail h, conjugated by s, must be
+well-behaved with z^(|h|/g) = h^(+-|z|/g), for |.| the atom count and
+g = gcd(|h|, |z|).  This is exact: connected traces with a common
+power are powers of one primitive trace r (C. Duboc, TCS 46, 1986),
+and powers of a well-behaved trace merge no atoms, so h = r^(+-|h|/|r|)
+and e = 1 iff sum +-|h| x_h + sum +-|h| = 0, one row over a Z leaf.
+solve-corpus hard/0, (a b)^x (b' a)^y (a b)^z over Z2 * Z3, is such an
+equation; any equation with an element outside <r> keeps the search.
+
 The moves of the search are written once, as generators.  Without
 edges (free products) nothing commutes and the search is the span solver
 of module reduction.  With edges, on graphs that are not joins, it is
@@ -35,9 +49,17 @@ between them in the dependence order of the tuple.
 
 import functools
 import itertools
+import math
 
 from .errors import InputError
-from .groups import FiniteGroup, GroupBackend, require_elements, solve_exponent
+from .expr import ExponentExpression
+from .groups import (
+    FiniteGroup,
+    GroupBackend,
+    IntegerGroup,
+    require_elements,
+    solve_exponent,
+)
 from .reduction import (
     ReductionSearchBase,
     Scheme,
@@ -51,12 +73,13 @@ from .trace import (
     TraceMonoid,
     independent_traces,
     is_connected,
+    is_well_behaved,
     nf_R,
     power_presentation,
     project_pair,
 )
 from .unary_automata import word_pair_power_solutions
-from .virtually_cyclic import CyclicExtension
+from .virtually_cyclic import Z, Z_INV, CyclicExtension, _z_power
 from .words import components
 
 
@@ -135,13 +158,57 @@ class GraphProductBackend(GroupBackend):
         return CyclicExtension(self, z_word, 2, self.elem_norm)
 
     def solve(self, e, limits):
-        """Over Z when Z2 * Z2, else the reduction search, or over a join
-        the direct-product split."""
+        """Over Z when Z2 * Z2, over a join the direct-product split, else
+        over Z when e lies in one infinite cyclic subgroup, else the
+        reduction search.  A connected trace lies in one factor of a
+        join, so the split leaves such an e to that factor's solve."""
         if self.cyclic_extension is not None:
             return self.cyclic_extension.solve(e, limits)
-        if not self.direct_factors:
-            return solve_by_reduction(GraphProductScheme(self), e, limits)
-        return _solve_over_join(self, e, limits)
+        if self.direct_factors:
+            return _solve_over_join(self, e, limits)
+        sols = _solve_in_cyclic_subgroup(self, e, limits)
+        if sols is not None:
+            return sols
+        return solve_by_reduction(GraphProductScheme(self), e, limits)
+
+
+def _solve_in_cyclic_subgroup(backend, e, limits):
+    """e over Z when its periods and tails lie in one infinite cyclic
+    subgroup (module docstring), else None."""
+    periods = (backend.elem_from_word(p) for p, _var, _t in e.factors)
+    first = next((u for u in periods if u.atoms), None)
+    if first is None:
+        return None
+    s, parts, _t = power_presentation(first)
+    if len(parts) != 1 or len(parts[0].atoms) == 1:
+        return None
+    z = parts[0]
+    s_inv = s.inv()
+
+    def exponent(word):
+        """c with s^-1 h s = r^(c/|r|) for the element h of word, or
+        None if h is outside <r>."""
+        h = backend.elem_mul(
+            backend.elem_mul(s_inv, backend.elem_from_word(word)), s)
+        if not h.atoms:
+            return 0
+        if not is_well_behaved(h):
+            return None
+        g = math.gcd(len(h.atoms), len(z.atoms))
+        common = z.pow(len(h.atoms) // g)
+        if h.pow(len(z.atoms) // g) == common:
+            return len(h.atoms)
+        if h.inv().pow(len(z.atoms) // g) == common:
+            return -len(h.atoms)
+        return None
+
+    factors = []
+    for p, var, t in e.factors:
+        c, d = exponent(p), exponent(t)
+        if c is None or d is None:
+            return None
+        factors.append((_z_power(c) or (Z, Z_INV), var, _z_power(d)))
+    return IntegerGroup(Z).solve(ExponentExpression(factors), limits)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def search_solve(backend, e, states_budget=SEARCH_STATES_CAP,
                  diagnostics=None):
     """e over a graph product by the reduction search on the whole
     group, as solve_exponent solves every graph product that is neither
-    a join nor Z2 * Z2."""
+    a join nor Z2 * Z2, unless e lies in one infinite cyclic subgroup."""
     return solve_by_reduction(GraphProductScheme(backend), e,
                               Limits(None, states_budget, diagnostics))
 
@@ -393,6 +393,13 @@ def test_free_product_diagonal():
     assert S.points_in_box(8) == {(z, z) for z in range(9)}
 
 
+def test_free_product_diagonal_by_the_search():
+    # the equation lies in <a b> and solves over Z; the span solver
+    # must find the diagonal too
+    S = search_solve(free_z2_z3(), parse_expr("(a b)^x (b' a)^y"))
+    assert S.points_in_box(8) == {(z, z) for z in range(9)}
+
+
 def test_unsolvable_is_empty():
     backend = free_z2_z3()
     S = solve_exponent_graph_product(backend, parse_expr("a^x b"))
@@ -408,11 +415,10 @@ def test_identity_period_is_free():
 
 
 def test_diagnostics_reported():
+    # by the search: the solve takes this equation over Z
     backend = free_z2_z3()
     diag = {}
-    solve_exponent_graph_product(
-        backend, parse_expr("(a b)^x (b' a)^y"), diagnostics=diag
-    )
+    search_solve(backend, parse_expr("(a b)^x (b' a)^y"), diagnostics=diag)
     assert diag["branches"] >= 1
     assert diag["states"] >= 1
     assert "complete" in diag

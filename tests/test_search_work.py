@@ -25,7 +25,11 @@ cases pin the graph-product search on the Z2 * Z2 factor {a, c}, called
 directly on the projection of the corpus expression that the join split
 gives that factor (test_gp_solver.search_solve); their counters were
 recorded on the whole solve, except dioph_nodes and the answer, which
-held the join split's intersection with the factor {b}.
+held the join split's intersection with the factor {b}.  The first
+path-P4 pin, (a c)^x c a, lies in the infinite cyclic subgroup <a c>
+and solves over Z; it pins the depth-first search called directly
+(test_gp_solver.search_solve), with the counters it recorded on the
+whole solve.
 """
 
 import pytest
@@ -40,6 +44,9 @@ from test_hnn import search_solve
 
 #: virtually cyclic groups whose pins run the HNN reduction search
 SEARCHED = ("hnn-z2", "amalgam-z4-z2-z4")
+#: pins whose equation lies in one infinite cyclic subgroup, which
+#: solve_exponent answers over Z: they run the graph-product search
+CYCLIC = ("path-p4/dfs/0",)
 
 
 def _z(order, gen):
@@ -318,13 +325,16 @@ ORACLE_BOX = {"path-p3/d3/3": 3, "z-in-z-index-2/d3/1": 6,
 PINNED = CASES + REPEATED_CASES + DFS_CASES
 
 
-def _pinned_solve(group, text):
-    """(solve, backend, e) of a pin: the reduction search called directly
-    where the group solves over Z (module docstring), else
-    solve_exponent."""
+def _pinned_solve(key, text):
+    """(solve, backend, e) of a pin, keyed by its key or its group: the
+    reduction search called directly where the group or the equation
+    solves over Z (module docstring), else solve_exponent."""
+    group = key.split("/")[0]
     backend, e = build_backend(GROUPS[group]), parse_expr(text)
     if group == "path-p3":
         return (gp_search_solve,) + z2_z2_factor(backend, e)
+    if key in CYCLIC:
+        return gp_search_solve, backend, e
     return (search_solve if group in SEARCHED else solve_exponent,
             backend, e)
 
@@ -332,8 +342,7 @@ def _pinned_solve(group, text):
 @pytest.mark.parametrize("key, text, diagnostics, components", PINNED,
                          ids=[case[0] for case in PINNED])
 def test_search_work_is_pinned(key, text, diagnostics, components):
-    group = key.split("/")[0]
-    solve, backend, e = _pinned_solve(group, text)
+    solve, backend, e = _pinned_solve(key, text)
     report = {}
     sols = solve(backend, e, diagnostics=report)
     assert report == diagnostics
