@@ -7,8 +7,8 @@ guess-and-reduce driver of module reduction; this module supplies what
 is particular to graph products:
 
   - periods split into atomic and well-behaved parts by the trace power
-    presentation, and an atomic power is zero when its vertex-group
-    element solves it;
+    presentation, and an atomic power is a search item of its vertex
+    group, which may discharge alone into a vertex-group constraint;
   - in the search, constants split at downsets, symbolic factors carry a
     guessed vertex alphabet, adjacent same-vertex atoms merge or
     discharge into vertex-group constraints;
@@ -342,6 +342,10 @@ class ReductionSearch(ReductionSearchBase):
         tag = item[0]
         if tag == "W":
             yield from self._zero_or_open(item)
+        elif tag == "A":
+            # the entries multiply to 1 in the vertex group; on an
+            # atomic power's own item, the power is 1
+            yield (), (("ident", item[1], item[2]),), False
         elif tag == "C" and len(item[1].atoms) > 1:
             trace = item[1]
             all_pos = set(range(len(trace.atoms)))
@@ -677,13 +681,6 @@ class GraphProductScheme(Scheme):
 
     def is_atomic(self, u):
         return len(u.atoms) == 1
-
-    def zero_guess(self, u, var, limits):
-        atom = u.atoms[0]
-        child = self.monoid.vertices[atom.vertex]
-        return solve_local(
-            child, [("p", var, child.elem_word(atom.elem))], limits
-        )
 
     def atomic_item(self, i, u):
         atom = u.atoms[0]

@@ -8,8 +8,8 @@ driver of module reduction; this module supplies what is particular to
 HNN-extensions:
 
   - periods become a base element or a well-behaved core via the power
-    presentation u^m = s v^m p, and a base-element power is zero when
-    the base group's solver says so;
+    presentation u^m = s v^m p, and a base-element power is a base
+    item, which may discharge alone into a base-group constraint;
   - in the search, constants with a stable letter split at letter
     positions, adjacent base items merge or discharge into base-group
     constraints, and generalized cancellations consume two t-bearing
@@ -651,9 +651,6 @@ class HnnScheme(Scheme):
 
     def is_atomic(self, u):
         return u.tcount == 0
-
-    def zero_guess(self, u, var, limits):
-        return solve_local(self.backend.base, [("p", var, u.gs[0])], limits)
 
     def atomic_item(self, i, u):
         return ("B", (("p", i, u.gs[0]),))

@@ -5,9 +5,10 @@ Both solvers answer e = 1 with one scheme:
   1. rewrite every period into atomic or well-behaved parts via the
      group's power presentation and rename repeated variables apart
      (preprocess); the diagonal K ties the renamed copies together;
-  2. guess which atomic powers evaluate to the identity and solve each
-     guessed power inside its vertex or base group;
-  3. search for reductions of the remaining factor tuple: constants
+  2. make one item tuple in which every power stays open: an atomic
+     power is an item of its vertex or base group, which the search may
+     discharge alone, as the power being 1 in that group;
+  3. search for reductions of that item tuple, once: constants
      split (in an HNN-extension only those with a stable letter),
      symbolic powers split into factors, neighbouring atoms merge or
      discharge into local constraints, matching factors cancel; the
@@ -26,8 +27,8 @@ Both solvers answer e = 1 with one scheme:
      factor pairs (the group's pair_lines gives the lines of one pair;
      pair_components combines them here) and direct-sum the sets of
      one outcome;
-  5. take the union over guesses and outcomes, keep its points on the
-     diagonal K and project back to the variables of e.
+  5. take the union over the outcomes, keep its points on the diagonal
+     K and project back to the variables of e.
 
 One Limits object carries the budgets and the report of a solve, nested
 solves (solve_local) included, whose searches draw on one states budget.
@@ -134,7 +135,6 @@ class Scheme:
       presentation(u)             (s, parts, t) with u^m = s (prod of
                                   parts^m) t
       is_atomic(u)                u is an atomic period, not well-behaved
-      zero_guess(u, var, limits)  solutions of u^var = 1 for atomic u
       atomic_item(i, u)           the search item of atomic power i
       max_splits(m), max_creations(m)
                                   completeness ceilings for m items
@@ -295,57 +295,36 @@ def solve_by_reduction(scheme, e, limits):
 
     period = {i: u for i, (u, _var) in enumerate(prep.powers, 1)}
     var_of = {i: var for i, (_u, var) in enumerate(prep.powers, 1)}
-    atomic = [i for i in period if scheme.is_atomic(period[i])]
-    wb = {i: u for i, u in period.items() if i not in atomic}
+    wb = {i: u for i, u in period.items() if not scheme.is_atomic(u)}
 
     constrained = [name for name in prep.occ_vars if name not in prep.free_occs]
     assert constrained, "every power contributes a constrained occurrence"
-    # the components of every branch and outcome, made into one set at
-    # the end, which keeps the first of equal ones as union would
+    items = []
+    for i in period:
+        items.append(("W", i) if i in wb else scheme.atomic_item(i, period[i]))
+        if not prep.tails[i].is_identity():
+            items.append(("C", prep.tails[i]))
+
+    m = len(items)
+    splits_cap = scheme.max_splits(m)
+    budgeted = (limits.splits_budget is not None
+                and limits.splits_budget < splits_cap)
+    if budgeted:
+        splits_cap = limits.splits_budget
+    search = scheme.search(wb, splits_cap, scheme.max_creations(m),
+                           limits.states_budget - limits.states)
+    limits.count("branches")
+    results = limits.run_search(search, tuple(items))
+    if search.refused_split or (budgeted and search.splits_cap_bound):
+        limits.report["complete"] = False
+    limits.count("reductions", len(results))
+    # the components of every outcome, made into one set at the end,
+    # which keeps the first of equal ones as union would
     comps = []
-
-    for n1_bits in itertools.product((False, True), repeat=len(atomic)):
-        n1 = {atomic[k] for k in range(len(atomic)) if n1_bits[k]}
-        limits.count("branches")
-        n1_sets = []
-        for i in sorted(n1):
-            sols = scheme.zero_guess(period[i], var_of[i], limits)
-            if sols.is_empty_representation():
-                break
-            n1_sets.append(sols)
-        if len(n1_sets) < len(n1):
-            continue
-
-        items = []
-        for i in period:
-            if i in wb:
-                items.append(("W", i))
-            elif i not in n1:
-                items.append(scheme.atomic_item(i, period[i]))
-            if not prep.tails[i].is_identity():
-                items.append(("C", prep.tails[i]))
-        if not items:
-            comps += direct_sum_all(n1_sets, constrained).components
-            continue
-
-        m = len(items)
-        splits_cap = scheme.max_splits(m)
-        budgeted = (limits.splits_budget is not None
-                    and limits.splits_budget < splits_cap)
-        if budgeted:
-            splits_cap = limits.splits_budget
-        search = scheme.search(wb, splits_cap, scheme.max_creations(m),
-                               limits.states_budget - limits.states)
-        results = limits.run_search(search, tuple(items))
-        if search.refused_split or (budgeted and search.splits_cap_bound):
-            limits.report["complete"] = False
-        limits.count("reductions", len(results))
-        for records, orders in results.items():
-            sets = _assemble_outcome(
-                scheme, wb, var_of, records, orders, n1_sets, limits
-            )
-            if sets is not None:
-                comps += direct_sum_all(sets, constrained).components
+    for records, orders in results.items():
+        sets = _assemble_outcome(scheme, wb, var_of, records, orders, limits)
+        if sets is not None:
+            comps += direct_sum_all(sets, constrained).components
 
     total = SemilinearSet(tuple(constrained), comps)
     for name in prep.free_occs:
@@ -359,13 +338,13 @@ def direct_sum_all(sets, names):
     out = None
     for piece in sets:
         out = piece if out is None else out.direct_sum(piece)
-    assert out is not None, "a branch always constrains some variable"
+    assert out is not None, "an outcome or guess leaf always has a set"
     missing = [n for n in names if n not in set(out.vars)]
-    assert not missing, f"branch left variables unconstrained: {missing}"
+    assert not missing, f"outcome left variables unconstrained: {missing}"
     return out._aligned_to(tuple(names))
 
 
-def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
+def _assemble_outcome(scheme, wb, var_of, records, orders, limits):
     """Turn one reduction outcome into per-variable semilinear sets.
 
     Returns a list of SemilinearSets over disjoint variable groups, or
@@ -385,9 +364,8 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, n1_sets, limits):
         else:
             local.append(rec)
 
-    sets = list(n1_sets)
-    for i in sorted(zero_powers):
-        sets.append(SemilinearSet.point((var_of[i],), (0,)))
+    sets = [SemilinearSet.point((var_of[i],), (0,))
+            for i in sorted(zero_powers)]
 
     for rec in local:
         sols = scheme.local_solutions(rec, var_of, limits)

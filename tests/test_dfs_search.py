@@ -6,12 +6,15 @@ join reaches the depth-first search; no benchmark workload has one.
 Two such graphs are tested here: the path P4 over Z2 vertices, and
 Z2(a) - Z2(b) plus an isolated Z3(c), which is (Z2 x Z2) * Z3.
 
-Seeded draws of degree 1-2 over each graph solve under a states budget
-and are checked against brute force in a box; a draw that spends the
-budget is skipped, and each graph must answer a minimum number of
-draws.  interaction_pairs, which lists the item pairs the search may
-bring together, is checked against the triple loop it replaced on
-seeded item tuples, and one search pins the states it stores.  The
+Seeded draws of degree 1-2 over each graph solve by the search itself
+(test_gp_solver.search_solve), also those that lie in one infinite
+cyclic subgroup, which solve_exponent answers over Z.  They run under a
+states budget and are checked against brute force in a box; a draw that
+spends the budget is skipped, and each graph must answer a minimum
+number of draws.  interaction_pairs, which lists the item pairs the
+search may bring together, is checked against the triple loop it
+replaced on seeded item tuples, and one search pins the states it
+stores.  The
 search reads its records in frozenset order, so CI reruns this file
 under eight hash seeds.
 """
@@ -25,13 +28,14 @@ from knapsolve.expr import parse_expr
 from knapsolve.groups import build_backend, solve_exponent
 from knapsolve.gp_solver import GraphProductScheme
 from knapsolve.oracle import compare
+from test_gp_solver import search_solve
 
 #: states budget of each drawn solve; a draw that spends it is skipped
 STATES_BUDGET = 5000
 #: brute-force box per number of variables
 BOX = {1: 6, 2: 5}
 DRAWS = 16
-#: answered draws each graph must reach (15 and 16 under hash seed 0)
+#: answered draws each graph must reach (15 and 16 under hash seeds 0-7)
 MIN_ANSWERED = 14
 
 
@@ -86,7 +90,7 @@ def test_drawn_expressions_match_brute_force(name):
         text = _draw(rng, letters)
         e = parse_expr(text)
         try:
-            sols = solve_exponent(backend, e, states_budget=STATES_BUDGET)
+            sols = search_solve(backend, e, states_budget=STATES_BUDGET)
         except BudgetExceededError:
             continue
         rep = compare(backend, e, sols, BOX[len(e.variables)])

@@ -414,6 +414,18 @@ def test_identity_period_is_free():
     }
 
 
+@pytest.mark.parametrize("text", ["(a)^x", "(b)^x a (b)^y a"])
+def test_atomic_powers_are_one_in_the_one_search(text):
+    # an atomic power that is 1 in its vertex group is a unary move of
+    # the search, so the solve runs one search and no guess per power
+    backend, e = free_z2_z3(), parse_expr(text)
+    diag = {}
+    S = solve_exponent_graph_product(backend, e, diagnostics=diag)
+    assert diag["branches"] == 1
+    rep = compare(backend, e, S, 8)
+    assert rep["ok"], rep["mismatches"][:5]
+
+
 def test_diagnostics_reported():
     # by the search: the solve takes this equation over Z
     backend = free_z2_z3()

@@ -74,15 +74,15 @@ def test_solve_entry_and_graph_product_solver_agree(desc):
 
 
 def test_states_budget_caps_the_whole_solve():
-    # unbounded, the flat solve counts 601 states in two searches and the
-    # nested one about 1,160 in many; each search gets what is left
+    # unbounded, the flat solve counts 354 states in one search and the
+    # nested one about 920 in many; each search gets what is left
     unbounded, _ = solve(FLAT)
     for desc in (FLAT, NESTED):
         diagnostics = {}
-        with pytest.raises(BudgetExceededError, match=r"\(limit 400\)"):
+        with pytest.raises(BudgetExceededError, match=r"\(limit 200\)"):
             ks.solve_exponent(ks.build_backend(desc), ks.parse_expr(EXPR),
-                              states_budget=400, diagnostics=diagnostics)
-        assert diagnostics["states"] <= 401
+                              states_budget=200, diagnostics=diagnostics)
+        assert diagnostics["states"] <= 201
         sols, diagnostics = solve(desc, states_budget=2_000)
         assert sols == unbounded
         assert diagnostics["states"] <= 2_000

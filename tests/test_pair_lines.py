@@ -12,7 +12,8 @@ exponent on a concrete factor, whose value the driver adds to its power.
 The shared routine stops at the first pair record without lines, and
 the order of an outcome's pair records follows the hash seed, so the
 recorder asks the hook for every pair record under every choice of open
-forms itself; what the tests see does not depend on that order.
+forms of its two powers itself, once per pair of forms; what the tests
+see does not depend on that order.
 """
 
 import itertools
@@ -54,18 +55,22 @@ HNN_CASES = [
 def _record(monkeypatch, cases):
     """(scheme, powers, pair, form_l, form_r, lines) for every pair record
     that Scheme.pair_components is given, under every choice of open
-    forms of its powers."""
+    forms of its two powers, once per pair of forms."""
     calls = []
     shared = Scheme.pair_components
 
     def recording(self, wb, order, comp_pairs, reduced):
-        choices = [[of for of, _cs in reduced[i]] for i in order]
-        for combo in itertools.product(*choices):
-            forms = {}
-            for of in combo:
-                forms.update(of)
-            for pair in comp_pairs:
-                form_l, form_r = forms[pair[0]], forms[pair[3]]
+        for pair in comp_pairs:
+            fid_l, i_l, _a, fid_r, i_r, _b = pair
+            if i_l == i_r:
+                # both factors take their forms from one choice
+                choices = [(dict(of)[fid_l], dict(of)[fid_r])
+                           for of, _cs in reduced[i_l]]
+            else:
+                choices = itertools.product(
+                    [dict(of)[fid_l] for of, _cs in reduced[i_l]],
+                    [dict(of)[fid_r] for of, _cs in reduced[i_r]])
+            for form_l, form_r in dict.fromkeys(choices):
                 lines = self.pair_lines(wb, pair, form_l, form_r)
                 calls.append((self, wb, pair, form_l, form_r, lines))
         return shared(self, wb, order, comp_pairs, reduced)
