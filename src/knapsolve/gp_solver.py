@@ -499,6 +499,9 @@ def simplify_power_factorization(u, m):
         if not ok:
             continue
         c_total = sum(combo[j - 1][0] for j in range(1, m))
+        # per j, the prefix p_{j,1} ... p_{j,j-1} and its product with
+        # s_j, built at their first use for this combination
+        prefixes, concretes = {}, {}
         for bits in itertools.product((False, True), repeat=m):
             K = {j + 1 for j in range(m) if bits[j]}
             good = True
@@ -517,13 +520,18 @@ def simplify_power_factorization(u, m):
                 continue
             forms = []
             for j in range(1, m + 1):
-                prefix = empty
-                for l in range(1, j):
-                    prefix = prefix * p[(j, l)]
+                prefix = prefixes.get(j)
+                if prefix is None:
+                    prefix = empty
+                    for l in range(1, j):
+                        prefix = prefix * p[(j, l)]
+                    prefixes[j] = prefix
                 if j in K:
                     forms.append(("power", prefix, s[j]))
                 else:
-                    w = prefix * s[j]
+                    w = concretes.get(j)
+                    if w is None:
+                        w = concretes[j] = prefix * s[j]
                     if not w.atoms:
                         good = False
                         break
@@ -555,9 +563,10 @@ def two_dim_trace_solve(p, u, s, q, v, t):
 
     Each line stands for {(a + b z, c + d z) | z in N}.  Every trace
     equation is checked through its projections onto the dependent
-    vertex pairs; each projection is a word equation handled by the
-    unary automata pipeline; the projection constraints are intersected
-    as semilinear sets.
+    vertex pairs, without those that another pair implies
+    (TraceMonoid.projection_pairs); each projection is a word equation
+    handled by the unary automata pipeline; the projection constraints
+    are intersected as semilinear sets.
     """
     monoid = u.monoid
     if not u.atoms or not v.atoms:
@@ -579,7 +588,7 @@ def _two_dim_trace_solve(p, u, s, q, v, t):
     assert is_connected(u) and is_connected(v)
     names = ("x", "y")
     constraint = None
-    for i, j in monoid.dependent_vertex_pairs():
+    for i, j in monoid.projection_pairs():
         pu = project_pair(u, i, j)
         pv = project_pair(v, i, j)
         pp = project_pair(p, i, j)

@@ -364,21 +364,21 @@ def _assemble_outcome(scheme, wb, var_of, records, orders, limits):
         else:
             local.append(rec)
 
-    sets = [SemilinearSet.point((var_of[i],), (0,))
-            for i in sorted(zero_powers)]
-
-    for rec in local:
-        sols = scheme.local_solutions(rec, var_of, limits)
-        if sols.is_empty_representation():
-            return None
-        sets.append(sols)
-
+    # a power without shapes ends the outcome before its nested solves
     active = {i: fids for i, fids in orders.items() if fids}
     shapes = {}
     for i, fids in active.items():
         shapes[i] = scheme.factor_shapes(wb[i], fids, assigns, pairs)
         if not shapes[i]:
             return None
+
+    sets = [SemilinearSet.point((var_of[i],), (0,))
+            for i in sorted(zero_powers)]
+    for rec in local:
+        sols = scheme.local_solutions(rec, var_of, limits)
+        if sols.is_empty_representation():
+            return None
+        sets.append(sols)
 
     # resolve assigned factors per power, leaving only paired ones open,
     # and group each power's options by their open forms, once for the
@@ -522,7 +522,10 @@ class ReductionSearchBase:
     ternary move with the items that prefixes to its right reduce to;
     every tuple is solved once, into bundles of records, factor counts
     per power and Pareto-minimal (splits, creations), and the caps are
-    checked where bundles combine.  There a split that FACTOR_CAP
+    checked where bundles combine.  A bundle holds its records as small
+    ids, each record interned once per search in the order it is first
+    met, and a record renumbered by offset is looked up by (id, factor
+    ids), so no bundle hashes a record again.  There a split that FACTOR_CAP
     refuses is noted only when the path to it stays within the other
     caps, and states counts the tuples solved.  The moves must never
     lead a tuple back to itself.  Where items commute (use_dfs), run() is
@@ -659,24 +662,31 @@ class ReductionSearchBase:
     # -- span solver over items that do not commute --------------------
 
     def _span_run(self, items):
-        self._memo, self._shared, self._rank = {}, {}, {}
+        self._memo, self._shared = {}, {}
+        # records as ids in first-met order, the factor slots (fid,
+        # power) of each, and the ids of records with renumbered slots
+        self._ids, self._records, self._slots = {}, [], []
+        self._retagged, self._shifted = {}, {}
         self._depth = 0
         try:
             bundles = self._entry(_SOLVE, items, ())
+            for key in bundles:
+                if key == _OVER_SPLITS:
+                    self.splits_cap_bound = True
+                elif key == _OVER_FACTORS:
+                    self.refused_split = True
+                else:
+                    ids, counts = key
+                    orders = _orders(self._opened, counts)
+                    ids = self._shift(ids, tuple(
+                        (i, fids[0]) for i, fids in orders.items() if fids))
+                    self.results.setdefault(
+                        frozenset(map(self._records.__getitem__, ids)), orders)
         finally:
             # the memo holds every solved tuple; free it with the search
-            self._memo = self._shared = self._rank = None
-        for key in bundles:
-            if key == _OVER_SPLITS:
-                self.splits_cap_bound = True
-            elif key == _OVER_FACTORS:
-                self.refused_split = True
-            else:
-                records, counts = key
-                orders = _orders(self._opened, counts)
-                records = _renumber(records, None, {
-                    i: fids[0] for i, fids in orders.items() if fids})
-                self.results.setdefault(records, orders)
+            self._memo = self._shared = None
+            self._ids = self._records = self._slots = None
+            self._retagged = self._shifted = None
 
     def _entry(self, kind, seq, used):
         """The bundles of seq for kind, solved once and memoised.
@@ -760,9 +770,9 @@ class ReductionSearchBase:
         unary = self._moves.get(("u", x))
         if unary is None:
             unary = self._moves[("u", x)] = []
-            for move in self.unary_moves(_named(x, _LEFT)):
-                unary.append(move)
-                if move[2] and not self.splits_cap:
+            for out, recs, split in self.unary_moves(_named(x, _LEFT)):
+                unary.append((out, self._intern_all(recs), split))
+                if split and not self.splits_cap:
                     # refused below, as every split after it would be
                     break
         for out, recs, split in unary:
@@ -815,12 +825,15 @@ class ReductionSearchBase:
 
     def _cached(self, key, moves, x, *others):
         """The moves with x as the left item and the last of others as
-        the right one, their factor ids named _LEFT and _RIGHT."""
+        the right one, their factor ids named _LEFT and _RIGHT and their
+        records as ids."""
         hit = self._moves.get(key)
         if hit is None:
             named = [_named(x, _LEFT)] + list(others)
             named[-1] = _named(others[-1], _RIGHT)
-            hit = self._moves[key] = list(moves(*named))
+            hit = self._moves[key] = [
+                (move[0], self._intern_all(move[1])) + move[2:]
+                for move in moves(*named)]
         return hit
 
     def _move_bundles(self, x, parts, recs, key):
@@ -829,14 +842,14 @@ class ReductionSearchBase:
         parts lists (between, partner) from left to right: between holds
         the bundles of the prefix that reduced to the partner, and the
         move uses up the partner (None for a ternary move's middle).
-        Factor ids count from the left per power, so those of a part
-        shift by the factors before it.
+        recs are the move's record ids.  Factor ids count from the left
+        per power, so those of a part shift by the factors before it.
         """
         if not parts:
             # a unary move spends nothing and uses up at most x itself
             if x[0] != "F":
                 return {self._key(recs, ()) if recs else _NOTHING: _FREE}
-            recs = _renumber(recs, {_LEFT: 0}.__getitem__)
+            recs = self._name(recs, {_LEFT: 0})
             return {self._key(recs, ((x[1], 1),)): _FREE}
         out = {}
         move = ((key, 1),) if key is not None else ()
@@ -848,14 +861,15 @@ class ReductionSearchBase:
             records = set()
             for ((brecords, bcounts), _c), (_b, partner) in zip(combo, parts):
                 if counts:
-                    brecords = _renumber(brecords, None, counts)
+                    brecords = self._shift(
+                        brecords, tuple(sorted(counts.items())))
                 records.update(brecords)
                 for i, n in bcounts:
                     counts[i] = counts.get(i, 0) + n
                 if partner is not None and partner[0] == "F":
                     fids[_RIGHT] = counts.get(partner[1], 0)
                     counts[partner[1]] = fids[_RIGHT] + 1
-            records.update(_renumber(recs, fids.__getitem__))
+            records.update(self._name(recs, fids))
             bkey = self._key(records, tuple(sorted(counts.items())))
             for costs in itertools.product(*(c for _k, c in combo)):
                 creations = move
@@ -892,7 +906,7 @@ class ReductionSearchBase:
                 else:
                     records = rkey[0]
                     if lkey[1] and records:
-                        records = _renumber(records, None, dict(lkey[1]))
+                        records = self._shift(records, lkey[1])
                     key = self._key(
                         set(lkey[0]).union(records),
                         _add_counts(lkey[1], rkey[1]),
@@ -927,44 +941,77 @@ class ReductionSearchBase:
         kept = [old for old in costs if not _no_more(cost, old)]
         out[key] = tuple(sorted(kept + [cost]))
 
-    def _key(self, records, counts):
-        """The bundle key (records, counts).
-
-        records, a set, becomes a tuple in the order records were first
-        met in this search, which takes a third of a frozenset's memory;
-        equal records, tuples and keys are shared, as they recur across
-        many bundles.
-        """
-        shared, rank = self._shared, self._rank
-        listed = []
-        for r in records:
-            r = shared.setdefault(r, r)
-            if r not in rank:
-                rank[r] = len(rank)
-            listed.append(r)
-        listed.sort(key=rank.__getitem__)
-        listed = tuple(listed)
+    def _key(self, ids, counts):
+        """The bundle key (ids, counts), ids the sorted tuple of the
+        record ids; equal tuples and keys are shared, as they recur
+        across many bundles."""
+        shared = self._shared
+        listed = tuple(sorted(ids))
         key = (shared.setdefault(listed, listed), shared.setdefault(counts, counts))
         return shared.setdefault(key, key)
+
+    def _intern(self, record):
+        """The id of a record, numbered in the order records are met."""
+        rid = self._ids.get(record)
+        if rid is None:
+            rid = self._ids[record] = len(self._records)
+            self._records.append(record)
+            if record[0] == "assign":
+                self._slots.append(((record[1], record[2]),))
+            elif record[0] == "pair":
+                self._slots.append(((record[1], record[2]), (record[4], record[5])))
+            else:
+                self._slots.append(())
+        return rid
+
+    def _intern_all(self, records):
+        return tuple(self._intern(r) for r in records)
+
+    def _retag(self, rid, fids):
+        """The id of record rid with its factor slots set to fids."""
+        hit = self._retagged.get((rid, fids))
+        if hit is None:
+            r = self._records[rid]
+            if r[0] == "assign":
+                r = (r[0], fids[0]) + r[2:]
+            else:
+                r = (r[0], fids[0]) + r[2:4] + (fids[1],) + r[5:]
+            hit = self._retagged[(rid, fids)] = self._intern(r)
+        return hit
+
+    def _shift(self, ids, offsets):
+        """The tuple ids with each factor id moved up by its power's
+        offset, given as sorted (power, offset) pairs; memoised."""
+        hit = self._shifted.get((ids, offsets))
+        if hit is None:
+            slots, shift, out = self._slots, dict(offsets), []
+            for rid in ids:
+                if slots[rid]:
+                    rid = self._retag(rid, tuple(
+                        fid + shift.get(i, 0) for fid, i in slots[rid]))
+                out.append(rid)
+            hit = self._shifted[(ids, offsets)] = tuple(out)
+        return hit
+
+    def _name(self, ids, fids):
+        """ids with the factor ids named _LEFT and _RIGHT numbered."""
+        slots = self._slots
+        return [self._retag(rid, tuple(fids[fid] for fid, _i in slots[rid]))
+                if slots[rid] else rid for rid in ids]
 
 
 def _named(item, fid):
     return item[:2] + (fid,) + item[3:] if item[0] == "F" else item
 
 
-def _renumber(records, rename=None, shift=None):
-    """records with factor ids renamed, or shifted by their power's offset."""
+def _renumber(records, rename):
+    """records with their factor ids renamed."""
     out = []
     for r in records:
         if r[0] == "assign":
-            fid = rename(r[1]) if rename else r[1] + shift.get(r[2], 0)
-            r = (r[0], fid) + r[2:]
+            r = (r[0], rename(r[1])) + r[2:]
         elif r[0] == "pair":
-            if rename:
-                left, right = rename(r[1]), rename(r[4])
-            else:
-                left, right = r[1] + shift.get(r[2], 0), r[4] + shift.get(r[5], 0)
-            r = (r[0], left) + r[2:4] + (right,) + r[5:]
+            r = (r[0], rename(r[1])) + r[2:4] + (rename(r[4]),) + r[5:]
         out.append(r)
     return frozenset(out)
 

@@ -62,6 +62,7 @@ class TraceMonoid:
         # adjacent vertex pairs, each in both orders
         self.edges = edge_set
         self._alpha = None
+        self._projections = None
         # letter -> vertex index; child alphabets must be disjoint
         self.letter_map = {}
         for idx, backend in enumerate(self.vertices):
@@ -85,6 +86,18 @@ class TraceMonoid:
                 if not self.independent(i, j):
                     out.append((i, j))
         return out
+
+    def projection_pairs(self):
+        """The dependent pairs whose projections decide trace equality,
+        listed once: every dependent (i, j) with i < j, and (i, i) only
+        for a vertex i that depends on no other vertex, as the
+        projection onto (i, j) decides those onto i and onto j."""
+        if self._projections is None:
+            pairs = self.dependent_vertex_pairs()
+            linked = {v for i, j in pairs if i != j for v in (i, j)}
+            self._projections = tuple(
+                (i, j) for i, j in pairs if i != j or i not in linked)
+        return self._projections
 
     def alpha(self):
         """Largest clique size in the independence graph, searched once.

@@ -1,6 +1,7 @@
 """Graph-product solver: preprocessing, reductions, grids, full pipeline."""
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -17,9 +18,13 @@ from knapsolve.gp_solver import (
     solve_exponent_graph_product,
     two_dim_trace_solve,
 )
+from knapsolve.gp_solver import _ordered_factorizations
 from knapsolve.groups import IntegerGroup, build_backend, cyclic_group
 from knapsolve.oracle import compare
 from knapsolve.reduction import SEARCH_STATES_CAP, Limits, solve_by_reduction
+from knapsolve.semilinear import LinearSet, SemilinearSet
+from knapsolve.trace import independent_traces, is_connected, project_pair
+from knapsolve.unary_automata import word_pair_power_solutions
 
 
 def direct_z2_z2():
@@ -319,7 +324,157 @@ def test_two_dim_against_brute_force():
         assert got == expected
 
 
+def reference_two_dim_trace_solve(p, u, s, q, v, t):
+    """The two-dimensional trace solver over the projections onto every
+    dependent vertex pair, (i, i) included, as it ran before it skipped
+    the projections another pair implies: a reference for
+    two_dim_trace_solve."""
+    names = ("x", "y")
+    constraint = None
+    for i, j in u.monoid.dependent_vertex_pairs():
+        pu, pv = project_pair(u, i, j), project_pair(v, i, j)
+        pp, ps = project_pair(p, i, j), project_pair(s, i, j)
+        pq, pt = project_pair(q, i, j), project_pair(t, i, j)
+        if not pu and not pv:
+            if pp + ps == pq + pt:
+                continue
+            return []
+        if pu and pv:
+            local = SemilinearSet(names, [
+                LinearSet((a, c), [] if (b, d) == (0, 0) else [(b, d)])
+                for a, b, c, d in word_pair_power_solutions(pp, pu, ps, pq, pv, pt)
+            ])
+        else:
+            if pu:
+                pre, per, post, target = pp, pu, ps, pq + pt
+            else:
+                pre, per, post, target = pq, pv, pt, pp + ps
+            slack = len(target) - len(pre) - len(post)
+            if slack < 0 or slack % len(per):
+                return []
+            k = slack // len(per)
+            if pre + per * k + post != target:
+                return []
+            base, free = ((k, 0), (0, 1)) if pu else ((0, k), (1, 0))
+            local = SemilinearSet(names, [LinearSet(base, [free])])
+        constraint = local if constraint is None else constraint.intersect(local)
+        if constraint.is_empty_representation():
+            return []
+    lines = set()
+    for comp in constraint.components:
+        b, d = comp.periods[0] if comp.periods else (0, 0)
+        lines.add((comp.base[0], b, comp.base[1], d))
+    return sorted(lines)
+
+
+def random_connected(backend, rng, lo, hi):
+    """A seeded connected nonempty trace of lo..hi-1 letters."""
+    letters = sorted(backend.alphabet)
+    while True:
+        u = backend.elem_from_word(tuple(
+            rng.choice(letters) for _ in range(rng.randrange(lo, hi))))
+        if u.atoms and is_connected(u):
+            return u
+
+
+def test_two_dim_matches_the_all_pairs_reference():
+    """Skipping the implied one-vertex projections keeps every line.  Half
+    the draws are p u^x s = (p u^k) u^y s, which has the line x = k + y,
+    and half are drawn freely."""
+    rng = random.Random(67)
+    for backend in (free_z2_z3(), path_p3(), path_p4()):
+        letters = sorted(backend.alphabet)
+
+        def rt(hi):
+            return backend.elem_from_word(tuple(
+                rng.choice(letters) for _ in range(rng.randrange(0, hi))))
+
+        for draw in range(40):
+            u = random_connected(backend, rng, 1, 4)
+            p, s = rt(3), rt(3)
+            if draw % 2:
+                v, q, t = u, p * u.pow(rng.randrange(0, 3)), s
+            else:
+                v, q, t = random_connected(backend, rng, 1, 4), rt(3), rt(3)
+            lines = two_dim_trace_solve(p, u, s, q, v, t)
+            assert lines == reference_two_dim_trace_solve(p, u, s, q, v, t)
+            assert lines or not draw % 2
+
+
 # -- power factorization grids -----------------------------------------------
+
+
+def reference_power_factorization(u, m):
+    """simplify_power_factorization as it ran before it built each
+    prefix once per column combination, with no cache: every bit-vector
+    K multiplies its forms' prefixes again.  A reference for the list
+    and its order."""
+    monoid = u.monoid
+    empty = monoid.empty_trace()
+    if m == 1:
+        return [(0, (("power", empty, empty),))]
+    gamma = len(monoid.vertices)
+    col_options = []
+    for j in range(1, m):
+        opts = []
+        for c in range(gamma + 1):
+            for parts in _ordered_factorizations(u.pow(c), m - j + 1):
+                opts.append((c, parts[0], parts[1:]))
+        col_options.append(opts)
+    seen = set()
+    out = []
+    for combo in itertools.product(*col_options):
+        s = {j: combo[j - 1][1] for j in range(1, m)}
+        s[m] = empty
+        p = {}
+        for j in range(1, m):
+            for offset, piece in enumerate(combo[j - 1][2]):
+                p[(j + 1 + offset, j)] = piece
+        if any(j1 < j2 < i2 < i1 and not independent_traces(piece1, piece2)
+               for (i1, j1), piece1 in p.items()
+               for (i2, j2), piece2 in p.items()):
+            continue
+        c_total = sum(combo[j - 1][0] for j in range(1, m))
+        for bits in itertools.product((False, True), repeat=m):
+            K = {j + 1 for j in range(m) if bits[j]}
+            if any(piece.atoms if k in K else not independent_traces(piece, s[k])
+                   for (i1, j1), piece in p.items() for k in range(j1 + 1, i1)):
+                continue
+            forms = []
+            for j in range(1, m + 1):
+                prefix = empty
+                for l in range(1, j):
+                    prefix = prefix * p[(j, l)]
+                if j in K:
+                    forms.append(("power", prefix, s[j]))
+                else:
+                    w = prefix * s[j]
+                    if not w.atoms:
+                        break
+                    forms.append(("concrete", w))
+            else:
+                sig = (c_total, tuple(
+                    (f[0], f[1].atoms, f[2].atoms) if f[0] == "power"
+                    else (f[0], f[1].atoms)
+                    for f in forms
+                ))
+                if sig not in seen:
+                    seen.add(sig)
+                    out.append((c_total, tuple(forms)))
+    return out
+
+
+def test_grids_match_the_per_k_reference():
+    """Prefixes built once per column combination give the same shapes in
+    the same order, for one to three factors."""
+    rng = random.Random(71)
+    for backend in (free_z2_z3(), path_p3(), path_p4()):
+        for m in (1, 2, 3):
+            for _ in range(2):
+                u = random_connected(backend, rng, 1, 3)
+                assert simplify_power_factorization(u, m) == \
+                    reference_power_factorization(u, m), (u, m)
+
 
 
 def test_grid_contains_plain_concatenation_split():

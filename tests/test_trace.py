@@ -26,11 +26,13 @@ PREFIX_COUNT_CAP = 200_000
 LEVI_CAP = 300_000
 
 
-def equal_by_projections(t1, t2):
-    """Trace equality through the projections onto dependent vertex pairs."""
+def equal_by_projections(t1, t2, pairs=None):
+    """Trace equality through the projections onto dependent vertex
+    pairs: all of them, or the given ones."""
+    if pairs is None:
+        pairs = t1.monoid.dependent_vertex_pairs()
     return all(
-        project_pair(t1, i, j) == project_pair(t2, i, j)
-        for i, j in t1.monoid.dependent_vertex_pairs()
+        project_pair(t1, i, j) == project_pair(t2, i, j) for i, j in pairs
     )
 
 
@@ -207,6 +209,14 @@ def path_p3():
     return TraceMonoid(
         [cyclic_group(2, "a"), cyclic_group(2, "b"), cyclic_group(2, "c")],
         [(0, 1), (1, 2)],
+    )
+
+
+def path_p4():
+    return TraceMonoid(
+        [cyclic_group(2, "a"), cyclic_group(2, "b"), cyclic_group(2, "c"),
+         cyclic_group(2, "d")],
+        [(0, 1), (1, 2), (2, 3)],
     )
 
 
@@ -501,16 +511,29 @@ def test_project_pair():
     assert project_pair(M.empty_trace(), 0, 1) == ()
 
 
+@pytest.mark.parametrize("monoid, pairs", [
+    # b commutes with a and c, so its one-vertex projection stays
+    (path_p3, ((1, 1), (0, 2))),
+    (free_z2_z3, ((0, 1),)),
+    (path_p4, ((0, 2), (0, 3), (1, 3))),
+    (direct_z2_z2, ((0, 0), (1, 1))),
+])
+def test_projection_pairs_skip_implied_projections(monoid, pairs):
+    assert monoid().projection_pairs() == pairs
+
+
 def test_equality_via_projections():
     rng = random.Random(37)
-    M = path_p3()
-    letters = sorted(M.alphabet)
-    for _ in range(100):
-        w1 = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
-        w2 = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
-        t1 = M.trace_from_word(w1)
-        t2 = M.trace_from_word(w2)
-        assert (t1 == t2) == equal_by_projections(t1, t2), (w1, w2)
+    for M in (path_p3(), free_z2_z3(), path_p4()):
+        letters = sorted(M.alphabet)
+        for _ in range(100):
+            w1 = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
+            w2 = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
+            t1 = M.trace_from_word(w1)
+            t2 = M.trace_from_word(w2)
+            assert (t1 == t2) == equal_by_projections(t1, t2), (w1, w2)
+            assert (t1 == t2) == equal_by_projections(
+                t1, t2, M.projection_pairs()), (w1, w2)
 
 
 def test_inverse_and_multiplication():
