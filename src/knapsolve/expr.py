@@ -2,8 +2,12 @@
 
 An exponent expression alternates periods-with-variables and constant
 tail words.  Variables may repeat; an expression where every variable
-occurs exactly once is a knapsack expression, and knapsackify() reduces
-the general case to that one via a magnitude-one diagonal constraint.
+occurs exactly once is a knapsack expression.  The reduction solvers
+rename repeated occurrences apart in reduction.Scheme.preprocess, with
+Renaming, and tie the copies together with its magnitude-one
+diagonal.  knapsackify() does the same to a whole expression; no
+solver calls it, and it stays while perfbench/tracer.py names it
+(ROADMAP item 10).
 
 Text syntax (also used by the CLI):
 

@@ -129,13 +129,13 @@ class HnnBackend(GroupBackend):
             raise InputError("associated subgroup lists must be parallel")
         a_elems = [self.base_canon(tuple(w)) for w in a_words]
         b_elems = [self.base_canon(tuple(w)) for w in b_words]
+        if () not in a_elems:
+            a_elems.append(())
+            b_elems.append(())
+        # after the identity pair, which may repeat an element of B
         if len(set(a_elems)) != len(a_elems) or len(set(b_elems)) != len(b_elems):
             raise InputError("associated subgroup lists contain duplicates")
         phi = dict(zip(a_elems, b_elems))
-        if () not in phi:
-            phi[()] = ()
-            a_elems.append(())
-            b_elems.append(())
         if phi[()] != ():
             raise InputError("phi must fix the identity")
         self._check_subgroup(a_elems, "A")
@@ -274,19 +274,9 @@ class HnnBackend(GroupBackend):
         return self._canonical(w.gs, w.deltas)
 
     def elem_mul(self, u, v):
-        """Pinches can only meet at the junction: pop them as a stack."""
-        gs, deltas = list(u.gs[:-1]), list(u.deltas)
-        middle = self.base_mul(u.gs[-1], v.gs[0])
-        k = 0
-        while (deltas and k < len(v.deltas) and deltas[-1] == -v.deltas[k]
-               and middle in self.sub_set(v.deltas[k])):
-            middle = self.base_mul(gs.pop(), self.cross(middle, v.deltas[k]),
-                                   v.gs[k + 1])
-            deltas.pop()
-            k += 1
-        start = len(deltas)
-        return self._canonical(gs + [middle] + list(v.gs[k + 1:]),
-                               deltas + list(v.deltas[k:]), start)
+        gs, deltas = list(u.gs), list(u.deltas)
+        start = _join_reduced(self, gs, deltas, v.gs, v.deltas)
+        return self._canonical(gs, deltas, start)
 
     def elem_inv(self, u):
         w = self.bw_inv(u)
@@ -315,25 +305,36 @@ class HnnBackend(GroupBackend):
         return solve_by_reduction(HnnScheme(self), e, limits)
 
 
-def britton_reduce(backend, w):
-    """Normal form: replace pins t^{-a} c t^{a} -> phi^{a}(c) until none."""
-    if not isinstance(w, BrittonWord):
-        w = backend.parse(w)
-    gs = list(w.gs)
-    deltas = list(w.deltas)
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(deltas) - 1):
-            if deltas[j + 1] != -deltas[j]:
-                continue
-            if gs[j + 1] not in backend.sub_set(deltas[j + 1]):
-                continue
-            inner = backend.cross(gs[j + 1], deltas[j + 1])
-            gs[j : j + 3] = [backend.base_mul(gs[j], inner, gs[j + 2])]
-            del deltas[j : j + 2]
-            changed = True
-            break
+def _join_reduced(backend, gs, deltas, vgs, vdeltas):
+    """Join the reduced word (vgs, vdeltas) onto the reduced one in the
+    lists gs, deltas: its pinches t^{-a} c t^{a} -> phi^{a}(c) stand at
+    the junction and pop as a stack.  Returns the untouched t count."""
+    middle = backend.base_mul(gs[-1], vgs[0]) if vgs[0] else gs[-1]
+    k = 0
+    while (deltas and k < len(vdeltas) and deltas[-1] == -vdeltas[k]
+           and middle in backend.sub_set(vdeltas[k])):
+        gs.pop()
+        middle = backend.base_mul(gs[-1], backend.cross(middle, vdeltas[k]),
+                                  vgs[k + 1])
+        deltas.pop()
+        k += 1
+    start = len(deltas)
+    gs[-1] = middle
+    gs += vgs[k + 1:]
+    deltas += vdeltas[k:]
+    return start
+
+
+def britton_reduce(backend, *words):
+    """Normal form of the product of words or BrittonWords, in one pass:
+    each stable letter joins the reduced prefix (_join_reduced)."""
+    gs, deltas = [()], []
+    for w in words:
+        if not isinstance(w, BrittonWord):
+            w = backend.parse(w)
+        gs[-1] = backend.base_mul(gs[-1], w.gs[0]) if gs[-1] else w.gs[0]
+        for d, g in zip(w.deltas, w.gs[1:]):
+            _join_reduced(backend, gs, deltas, ((), g), (d,))
     return BrittonWord(gs, deltas)
 
 
@@ -345,10 +346,8 @@ def hnn_equal(backend, u, v):
 
 def is_well_behaved_bw(backend, w):
     """w and w^2 reduced: then every power of w is reduced."""
-    if w != britton_reduce(backend, w):
-        return False
-    sq = backend.concat(w, w)
-    return sq == britton_reduce(backend, sq)
+    return (w == britton_reduce(backend, w)
+            and britton_reduce(backend, w, w).tcount == 2 * w.tcount)
 
 
 def hnn_power_presentation(backend, u):
@@ -363,15 +362,13 @@ def hnn_power_presentation(backend, u):
     k = u.tcount
     if k == 0:
         return one, u, one
-    # largest cancellation depth between a copy of u and the next one
-    best = 0, (), one, one
-    for m in range(1, k // 2 + 1):
-        z = BrittonWord(((),) + u.gs[k - m + 1 :], u.deltas[k - m :])
-        x = BrittonWord(u.gs[:m] + ((),), u.deltas[:m])
-        zx = britton_reduce(backend, backend.concat(z, x))
-        if zx.tcount == 0 and zx.gs[0] in backend.ab:
-            best = m, zx.gs[0], z, x
-    m, c, z, x = best
+    # the cancellation depth between a copy of u and the next one: the
+    # pinches of u u, all at the junction, up to half of u; the last m
+    # letters z and the first m letters x of u then meet in c, in A u B
+    m = min(k // 2, k - britton_reduce(backend, u, u).tcount // 2)
+    z = BrittonWord(((),) + u.gs[k - m + 1:], u.deltas[k - m:])
+    x = BrittonWord(u.gs[:m] + ((),), u.deltas[:m])
+    c = britton_reduce(backend, z, x).gs[0] if m else ()
     y = BrittonWord(u.gs[m : k - m + 1], u.deltas[m : k - m])
     yc = BrittonWord(y.gs[:-1] + (backend.base_mul(y.gs[-1], c),), y.deltas)
     if yc.tcount == 0:
@@ -600,10 +597,7 @@ class HnnReductionSearch(ReductionSearchBase):
         for aw, val_rec in a_opts:
             extra = (val_rec,) if val_rec else ()
             if X[0] == "C" and Y[0] == "C":
-                mid = backend.base_bw(aw)
-                r = britton_reduce(
-                    backend, backend.concat(backend.concat(X[1], mid), Y[1])
-                )
+                r = britton_reduce(backend, X[1], backend.base_bw(aw), Y[1])
                 if r.tcount == 0 and r.gs[0] in backend.ab:
                     yield emit(r.gs[0], extra)
             elif X[0] == "F" and Y[0] == "F":
@@ -620,8 +614,7 @@ class HnnReductionSearch(ReductionSearchBase):
                     pieces = [backend.base_bw(bw_), con_inv, a_inv]
                     if not left:
                         pieces.reverse()
-                    value = britton_reduce(backend, backend.concat(
-                        backend.concat(pieces[0], pieces[1]), pieces[2]))
+                    value = britton_reduce(backend, *pieces)
                     if value.tcount == 0:
                         continue
                     rec = ("assign", fac[2], fac[1], value)
@@ -643,7 +636,7 @@ class HnnScheme(Scheme):
         return britton_reduce(self.backend, self.backend.parse(word))
 
     def mul(self, x, y):
-        return britton_reduce(self.backend, self.backend.concat(x, y))
+        return britton_reduce(self.backend, x, y)
 
     def presentation(self, u):
         s, v, p = hnn_power_presentation(self.backend, u)

@@ -511,25 +511,28 @@ class ReductionSearchBase:
 
     run() returns {records: orders} over the reductions with at most
     splits_cap splits, creation_cap atom creations per key and FACTOR_CAP
-    factors per power; orders maps each power index to its factor ids,
-    which are numbered by power and then from left to right.
+    factors per power; records is a tuple in the order the search first
+    met them, and orders maps each power index to its factor ids, which
+    are numbered by power and then from left to right.
     The search, not the moves, applies the caps: splits_cap_bound turns
     true when splits_cap refuses a split, and refused_split when
     FACTOR_CAP does.
 
+    Both searches hold records as small ids, each record interned once
+    per search in the order it is first met; a record with renumbered
+    factor ids is looked up by (id, factor ids), so no search hashes a
+    record again, and run() turns the ids back into records once.
+
     Where items do not commute, run() is a span solver.  The leftmost
     item of a tuple is used up either by a unary move or by a binary or
     ternary move with the items that prefixes to its right reduce to;
-    every tuple is solved once, into bundles of records, factor counts
+    every tuple is solved once, into bundles of record ids, factor counts
     per power and Pareto-minimal (splits, creations), and the caps are
-    checked where bundles combine.  A bundle holds its records as small
-    ids, each record interned once per search in the order it is first
-    met, and a record renumbered by offset is looked up by (id, factor
-    ids), so no bundle hashes a record again.  There a split that FACTOR_CAP
+    checked where bundles combine.  There a split that FACTOR_CAP
     refuses is noted only when the path to it stays within the other
     caps, and states counts the tuples solved.  The moves must never
     lead a tuple back to itself.  Where items commute (use_dfs), run() is
-    a depth-first search over states (items, counts, records), counts
+    a depth-first search over states (items, counts, record ids), counts
     being the factor counts per opened power as in the bundle keys, and
     states counts the states expanded.
     """
@@ -560,14 +563,22 @@ class ReductionSearchBase:
         items = tuple(items)
         self._opened = [i for i in sorted(self.powers) if ("W", i) in items]
         self._moves = {}
+        # records as ids in first-met order, the factor slots (fid,
+        # power) of each, and the ids of records with renumbered slots
+        self._ids, self._records, self._slots, self._retagged = {}, [], [], {}
         try:
             if self.use_dfs:
                 self._dfs(self.canon_items(items), (), frozenset(), (0, ()))
             else:
                 self._span_run(items)
+            records = self._records
+            self.results = {tuple(map(records.__getitem__, ids)): orders
+                            for ids, orders in self.results.items()}
         finally:
-            # the moves of every item and pair met; free them with the search
-            self._moves = None
+            # the moves of every item and pair met, and the record store;
+            # free them with the search
+            self._moves = self._ids = self._records = None
+            self._slots = self._retagged = None
         return self.results
 
     def _zero_or_open(self, item):
@@ -597,8 +608,8 @@ class ReductionSearchBase:
         if self.states > self.states_cap:
             raise BudgetExceededError("reduction search states", self.states_cap)
         if not items:
-            if records not in self.results:
-                self.results[records] = _orders(self._opened, counts)
+            self.results.setdefault(tuple(sorted(records)),
+                                    _orders(self._opened, counts))
             return
         self._expand(items, counts, records, cost)
 
@@ -612,7 +623,7 @@ class ReductionSearchBase:
         for pos, item in enumerate(items):
             unary = self._moves.get(item)
             if unary is None:
-                unary = self._moves[item] = list(self.unary_moves(item))
+                unary = self._moves[item] = self._listed(self.unary_moves(item))
             for out, recs, split in unary:
                 new_cost = cost
                 if split:
@@ -626,7 +637,7 @@ class ReductionSearchBase:
                 if out and out[0][0] == "F":
                     # a unary move makes factors only by opening a power
                     # or splitting a factor, and they carry no id yet
-                    new_items, new_counts, new_records = _with_new_factors(
+                    new_items, new_counts, new_records = self._with_new_factors(
                         item, out, pos, items, counts, records)
                 else:
                     new_items = items[:pos] + out + items[pos + 1:]
@@ -637,7 +648,7 @@ class ReductionSearchBase:
             pair = (items[i], items[j])
             binary = self._moves.get(pair)
             if binary is None:
-                binary = self._moves[pair] = list(self.binary_moves(*pair))
+                binary = self._moves[pair] = self._listed(self.binary_moves(*pair))
             if not binary:
                 continue
             rest = items[:i] + items[i + 1:j] + items[j + 1:]
@@ -657,16 +668,32 @@ class ReductionSearchBase:
                 continue
             for out, recs in self.ternary_moves(x, middle, y):
                 self._dfs(self.canon_items(items[:pos] + out + items[pos + 3:]),
-                          counts, records.union(recs), cost)
+                          counts, records.union(self._intern_all(recs)), cost)
+
+    def _with_new_factors(self, item, out, pos, items, counts, records):
+        """The state (items, counts, records) after a unary move turned
+        items[pos] into the new factors out, with canonical ids.
+
+        An opened power's factor takes the power's offset, the factors
+        before it; a split factor's pieces take its id and the next.  Every
+        later id, in the other items and in the records, moves up past them.
+        """
+        i = item[1]
+        first = item[2] if item[0] == "F" else sum(n for j, n in counts if j < i)
+
+        def up(fid):
+            return fid + 1 if fid >= first else fid
+
+        moved = tuple(_named(it, up(it[2])) if it[0] == "F" else it for it in items)
+        out = tuple(_named(it, first + k) for k, it in enumerate(out))
+        return (moved[:pos] + out + moved[pos + 1:],
+                _add_counts(counts, ((i, 1),)),
+                frozenset(self._rename(records, up)))
 
     # -- span solver over items that do not commute --------------------
 
     def _span_run(self, items):
-        self._memo, self._shared = {}, {}
-        # records as ids in first-met order, the factor slots (fid,
-        # power) of each, and the ids of records with renumbered slots
-        self._ids, self._records, self._slots = {}, [], []
-        self._retagged, self._shifted = {}, {}
+        self._memo, self._shared, self._shifted = {}, {}, {}
         self._depth = 0
         try:
             bundles = self._entry(_SOLVE, items, ())
@@ -680,13 +707,10 @@ class ReductionSearchBase:
                     orders = _orders(self._opened, counts)
                     ids = self._shift(ids, tuple(
                         (i, fids[0]) for i, fids in orders.items() if fids))
-                    self.results.setdefault(
-                        frozenset(map(self._records.__getitem__, ids)), orders)
+                    self.results.setdefault(tuple(sorted(ids)), orders)
         finally:
             # the memo holds every solved tuple; free it with the search
-            self._memo = self._shared = None
-            self._ids = self._records = self._slots = None
-            self._retagged = self._shifted = None
+            self._memo = self._shared = self._shifted = None
 
     def _entry(self, kind, seq, used):
         """The bundles of seq for kind, solved once and memoised.
@@ -831,9 +855,7 @@ class ReductionSearchBase:
         if hit is None:
             named = [_named(x, _LEFT)] + list(others)
             named[-1] = _named(others[-1], _RIGHT)
-            hit = self._moves[key] = [
-                (move[0], self._intern_all(move[1])) + move[2:]
-                for move in moves(*named)]
+            hit = self._moves[key] = self._listed(moves(*named))
         return hit
 
     def _move_bundles(self, x, parts, recs, key):
@@ -849,7 +871,7 @@ class ReductionSearchBase:
             # a unary move spends nothing and uses up at most x itself
             if x[0] != "F":
                 return {self._key(recs, ()) if recs else _NOTHING: _FREE}
-            recs = self._name(recs, {_LEFT: 0})
+            recs = self._rename(recs, {_LEFT: 0}.__getitem__)
             return {self._key(recs, ((x[1], 1),)): _FREE}
         out = {}
         move = ((key, 1),) if key is not None else ()
@@ -869,7 +891,7 @@ class ReductionSearchBase:
                 if partner is not None and partner[0] == "F":
                     fids[_RIGHT] = counts.get(partner[1], 0)
                     counts[partner[1]] = fids[_RIGHT] + 1
-            records.update(self._name(recs, fids))
+            records.update(self._rename(recs, fids.__getitem__))
             bkey = self._key(records, tuple(sorted(counts.items())))
             for costs in itertools.product(*(c for _k, c in combo)):
                 creations = move
@@ -967,6 +989,10 @@ class ReductionSearchBase:
     def _intern_all(self, records):
         return tuple(self._intern(r) for r in records)
 
+    def _listed(self, moves):
+        """The moves (out, records, ...) with their records as ids."""
+        return [(move[0], self._intern_all(move[1])) + move[2:] for move in moves]
+
     def _retag(self, rid, fids):
         """The id of record rid with its factor slots set to fids."""
         hit = self._retagged.get((rid, fids))
@@ -993,27 +1019,17 @@ class ReductionSearchBase:
             hit = self._shifted[(ids, offsets)] = tuple(out)
         return hit
 
-    def _name(self, ids, fids):
-        """ids with the factor ids named _LEFT and _RIGHT numbered."""
+    def _rename(self, ids, rename):
+        """ids with every factor id fid of their records made rename(fid):
+        the names _LEFT and _RIGHT numbered, or the ids a new factor
+        moves up."""
         slots = self._slots
-        return [self._retag(rid, tuple(fids[fid] for fid, _i in slots[rid]))
+        return [self._retag(rid, tuple(rename(fid) for fid, _i in slots[rid]))
                 if slots[rid] else rid for rid in ids]
 
 
 def _named(item, fid):
     return item[:2] + (fid,) + item[3:] if item[0] == "F" else item
-
-
-def _renumber(records, rename):
-    """records with their factor ids renamed."""
-    out = []
-    for r in records:
-        if r[0] == "assign":
-            r = (r[0], rename(r[1])) + r[2:]
-        elif r[0] == "pair":
-            r = (r[0], rename(r[1])) + r[2:4] + (rename(r[4]),) + r[5:]
-        out.append(r)
-    return frozenset(out)
 
 
 def _orders(opened, counts):
@@ -1024,26 +1040,6 @@ def _orders(opened, counts):
         orders[i] = tuple(range(top, top + counts.get(i, 0)))
         top += counts.get(i, 0)
     return orders
-
-
-def _with_new_factors(item, out, pos, items, counts, records):
-    """The state (items, counts, records) after a unary move turned
-    items[pos] into the new factors out, with canonical ids.
-
-    An opened power's factor takes the power's offset, the factors
-    before it; a split factor's pieces take its id and the next.  Every
-    later id, in the other items and in the records, moves up past them.
-    """
-    i = item[1]
-    first = item[2] if item[0] == "F" else sum(n for j, n in counts if j < i)
-
-    def up(fid):
-        return fid + 1 if fid >= first else fid
-
-    moved = tuple(_named(it, up(it[2])) if it[0] == "F" else it for it in items)
-    out = tuple(_named(it, first + k) for k, it in enumerate(out))
-    return (moved[:pos] + out + moved[pos + 1:],
-            _add_counts(counts, ((i, 1),)), _renumber(records, up))
 
 
 def _add_counts(a, b):

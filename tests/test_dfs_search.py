@@ -15,8 +15,9 @@ number of draws.  interaction_pairs, which lists the item pairs the
 search may bring together, is checked against the triple loop it
 replaced on seeded item tuples, and one search pins the states it
 stores.  The
-search reads its records in frozenset order, so CI reruns this file
-under eight hash seeds.
+search numbers its records in the order it first meets them, which the
+input fixes, not the hash seed; CI reruns this file under eight hash
+seeds to guard that.
 """
 
 import random

@@ -124,6 +124,7 @@ def test_build_backend_leaves():
 
 Z = {"type": "IntegerGroup", "generator": "z"}
 Z2 = {"type": "CyclicGroup", "order": 2, "generator": "a"}
+Z4 = {"type": "CyclicGroup", "order": 4, "generator": "a"}
 HNN = {"type": "Hnn", "base": Z2, "stable_letter": "t", "A": [[]], "B": [[]]}
 AMALGAM = {
     "type": "Amalgam", "left": Z2, "right": {**Z2, "generator": "b"},
@@ -177,6 +178,12 @@ def _with_rows(desc, *rows):
     (_with_rows(Z_IN_Z, ["1", "s", ["s", "s"], "1"]), "$"),
     (_with_rows(Z_IN_Z, ["1", "s", ["s'"], "1"], ["1", "s'", ["s"], "1"]),
      "$"),
+    # identifications that are not injective once the identity pair is
+    # added: a -> 1 in Z2, a^2 -> 1 in Z4, and a^2 = 1 across two Z4s
+    ({"type": "Hnn", "base": Z2, "A": [["a"]], "B": [[]]}, "$"),
+    ({"type": "Hnn", "base": Z4, "A": [["a", "a"]], "B": [[]]}, "$"),
+    ({"type": "Amalgam", "left": Z4, "right": {**Z4, "generator": "b"},
+      "phi1": [["a", "a"]], "phi2": [[]]}, "$"),
 ])
 def test_malformed_description_names_its_path(desc, path):
     with pytest.raises(InputError) as info:

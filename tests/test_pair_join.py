@@ -14,8 +14,9 @@ directly) and replay each one:
 - no (pair record, left form, right form) reaches the scheme's
   pair_lines hook twice within one call.
 
-The order of an outcome's pair records follows the hash seed, and so
-does the join's walk; CI runs this file under eight seeds.
+The join walks an outcome's pair records in the order the search
+first met them, which the input fixes, not the hash seed; CI runs this
+file under eight hash seeds, which guard that.
 """
 
 import collections

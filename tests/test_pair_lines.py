@@ -9,11 +9,13 @@ record the hook's calls during real solves and check each returned line
 floor x, y >= 1 where the factor needs a copy of its period, and a zero
 exponent on a concrete factor, whose value the driver adds to its power.
 
-The shared routine stops at the first pair record without lines, and
-the order of an outcome's pair records follows the hash seed, so the
-recorder asks the hook for every pair record under every choice of open
-forms of its two powers itself, once per pair of forms; what the tests
-see does not depend on that order.
+The shared routine stops at the first pair record without lines, so
+what it asks depends on the order of an outcome's pair records (the
+order the search first met them, which the input fixes; CI runs the
+file under eight hash seeds to guard that).  The recorder asks the hook
+for every pair record under every choice of open forms of its two
+powers itself, once per pair of forms; what the tests see does not
+depend on that order.
 """
 
 import itertools

@@ -16,8 +16,9 @@ reaches, pin the depth-first search; they were recorded before
 interaction_pairs was derived from below in one pass.  A change to the search's work then shows up here
 as a counter change, before it moves an instance that sits near its
 time limit in the benchmark.  The cases cover the nine corpus groups at
-degrees 1-3 and give the same record under every hash seed (CI reruns
-the file under eight).  hnn-z2 and amalgam-z4-z2-z4 are virtually
+degrees 1-3 and give the same record under every hash seed, as the
+searches order their records by the input (CI reruns the file under
+eight seeds to guard that).  hnn-z2 and amalgam-z4-z2-z4 are virtually
 cyclic and solve over Z, with no search; their cases pin the HNN
 reduction search, called directly (test_hnn.search_solve).  path-p3 is
 (Z2 * Z2) x Z2 after the join split, and Z2 * Z2 solves over Z too; its
